@@ -9,4 +9,6 @@ Baselines without the symmetry restriction (plain sparse regression and a
 symmetry-regularized variant) live alongside for comparison experiments.
 """
 
+from .expr import LiesindyError
+
 __version__ = "0.1.0"

@@ -11,14 +11,12 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .dynamics import load_trajectories
-from .expr import max_order, to_string
+from .expr import LiesindyError, max_order, to_string
 from .harness import (
-    SPACE, ExperimentConfig, HarnessError, long_term_mse, load_runs_csv,
+    SPACE, ExperimentConfig, long_term_mse, load_longterm_csv, load_runs_csv,
     render_longterm_svg, run_experiment, generate_dataset, summarize_rows,
-    write_summary_csv,
+    write_summary_csv, _aggregate_longterm, _write_longterm_csv,
 )
 from .invariants import CatalogError, builtin_set, truth_equation, verify_set
 from .liealg import check_symmetry_criterion, prolong
@@ -99,33 +97,25 @@ def _cmd_evaluate(args):
         print("test data has no solver config", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
-    mean_rows = []
+    series, blown = [], 0
     for path in paths:
         with open(path) as f:
             blob = json.load(f)
         if blob.get("model") is None:
             continue
         model = model_from_dict(blob["model"], space=SPACE)
-        mean, _, blown = long_term_mse(model, test_trajs, solver)
-        mean_rows.append((blob["run"], mean, blown))
-    if not mean_rows:
+        mean, _, bad = long_term_mse(model, test_trajs, solver)
+        series.append(mean)
+        blown += bad
+    if not series:
         print("no usable models", file=sys.stderr)
         return 1
-    n = max(m.size for _, m, _ in mean_rows)
-    stacked = [[m[j] for _, m, _ in mean_rows if m.size > j]
-               for j in range(n)]
-    mean = [float(np.mean(v)) for v in stacked]
-    std = [float(np.std(v)) for v in stacked]
-    import csv as _csv
-    with open(os.path.join(args.out, "longterm.csv"), "w", newline="") as f:
-        w = _csv.writer(f)
-        w.writerow(["step", "mean_mse", "std_mse", "n_series"])
-        for j, (m, s, v) in enumerate(zip(mean, std, stacked)):
-            w.writerow([j, repr(m), repr(s), len(v)])
+    mean, std, counts = _aggregate_longterm(series)
+    _write_longterm_csv(os.path.join(args.out, "longterm.csv"), mean, std,
+                        counts)
     render_longterm_svg(os.path.join(args.out, "longterm.svg"), mean, std,
                         title="long-term MSE over saved models")
-    blown = sum(1 for _, _, b in mean_rows if b)
-    print(f"evaluated {len(mean_rows)} models over {len(test_trajs)} test "
+    print(f"evaluated {len(series)} models over {len(test_trajs)} test "
           f"trajectories ({blown} blew up); wrote {args.out}/longterm.csv")
     return 0
 
@@ -146,14 +136,9 @@ def _cmd_report(args):
                       [(system, method, rate, rmse_ok, rmse_all)])
     lt_path = os.path.join(args.indir, "longterm.csv")
     if os.path.exists(lt_path):
-        import csv as _csv
-        with open(lt_path, newline="") as f:
-            lt = list(_csv.DictReader(f))
-        render_longterm_svg(
-            os.path.join(args.indir, "longterm.svg"),
-            [float(r["mean_mse"]) for r in lt],
-            [float(r["std_mse"]) for r in lt],
-            title=f"{system} {method} long-term MSE")
+        render_longterm_svg(os.path.join(args.indir, "longterm.svg"),
+                            *load_longterm_csv(lt_path),
+                            title=f"{system} {method} long-term MSE")
     print(f"{'system':<10}{'method':<26}{'success rate':<14}"
           f"{'RMSE successful':<18}{'RMSE all'}")
     print(f"{system:<10}{method:<26}{100.0 * rate:<14.0f}"
@@ -203,7 +188,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (HarnessError, FileNotFoundError) as err:
+    except (LiesindyError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

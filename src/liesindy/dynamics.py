@@ -17,15 +17,16 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .expr import (
-    Add, Const, DepVar, Exp, IndepVar, MissingSymbolError, Mul,
-    dep_vars_in, evaluate, evaluate_array, is_zero, params_in,
+    Add, Const, DepVar, Exp, IndepVar, LiesindyError, MissingSymbolError,
+    Mul, dep_vars_in, evaluate, evaluate_array, is_zero, params_in,
     partial_derivative, simplify, substitute, to_string, _walk,
 )
+from .regress import model_to_equation
 
 __all__ = [
     "SolverConfig", "TrajectoryGrid", "default_config", "builtin_configs",
@@ -39,7 +40,7 @@ SYSTEMS = ("kdv", "ks", "burgers", "nkdv")
 BLOWUP_LIMIT = 1e6
 
 
-class DynamicsError(Exception):
+class DynamicsError(LiesindyError):
     pass
 
 
@@ -104,6 +105,9 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, d):
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown solver keys {unknown}")
         return cls(**{**d, "params": dict(d.get("params", {}))})
 
 
@@ -419,19 +423,6 @@ def _split_monomial(term):
     return coef, rest
 
 
-def _model_equation(model, params):
-    total = model.target
-    for w, feat in zip(model.weights, model.features):
-        if w != 0.0:
-            total = total - Const(float(w)) * feat
-    eq = simplify(substitute(total, params))
-    missing = sorted(p.name for p in params_in(eq))
-    if missing:
-        raise MissingSymbolError(
-            f"model references unbound constants {missing}")
-    return eq
-
-
 def _time_coefficient(eq):
     """Split eq = a(t)*u_t + rest; a must be c or c*e^{g*t}."""
     ut = DepVar("u", ("t",))
@@ -499,7 +490,11 @@ def integrate_model(model, ic, cfg: SolverConfig) -> TrajectoryGrid:
     ic = np.asarray(ic, dtype=float)
     if ic.shape != (cfg.nx,):
         raise ConfigError(f"ic must have length nx = {cfg.nx}")
-    eq = _model_equation(model, cfg.params)
+    eq = simplify(substitute(model_to_equation(model), cfg.params))
+    missing = sorted(p.name for p in params_in(eq))
+    if missing:
+        raise MissingSymbolError(
+            f"model references unbound constants {missing}")
     c, gexp, rest = _time_coefficient(eq)
     linear, leftover = _linear_split(rest)
 
@@ -563,15 +558,14 @@ def integrate_model(model, ic, cfg: SolverConfig) -> TrajectoryGrid:
 # trajectory files
 
 
-def _fmt(v):
-    return repr(float(v))
-
-
 def save_trajectories(path, trajs, config: SolverConfig | None = None):
-    """One directory per dataset: `manifest` plus traj_<k>.csv per member.
+    """One directory per set: a JSON `manifest` and one `trajs.npz`.
 
-    Floats are written in round-trip repr form; load_trajectories restores
-    them bit-exactly.
+    The manifest holds the solver config, the member count and each
+    member's meta.  The npz holds the shared grid as `x` and member i's
+    times and values as `t_<i>` and `u_<i>`, so members may differ in nt.
+    load_trajectories restores every array bit-exactly, and saving the same
+    set twice writes identical bytes.
     """
     if not trajs:
         raise DynamicsError("nothing to save")
@@ -582,36 +576,42 @@ def save_trajectories(path, trajs, config: SolverConfig | None = None):
             raise DynamicsError("all trajectories in a set share one x grid")
     manifest = {
         "config": config.to_dict() if config is not None else None,
-        "x": [_fmt(v) for v in x],
         "count": len(trajs),
-        "trajs": [{"file": f"traj_{i}.csv", "meta": tr.meta}
-                  for i, tr in enumerate(trajs)],
+        "trajs": [{"meta": tr.meta} for tr in trajs],
     }
     with open(os.path.join(path, "manifest"), "w") as f:
         json.dump(manifest, f, indent=1)
         f.write("\n")
-    header = "t," + ",".join(f"x{i}" for i in range(x.size))
+    arrays = {"x": x}
     for i, tr in enumerate(trajs):
-        with open(os.path.join(path, f"traj_{i}.csv"), "w") as f:
-            f.write(header + "\n")
-            for row_t, row_u in zip(tr.t, tr.u):
-                f.write(_fmt(row_t) + "," + ",".join(map(_fmt, row_u)) + "\n")
+        arrays[f"t_{i}"] = tr.t
+        arrays[f"u_{i}"] = tr.u
+    np.savez(os.path.join(path, "trajs.npz"), **arrays)
 
 
 def load_trajectories(path):
-    """Returns (list of TrajectoryGrid, SolverConfig or None)."""
+    """Returns (list of TrajectoryGrid, SolverConfig or None).
+
+    Reads the layout save_trajectories writes, without unpickling.  A
+    directory without `trajs.npz`, such as a dataset in the former CSV
+    layout, or a manifest naming members the npz lacks, raises
+    DynamicsError; such datasets are regenerated with `liesindy generate`.
+    """
+    npz = os.path.join(path, "trajs.npz")
+    if not os.path.isfile(npz):
+        raise DynamicsError(f"no trajs.npz in {path}; regenerate the "
+                            f"dataset with `liesindy generate`")
     with open(os.path.join(path, "manifest")) as f:
         manifest = json.load(f)
-    x = np.array([float(v) for v in manifest["x"]])
     cfg = (SolverConfig.from_dict(manifest["config"])
            if manifest.get("config") else None)
-    trajs = []
-    for entry in manifest["trajs"]:
-        with open(os.path.join(path, entry["file"])) as f:
-            lines = f.read().splitlines()
-        rows = [line.split(",") for line in lines[1:] if line]
-        t = np.array([float(r[0]) for r in rows])
-        u = np.array([[float(v) for v in r[1:]] for r in rows])
-        meta = dict(entry["meta"])
-        trajs.append(TrajectoryGrid(x, t, u, meta))
+    with np.load(npz) as data:
+        try:
+            x = data["x"]
+            trajs = [TrajectoryGrid(x, data[f"t_{i}"], data[f"u_{i}"],
+                                    dict(entry["meta"]))
+                     for i, entry in enumerate(manifest["trajs"])]
+        except KeyError as err:
+            raise DynamicsError(
+                f"incomplete trajectory set {path}: {err}") from None
     return trajs, cfg

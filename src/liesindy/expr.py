@@ -27,12 +27,17 @@ __all__ = [
     "Exp", "Div", "JetSpace", "simplify", "is_zero", "partial_derivative",
     "total_derivative", "total_derivative_multi", "evaluate",
     "evaluate_array", "substitute", "parse", "to_string", "dep_vars_in",
-    "params_in", "denominators_in", "max_order", "ExprError",
-    "MissingSymbolError", "NonFiniteError", "OrderCapError", "ParseError",
+    "params_in", "denominators_in", "max_order", "LiesindyError",
+    "ExprError", "MissingSymbolError", "NonFiniteError", "OrderCapError",
+    "ParseError",
 ]
 
 
-class ExprError(Exception):
+class LiesindyError(Exception):
+    """Root of every error the package raises on purpose."""
+
+
+class ExprError(LiesindyError):
     pass
 
 

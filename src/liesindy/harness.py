@@ -17,33 +17,34 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import __version__
 from .dynamics import (
-    BlowUpError, ConfigError, DynamicsError, SolverConfig, add_noise,
-    default_config, integrate_model, load_trajectories,
-    sample_initial_condition, save_trajectories, solve_pde,
+    BlowUpError, ConfigError, SolverConfig, add_noise, default_config,
+    integrate_model, load_trajectories, sample_initial_condition,
+    save_trajectories, solve_pde,
 )
 from .expr import (
-    Add, Const, ExprError, JetSpace, is_zero, parse, simplify, substitute,
-    to_string,
+    Add, Const, JetSpace, LiesindyError, is_zero, parse, simplify,
+    substitute, to_string,
 )
 from .invariants import builtin_set, truth_equation
 from .jetgrid import (
     FeatureMatrix, evaluate_features, finite_differences, spectral_jets,
 )
 from .regress import (
-    LibrarySpec, RegressionError, SparseModel, build_library, model_from_dict,
-    model_to_dict, stlsq, stlsq_regularized,
+    LibrarySpec, SparseModel, build_library, model_from_dict, model_to_dict,
+    stlsq, stlsq_regularized,
 )
 
 __all__ = [
     "ExperimentConfig", "DiscoveryReport", "HarnessError", "ground_truth",
     "success", "rmse", "long_term_mse", "run_experiment", "generate_dataset",
-    "write_report", "load_runs_csv", "summarize_rows", "write_summary_csv",
-    "render_longterm_svg", "METHODS",
+    "write_report", "load_runs_csv", "load_longterm_csv", "summarize_rows",
+    "write_summary_csv", "render_longterm_svg", "METHODS",
 ]
 
 METHODS = ("sindy", "equiv-r", "di-sindy")
@@ -56,7 +57,7 @@ SPACE = JetSpace(("t", "x"), ("u",), 4)
 _BASELINE_INPUTS = ("u", "u_x", "u_xx", "u_xxx", "u_xxxx")
 
 
-class HarnessError(Exception):
+class HarnessError(LiesindyError):
     pass
 
 
@@ -123,6 +124,9 @@ class ExperimentConfig:
     def from_dict(cls, d):
         d = dict(d)
         d.pop("digest", None)
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise HarnessError(f"unknown config keys {unknown}")
         return cls(**d)
 
     @classmethod
@@ -376,7 +380,7 @@ def _run_one(cfg_dict, run, data_dir, test_trajs):
                                "per_ic": [[repr(float(v)) for v in s]
                                           for s in per_ic],
                                "blown": bool(blown)}
-    except (DynamicsError, RegressionError, ExprError, HarnessError) as err:
+    except LiesindyError as err:
         row["status"] = "error"
         row["message"] = f"{type(err).__name__}: {err}"
     return out
@@ -397,16 +401,14 @@ class DiscoveryReport:
     provenance: dict
 
 
-def _aggregate_longterm(per_run):
-    """Mean/std/count per step over every run's averaged series."""
-    series = [np.array([float(v) for v in lt["mean"]])
-              for lt in per_run if lt is not None]
+def _aggregate_longterm(series):
+    """Mean/std/count per step over float series of any lengths."""
     if not series:
         return None, None, None
-    n_max = max(s.size for s in series)
+    n_max = max(len(s) for s in series)
     mean, std, count = [], [], []
     for j in range(n_max):
-        vals = np.array([s[j] for s in series if s.size > j])
+        vals = np.array([s[j] for s in series if len(s) > j])
         mean.append(float(np.mean(vals)))
         std.append(float(np.std(vals)))
         count.append(int(vals.size))
@@ -459,7 +461,8 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None,
     rate = float(np.mean([r["success"] for r in rows])) if rows else 0.0
     rmse_ok, rmse_all = rmse(fitted, truth) if fitted else (None, None)
     lt_mean, lt_std, lt_count = _aggregate_longterm(
-        [res["longterm"] for res in results])
+        [[float(v) for v in res["longterm"]["mean"]]
+         for res in results if res["longterm"] is not None])
     report = DiscoveryReport(
         config=cfg.to_dict(),
         rows=rows,
@@ -474,17 +477,12 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None,
                        if res["longterm"] and res["longterm"]["blown"]),
         provenance={"digest": cfg.digest(),
                     "data_digest": cfg.data_digest(),
-                    "package": _package_version(),
+                    "package": __version__,
                     "numpy": np.__version__,
                     "python": sys.version.split()[0]})
     if out_dir is not None:
         write_report(report, out_dir, results)
     return report
-
-
-def _package_version():
-    from . import __version__
-    return __version__
 
 
 def generate_dataset(cfg: ExperimentConfig, out_dir):
@@ -534,21 +532,29 @@ def write_report(report: DiscoveryReport, out_dir, results=None):
             json.dump(blob, f, indent=1, sort_keys=True)
             f.write("\n")
     if report.longterm_mean is not None:
-        _write_longterm_csv(os.path.join(out_dir, "longterm.csv"), report)
+        _write_longterm_csv(os.path.join(out_dir, "longterm.csv"),
+                            report.longterm_mean, report.longterm_std,
+                            report.longterm_counts)
         render_longterm_svg(
             os.path.join(out_dir, "longterm.svg"),
             report.longterm_mean, report.longterm_std,
             title=f"{cfg.system} {cfg.method_label()} long-term MSE")
 
 
-def _write_longterm_csv(path, report: DiscoveryReport):
+def _write_longterm_csv(path, mean, std, counts):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["step", "mean_mse", "std_mse", "n_series"])
-        for j, (m, s, n) in enumerate(zip(report.longterm_mean,
-                                          report.longterm_std,
-                                          report.longterm_counts)):
+        for j, (m, s, n) in enumerate(zip(mean, std, counts)):
             w.writerow([j, repr(m), repr(s), n])
+
+
+def load_longterm_csv(path):
+    """(mean, std) series back from a longterm.csv."""
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    return ([float(r["mean_mse"]) for r in rows],
+            [float(r["std_mse"]) for r in rows])
 
 
 def write_summary_csv(path, entries):

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import (
-    Expr, MissingSymbolError, evaluate_array, max_order, params_in, to_string,
+    Expr, LiesindyError, MissingSymbolError, evaluate_array, max_order,
+    params_in, to_string,
 )
 from .dynamics import TrajectoryGrid
 
@@ -29,7 +30,7 @@ __all__ = [
 ]
 
 
-class GridTooSmallError(Exception):
+class GridTooSmallError(LiesindyError):
     pass
 
 

@@ -12,7 +12,7 @@ sum; a surviving out-of-chart variable is an error, not something to drop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class SingularSampleError(ExprError):
     """Could not draw enough non-singular sample points within the retry cap."""
 
 
-def _base_vars_only(e, space):
+def _base_vars_only(e):
     for dv in dep_vars_in(e):
         if dv.order > 0:
             return False
@@ -66,7 +66,7 @@ class VectorField:
         if len(self.phi) != len(self.space.dependent):
             raise ExprError("one phi component per dependent variable")
         for e in self.xi + self.phi:
-            if not _base_vars_only(e, self.space):
+            if not _base_vars_only(e):
                 raise ExprError(
                     f"point generator components may depend on base variables "
                     f"only, got {to_string(e)}")

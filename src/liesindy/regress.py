@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import (
-    Const, Expr, JetSpace, evaluate_array, max_order, parse, simplify,
-    to_string,
+    Const, Expr, JetSpace, LiesindyError, evaluate_array, max_order, parse,
+    simplify, to_string,
 )
 from .liealg import ProlongedVectorField, apply as lie_apply, prolong
 
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-class RegressionError(Exception):
+class RegressionError(LiesindyError):
     pass
 
 

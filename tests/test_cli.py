@@ -38,7 +38,7 @@ def test_generate_writes_dataset(pipeline, config_path):
     blob = json.loads((data / "dataset.json").read_text())
     assert blob["data_digest"] == ExperimentConfig.load(config_path
                                                         ).data_digest()
-    assert (data / "test" / "traj_3.csv").exists()
+    assert (data / "test" / "trajs.npz").exists()
     assert (data / "run_1" / "manifest").exists()
 
 
@@ -95,3 +95,25 @@ def test_missing_config_is_an_error(tmp_path, capsys):
 
 def test_report_without_runs_csv(tmp_path, capsys):
     assert main(["report", "--in", str(tmp_path)]) == 1
+
+
+def _solver_edit(**over):
+    return lambda d: json.dumps({**d, "solver": {**d["solver"], **over}})
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda d: json.dumps({**d, "runz": 3}), "runz"),
+    (lambda d: json.dumps(d)[:-10], ""),
+    (_solver_edit(nx=100), "nx must be a power of two"),
+    (_solver_edit(nxx=64), "nxx"),
+], ids=["unknown-key", "truncated-json", "bad-nx", "unknown-solver-key"])
+def test_bad_config_is_one_error_line(tmp_path, capsys, config_path, edit,
+                                      needle):
+    bad = tmp_path / "bad.json"
+    bad.write_text(edit(json.loads(config_path.read_text())))
+    assert main(["generate", "--config", str(bad),
+                 "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert needle in err
+    assert "Traceback" not in err

@@ -5,6 +5,7 @@ frozen with headroom; the physical invariants (mass, dissipation) sit near
 machine precision because the spectral zero mode is exactly stationary.
 """
 
+import json
 import math
 import os
 from types import SimpleNamespace
@@ -18,6 +19,7 @@ from liesindy.dynamics import (
     integrate_model, load_trajectories, sample_initial_condition,
     save_trajectories, solve_nkdv_direct, solve_pde,
 )
+from liesindy import LiesindyError
 from liesindy.expr import JetSpace, MissingSymbolError, parse
 
 SPACE = JetSpace(("t", "x"), ("u",), 4)
@@ -372,8 +374,43 @@ def test_save_rejects_empty_and_mismatched(tmp_path, kdv_run):
 def test_save_layout(tmp_path, kdv_run):
     cfg, _, tr = kdv_run
     save_trajectories(tmp_path / "one", [tr], config=cfg)
-    assert sorted(os.listdir(tmp_path / "one")) == ["manifest", "traj_0.csv"]
-    with open(tmp_path / "one" / "traj_0.csv") as f:
-        header = f.readline().strip()
-    assert header.startswith("t,x0,x1,")
-    assert header.endswith(f"x{cfg.nx - 1}")
+    save_trajectories(tmp_path / "two", [tr], config=cfg)
+    assert sorted(os.listdir(tmp_path / "one")) == ["manifest", "trajs.npz"]
+    with np.load(tmp_path / "one" / "trajs.npz") as data:
+        assert sorted(data.files) == ["t_0", "u_0", "x"]
+    for name in ("manifest", "trajs.npz"):
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "two" / name).read_bytes()
+
+
+def test_save_load_members_of_different_length(tmp_path, kdv_run):
+    _, _, tr = kdv_run
+    short = TrajectoryGrid(tr.x, tr.t[:20], tr.u[:20], {"role": "short"})
+    save_trajectories(tmp_path / "mixed", [tr, short])
+    back, _ = load_trajectories(tmp_path / "mixed")
+    assert [b.u.shape[0] for b in back] == [tr.t.size, 20]
+    assert np.array_equal(back[1].u, short.u)
+    assert back[1].meta == {"role": "short"}
+
+
+def test_csv_layout_is_rejected(tmp_path, kdv_run):
+    cfg, _, tr = kdv_run
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "manifest").write_text(json.dumps(
+        {"config": cfg.to_dict(), "x": [repr(float(v)) for v in tr.x],
+         "count": 1, "trajs": [{"file": "traj_0.csv", "meta": {}}]}))
+    (old / "traj_0.csv").write_text("t,x0\n0.0,0.0\n")
+    with pytest.raises(LiesindyError, match="liesindy generate"):
+        load_trajectories(old)
+
+
+def test_manifest_listing_absent_member_is_rejected(tmp_path, kdv_run):
+    _, _, tr = kdv_run
+    save_trajectories(tmp_path / "set", [tr])
+    manifest = tmp_path / "set" / "manifest"
+    blob = json.loads(manifest.read_text())
+    blob["trajs"].append({"meta": {}})
+    manifest.write_text(json.dumps(blob))
+    with pytest.raises(DynamicsError, match="t_1"):
+        load_trajectories(tmp_path / "set")

@@ -7,15 +7,19 @@ import numpy as np
 import pytest
 
 from liesindy import harness as hz
-from liesindy.dynamics import ConfigError, SolverConfig, default_config
-from liesindy.expr import parse, to_string
+from liesindy import LiesindyError
+from liesindy.dynamics import (
+    ConfigError, DynamicsError, SolverConfig, default_config,
+)
+from liesindy.expr import ExprError, parse, to_string
 from liesindy.harness import (
     DiscoveryReport, ExperimentConfig, HarnessError, ground_truth,
     long_term_mse, make_test_set, make_train_set, rmse, run_experiment,
     success, generate_dataset, load_runs_csv, summarize_rows,
 )
 from liesindy.invariants import CatalogError
-from liesindy.regress import SparseModel, model_from_dict
+from liesindy.jetgrid import GridTooSmallError
+from liesindy.regress import RegressionError, SparseModel, model_from_dict
 
 P = lambda s: parse(s, hz.SPACE)
 
@@ -104,6 +108,14 @@ def test_config_round_trip(tmp_path):
     blob = json.loads(path.read_text())
     assert blob["digest"] == cfg.digest()   # stamped on save, ignored on load
     assert ExperimentConfig.load(path).to_dict() == cfg.to_dict()
+
+
+def test_unknown_config_keys_rejected():
+    d = small_cfg().to_dict()
+    with pytest.raises(HarnessError, match="runz"):
+        ExperimentConfig.from_dict({**d, "runz": 3})
+    with pytest.raises(ConfigError, match="nxx"):
+        ExperimentConfig.from_dict({**d, "solver": {**d["solver"], "nxx": 1}})
 
 
 def test_digest_separates_configs():
@@ -337,6 +349,22 @@ def test_generate_then_discover_matches_in_memory(tmp_path, small_report):
     assert (data / "test" / "manifest").exists()
     rep = run_experiment(cfg, data_dir=data, out_dir=out)
     assert rep.rows == small_report.rows
+
+
+def test_package_errors_share_one_root():
+    for cls in (ExprError, DynamicsError, RegressionError, HarnessError,
+                GridTooSmallError):
+        assert issubclass(cls, LiesindyError)
+
+
+def test_run_error_becomes_error_row(monkeypatch):
+    def too_small(cfg, trains):
+        raise GridTooSmallError("need nx >= 9 for order 4")
+
+    monkeypatch.setattr(hz, "build_feature_matrix", too_small)
+    rep = run_experiment(small_cfg(runs=1))
+    assert rep.rows[0]["status"] == "error"
+    assert rep.rows[0]["message"].startswith("GridTooSmallError: need nx")
 
 
 def test_dataset_digest_mismatch(tmp_path):
