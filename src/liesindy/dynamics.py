@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +58,38 @@ class BlowUpError(DynamicsError):
 
 class UnsupportedModelError(DynamicsError):
     """The model cannot be rearranged into an integrable u_t = g form."""
+
+
+NUMBER = ((int, float), "a number")
+
+
+def check_config_dict(d, types, what, error):
+    """Raise `error` for keys of `d` outside `types` or mistyped values.
+
+    `types` maps each key to (accepted types, their name in the message);
+    JSON's true/false pass as integers only where bool is listed.
+    """
+    unknown = sorted(set(d) - set(types))
+    if unknown:
+        raise error(f"unknown {what} keys {unknown}")
+    for key, val in d.items():
+        accepted, kind = types[key]
+        if not isinstance(val, accepted) or (
+                isinstance(val, bool) and bool not in accepted):
+            raise error(f"{what} key '{key}' must be {kind}, not {val!r}")
+
+
+_SOLVER_TYPES = {
+    "system": ((str,), "a string"),
+    "nx": ((int,), "an integer"),
+    "length": NUMBER,
+    "dt": NUMBER,
+    "nt": ((int,), "an integer"),
+    "scheme": ((str,), "a string"),
+    "dealias": ((bool,), "true or false"),
+    "transient": NUMBER,
+    "params": ((dict,), "an object"),
+}
 
 
 @dataclass
@@ -105,10 +137,13 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, d):
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigError(f"unknown solver keys {unknown}")
-        return cls(**{**d, "params": dict(d.get("params", {}))})
+        check_config_dict(d, _SOLVER_TYPES, "solver", ConfigError)
+        if "system" not in d:
+            raise ConfigError("solver lacks required key 'system'")
+        params = dict(d.get("params", {}))
+        check_config_dict(params, dict.fromkeys(params, NUMBER),
+                          "solver params", ConfigError)
+        return cls(**{**d, "params": params})
 
 
 def default_config(system: str) -> SolverConfig:

@@ -17,15 +17,15 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .dynamics import (
-    BlowUpError, ConfigError, SolverConfig, add_noise, default_config,
-    integrate_model, load_trajectories, sample_initial_condition,
-    save_trajectories, solve_pde,
+    NUMBER, BlowUpError, ConfigError, SolverConfig, add_noise,
+    check_config_dict, default_config, integrate_model, load_trajectories,
+    sample_initial_condition, save_trajectories, solve_pde,
 )
 from .expr import (
     Add, Const, JetSpace, LiesindyError, is_zero, parse, simplify,
@@ -55,6 +55,26 @@ _TEST_TAG = 0xFFFFFFFF
 SPACE = JetSpace(("t", "x"), ("u",), 4)
 
 _BASELINE_INPUTS = ("u", "u_x", "u_xx", "u_xxx", "u_xxxx")
+
+# config key -> (accepted JSON value types, their name in error messages)
+_CONFIG_TYPES = {
+    "system": ((str,), "a string"),
+    "method": ((str,), "a string"),
+    "runs": ((int,), "an integer"),
+    "solver": ((dict, type(None)), "an object or null"),
+    "noise_sigma": NUMBER,
+    "threshold": ((int, float, type(None)), "a number or null"),
+    "lam": NUMBER,
+    "library": ((dict,), "an object"),
+    "seed": ((int,), "an integer"),
+    "output_dir": ((str,), "a string"),
+    "long_term": ((bool,), "true or false"),
+}
+_LIBRARY_TYPES = {
+    "mode": ((str,), "a string"),
+    "inputs": ((list,), "a list"),
+    "include_constant": ((bool,), "true or false"),
+}
 
 
 class HarnessError(LiesindyError):
@@ -122,11 +142,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise HarnessError(
+                f"config must be a JSON object, not {type(d).__name__}")
         d = dict(d)
         d.pop("digest", None)
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise HarnessError(f"unknown config keys {unknown}")
+        check_config_dict(d, _CONFIG_TYPES, "config", HarnessError)
+        missing = [k for k in ("system", "method") if k not in d]
+        if missing:
+            raise HarnessError(f"config lacks required keys {missing}")
+        lib = d.get("library", {})
+        check_config_dict(lib, _LIBRARY_TYPES, "library", HarnessError)
+        if not all(isinstance(s, str) for s in lib.get("inputs", [])):
+            raise HarnessError("library inputs must be strings")
         return cls(**d)
 
     @classmethod
@@ -320,14 +348,24 @@ def _stack(fms):
         dropped=sum(fm.dropped for fm in fms))
 
 
-def build_feature_matrix(cfg: ExperimentConfig, trains):
-    """Stacked feature matrix over the training trajectories.
+def _jet_estimator(cfg: ExperimentConfig):
+    """(name, estimator) for the config's data, as runs.csv records it.
 
     Noiseless data (noise_sigma == 0) gets `spectral_jets`, whose bias is
     far below the finite-difference estimator's O(h^2); noisy data gets
     `finite_differences`, which does not amplify high-wavenumber noise.
     """
-    jets = spectral_jets if cfg.noise_sigma == 0 else finite_differences
+    if cfg.noise_sigma == 0:
+        return "spectral", spectral_jets
+    return "fd2", finite_differences
+
+
+def build_feature_matrix(cfg: ExperimentConfig, trains):
+    """Stacked feature matrix over the training trajectories.
+
+    Jets come from the estimator `_jet_estimator` picks.
+    """
+    _, jets = _jet_estimator(cfg)
     fms = []
     for tr in trains:
         jet = jets(tr, n=4)
@@ -350,8 +388,9 @@ def _run_one(cfg_dict, run, data_dir, test_trajs):
                          cfg.solver.params)
     seeds = _run_seeds(cfg.seed, run)
     row = {"run": run, "status": "ok", "success": 0, "err_norm": "",
-           "n_rows": 0, "dropped": 0, "iterations": 0, "rank_warning": 0,
-           "active": "", "message": "",
+           "n_rows": 0, "dropped": 0, "jets": _jet_estimator(cfg)[0],
+           "iterations": 0, "rank_warning": 0, "condition_number": "",
+           "min_singular_value": "", "active": "", "message": "",
            "train_seeds": "|".join(map(str, seeds["train_ic"])),
            "noise_seeds": "|".join(map(str, seeds["noise"]))}
     out = {"row": row, "model": None, "longterm": None}
@@ -367,6 +406,8 @@ def _run_one(cfg_dict, run, data_dir, test_trajs):
         row["dropped"] = int(fm.dropped)
         row["iterations"] = int(model.diagnostics["iterations"])
         row["rank_warning"] = int(model.diagnostics["rank_warning"])
+        for key in ("condition_number", "min_singular_value"):
+            row[key] = repr(float(model.diagnostics[key]))
         row["success"] = int(success(model, truth))
         row["err_norm"] = repr(
             float(np.linalg.norm(model.weights - truth.weights)))
@@ -506,8 +547,9 @@ def generate_dataset(cfg: ExperimentConfig, out_dir):
 
 
 RUN_COLUMNS = ["run", "status", "success", "err_norm", "n_rows", "dropped",
-               "iterations", "rank_warning", "active", "message",
-               "train_seeds", "noise_seeds"]
+               "jets", "iterations", "rank_warning", "condition_number",
+               "min_singular_value", "active", "message", "train_seeds",
+               "noise_seeds"]
 
 
 def write_report(report: DiscoveryReport, out_dir, results=None):

@@ -1,12 +1,15 @@
 """Sparse regression: STLSQ, its symmetry-regularized variant, libraries.
 
-One least-squares engine serves every method.  Each thresholding round
-solves an exact quadratic subproblem through ridge-stabilized normal
-equations (ridge 1e-10 scaled to the Gram trace), so results are
-deterministic and the mask can only shrink.  The regularized variant adds
-rows to the same least-squares system: the prolonged action of each
-generator on the residual equation is affine in the coefficients, so the
-symmetry penalty is exactly quadratic and needs no iterative optimizer.
+One least-squares engine serves every method, and it works on the normal
+equations: G = A^T A and r = A^T y are accumulated once per fit and every
+thresholding round solves the active p x p block of G (p is the library
+size), never the tall data matrix.  Each round is an exact quadratic
+subproblem with a ridge of 1e-10 scaled to the block's trace, so results
+are deterministic and the mask can only shrink.  The regularized variant
+adds lam * B^T B and lam * B^T b to the same G and r: the prolonged action
+of each generator on the residual equation is affine in the coefficients,
+so the symmetry penalty is exactly quadratic and needs no iterative
+optimizer.  Its B blocks are evaluated a fixed number of rows at a time.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import (
-    Const, Expr, JetSpace, LiesindyError, evaluate_array, max_order, parse,
-    simplify, to_string,
+    Const, Expr, JetSpace, LiesindyError, evaluate_array, is_zero, max_order,
+    parse, simplify, to_string,
 )
 from .liealg import ProlongedVectorField, apply as lie_apply, prolong
 
@@ -91,37 +94,52 @@ class SparseModel:
         return [f for f, m in zip(self.features, self.mask) if m]
 
 
-def _solve_round(a, y, active):
-    """Ridge-stabilized normal equations on the active columns.
+# Rows of each symmetry block evaluated at a time; bounds the block's memory
+# at _CHUNK_ROWS x (features + 1) floats whatever the number of data points.
+_CHUNK_ROWS = 65536
 
-    Columns are scaled to unit norm before the solve and the solution is
-    rescaled afterwards, so the ridge acts relative to each column's own
+# (prolonged field, expression) -> prolonged action, filled on first use
+_actions: dict = {}
+
+
+def _action(pv, e):
+    key = (pv, e)
+    if key not in _actions:
+        _actions[key] = lie_apply(pv, e)
+    return _actions[key]
+
+
+def _solve_round(gram, rhs, active):
+    """Ridge-stabilized normal equations on the active block of the Gram.
+
+    The block is scaled by the square roots of its diagonal (the column
+    norms of the tall matrix it came from) before the solve and the solution
+    is rescaled afterwards, so the ridge acts relative to each column's own
     magnitude.  Without this a library whose feature scales span many
     decades (high-derivative products) sees the small columns crushed.
     """
     cols = np.flatnonzero(active)
-    coef = np.zeros(a.shape[1])
+    coef = np.zeros(gram.shape[0])
     if cols.size == 0:
         return coef, 0.0, np.inf
-    sub = a[:, cols]
-    norms = np.linalg.norm(sub, axis=0)
+    norms = np.sqrt(np.diag(gram)[cols])
     norms[norms == 0.0] = 1.0
-    sub = sub / norms
-    gram = sub.T @ sub
-    ridge = 1e-10 * np.trace(gram) / cols.size
+    sub = gram[np.ix_(cols, cols)] / np.outer(norms, norms)
+    r = rhs[cols] / norms
+    ridge = 1e-10 * np.trace(sub) / cols.size
     try:
-        c = np.linalg.solve(gram + ridge * np.eye(cols.size), sub.T @ y)
+        c = np.linalg.solve(sub + ridge * np.eye(cols.size), r)
     except np.linalg.LinAlgError:
-        c, *_ = np.linalg.lstsq(sub, y, rcond=None)
+        c, *_ = np.linalg.lstsq(sub, r, rcond=None)
     coef[cols] = c / norms
-    sv = np.linalg.svd(gram, compute_uv=False)
+    sv = np.linalg.svd(sub, compute_uv=False)
     min_sv = float(np.sqrt(max(sv[-1], 0.0)))
     cond = float(np.sqrt(sv[0] / sv[-1])) if sv[-1] > 0 else np.inf
     return coef, min_sv, cond
 
 
-def _stlsq_loop(a, y, features, target, threshold, max_iters):
-    n_rows, n_feats = a.shape
+def _stlsq_loop(gram, rhs, n_rows, features, target, threshold, max_iters):
+    n_feats = gram.shape[0]
     if n_rows <= n_feats:
         raise RegressionError(
             f"need more rows ({n_rows}) than features ({n_feats})")
@@ -135,7 +153,7 @@ def _stlsq_loop(a, y, features, target, threshold, max_iters):
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
-        coef, min_sv, cond = _solve_round(a, y, active)
+        coef, min_sv, cond = _solve_round(gram, rhs, active)
         history.append(tuple(bool(m) for m in active))
         small = active & (np.abs(coef) < threshold)
         if not small.any():
@@ -153,34 +171,46 @@ def _stlsq_loop(a, y, features, target, threshold, max_iters):
                        diagnostics=diagnostics)
 
 
+def _normal_equations(fm):
+    """(A^T A, A^T y) of the feature matrix."""
+    a = fm.values
+    return a.T @ a, a.T @ fm.target
+
+
 def stlsq(fm, threshold: float, max_iters: int = 20) -> SparseModel:
     """Sequential thresholded least squares on a FeatureMatrix."""
-    return _stlsq_loop(fm.values, fm.target, fm.columns, fm.target_label,
-                       threshold, max_iters)
+    gram, rhs = _normal_equations(fm)
+    return _stlsq_loop(gram, rhs, fm.target.size, fm.columns,
+                       fm.target_label, threshold, max_iters)
 
 
-def _regularizer_rows(fm, pvs):
-    """Stacked (B, b) with row blocks per generator.
+def _add_penalty(gram, rhs, fm, pv, lam):
+    """Add lam * (B^T B, B^T b) of one generator to the normal equations.
 
     For the residual equation F = target - sum_j w_j feat_j the prolonged
     action is pr v[F] = pr v[target] - sum_j w_j pr v[feat_j], affine in w,
-    so each generator contributes least-squares rows B w = b with
-    B[:, j] = pr v[feat_j] and b = pr v[target] on the data points.
+    so the generator's penalty ||b - B w||^2 has B[:, j] = pr v[feat_j] and
+    b = pr v[target] on the data points.  B is evaluated _CHUNK_ROWS rows at
+    a time; a generator that annihilates the target and every feature adds
+    nothing and is skipped.
     """
+    exprs = [_action(pv, f) for f in fm.columns]
+    exprs.append(_action(pv, fm.target_label))
+    if all(is_zero(e) for e in exprs):
+        return
     npts = fm.target.size
-    blocks_b = []
-    blocks_y = []
-    for pv in pvs:
-        bm = np.empty((npts, len(fm.columns)))
-        for j, feat in enumerate(fm.columns):
-            bm[:, j] = np.broadcast_to(
-                evaluate_array(lie_apply(pv, feat), fm.row_binding), (npts,))
-        tv = np.broadcast_to(
-            evaluate_array(lie_apply(pv, fm.target_label), fm.row_binding),
-            (npts,))
-        blocks_b.append(bm)
-        blocks_y.append(np.asarray(tv, dtype=float))
-    return np.vstack(blocks_b), np.concatenate(blocks_y)
+    # transposed, so each expression fills one contiguous row
+    block = np.empty((len(exprs), min(npts, _CHUNK_ROWS)))
+    for lo in range(0, npts, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, npts)
+        rows = {name: arr[lo:hi] if np.ndim(arr) else arr
+                for name, arr in fm.row_binding.items()}
+        bt = block[:, :hi - lo]
+        for j, e in enumerate(exprs):
+            bt[j] = evaluate_array(e, rows)
+        b_cols, b_vec = bt[:-1], bt[-1]
+        gram += lam * (b_cols @ b_cols.T)
+        rhs += lam * (b_cols @ b_vec)
 
 
 def stlsq_regularized(fm, generators, lam: float, threshold: float,
@@ -188,9 +218,10 @@ def stlsq_regularized(fm, generators, lam: float, threshold: float,
     """STLSQ on the objective ||y - Aw||^2 + lam * sum_v ||b_v - B_v w||^2.
 
     `generators` may be plain or prolonged vector fields; plain ones are
-    prolonged to the library's order.  Each generator's action on the
-    equation skeleton becomes sqrt(lam)-scaled extra least-squares rows, so
-    each thresholding round is still one exact linear solve.
+    prolonged to the library's order.  The objective's normal equations are
+    (A^T A + lam sum_v B_v^T B_v) w = A^T y + lam sum_v B_v^T b_v, a
+    p x p system accumulated once, so each thresholding round is still one
+    exact linear solve and no stacked (A; B_v) matrix is ever built.
     """
     if lam < 0:
         raise RegressionError("lam must be non-negative")
@@ -200,12 +231,13 @@ def stlsq_regularized(fm, generators, lam: float, threshold: float,
                *(max_order(f) for f in fm.columns))
     pvs = [g if isinstance(g, ProlongedVectorField) else prolong(g, need)
            for g in generators]
-    bmat, bvec = _regularizer_rows(fm, pvs)
-    root = np.sqrt(lam)
-    a = np.vstack([fm.values, root * bmat])
-    y = np.concatenate([fm.target, root * bvec])
-    model = _stlsq_loop(a, y, fm.columns, fm.target_label, threshold,
-                        max_iters)
+    gram, rhs = _normal_equations(fm)
+    for pv in pvs:
+        _add_penalty(gram, rhs, fm, pv, lam)
+    # rows of the equivalent stacked least-squares system
+    n_rows = fm.target.size * (1 + len(pvs))
+    model = _stlsq_loop(gram, rhs, n_rows, fm.columns, fm.target_label,
+                        threshold, max_iters)
     model.diagnostics["lambda"] = lam
     return model
 
@@ -215,7 +247,7 @@ def least_squares_on_support(fm, mask) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (len(fm.columns),):
         raise RegressionError("mask length must match the feature count")
-    return _solve_round(fm.values, fm.target, mask)[0]
+    return _solve_round(*_normal_equations(fm), mask)[0]
 
 
 def model_to_equation(m: SparseModel) -> Expr:
@@ -228,12 +260,13 @@ def model_to_equation(m: SparseModel) -> Expr:
 
 
 def _plain(v):
+    """JSON-ready scalar; a non-finite float becomes None (JSON null)."""
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
     if isinstance(v, (int, np.integer)):
         return int(v)
     if isinstance(v, (float, np.floating)):
-        return float(v)
+        return float(v) if np.isfinite(v) else None
     return v
 
 
@@ -244,6 +277,7 @@ def model_to_dict(m: SparseModel) -> dict:
         "C": [float(v) for v in m.coef],
         "M": [int(v) for v in m.mask],
         "threshold": m.threshold,
+        "history": [[int(v) for v in h] for h in m.history],
         "diagnostics": {k: _plain(v) for k, v in m.diagnostics.items()},
     }
 
@@ -256,6 +290,6 @@ def model_from_dict(d: dict, space: JetSpace | None = None) -> SparseModel:
         coef=np.array(d["C"], dtype=float),
         mask=np.array(d["M"], dtype=bool),
         threshold=float(d["threshold"]),
-        history=[],
+        history=[tuple(bool(v) for v in h) for h in d.get("history", [])],
         diagnostics=dict(d.get("diagnostics", {})),
     )

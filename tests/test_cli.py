@@ -106,7 +106,13 @@ def _solver_edit(**over):
     (lambda d: json.dumps(d)[:-10], ""),
     (_solver_edit(nx=100), "nx must be a power of two"),
     (_solver_edit(nxx=64), "nxx"),
-], ids=["unknown-key", "truncated-json", "bad-nx", "unknown-solver-key"])
+    (lambda d: "[1,2]", "JSON object"),
+    (lambda d: json.dumps({k: v for k, v in d.items() if k != "system"}),
+     "system"),
+    (lambda d: json.dumps({**d, "runs": "ten"}), "runs"),
+    (_solver_edit(nx="64"), "nx"),
+], ids=["unknown-key", "truncated-json", "bad-nx", "unknown-solver-key",
+        "not-an-object", "no-system", "runs-not-integer", "nx-not-integer"])
 def test_bad_config_is_one_error_line(tmp_path, capsys, config_path, edit,
                                       needle):
     bad = tmp_path / "bad.json"

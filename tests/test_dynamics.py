@@ -82,6 +82,19 @@ def test_config_round_trip():
     assert again.params is not cfg.params
 
 
+@pytest.mark.parametrize("edit, msg", [
+    (lambda d: {k: v for k, v in d.items() if k != "system"}, "system"),
+    (lambda d: {**d, "nx": "256"}, "'nx' must be an integer"),
+    (lambda d: {**d, "dt": None}, "'dt' must be a number"),
+    (lambda d: {**d, "dealias": 1}, "'dealias' must be true or false"),
+    (lambda d: {**d, "params": [1.0]}, "'params' must be an object"),
+    (lambda d: {**d, "params": {"t0": "1"}}, "'t0' must be a number"),
+])
+def test_config_values_are_type_checked(edit, msg):
+    with pytest.raises(ConfigError, match=msg):
+        SolverConfig.from_dict(edit(default_config("nkdv").to_dict()))
+
+
 def test_solve_rejects_mismatched_config():
     cfg = default_config("kdv")
     with pytest.raises(ConfigError):

@@ -118,6 +118,31 @@ def test_unknown_config_keys_rejected():
         ExperimentConfig.from_dict({**d, "solver": {**d["solver"], "nxx": 1}})
 
 
+@pytest.mark.parametrize("edit, msg", [
+    (lambda d: [1, 2], "JSON object"),
+    (lambda d: {k: v for k, v in d.items() if k != "system"}, "system"),
+    (lambda d: {k: v for k, v in d.items() if k != "method"}, "method"),
+    (lambda d: {**d, "runs": "ten"}, "'runs' must be an integer"),
+    (lambda d: {**d, "runs": True}, "'runs' must be an integer"),
+    (lambda d: {**d, "lam": "0.1"}, "'lam' must be a number"),
+    (lambda d: {**d, "solver": [64]}, "'solver' must be an object"),
+    (lambda d: {**d, "long_term": 1}, "'long_term' must be true or false"),
+    (lambda d: {**d, "library": {"inputz": ["u"]}}, "inputz"),
+    (lambda d: {**d, "library": {"inputs": "u_x"}}, "'inputs' must be a list"),
+    (lambda d: {**d, "library": {"inputs": [1]}}, "inputs must be strings"),
+])
+def test_config_values_are_type_checked(edit, msg):
+    with pytest.raises(HarnessError, match=msg):
+        ExperimentConfig.from_dict(edit(small_cfg().to_dict()))
+
+
+def test_config_nulls_take_defaults():
+    d = {**small_cfg().to_dict(), "threshold": None, "solver": None}
+    cfg = ExperimentConfig.from_dict(d)
+    assert cfg.threshold == 0.5
+    assert cfg.solver.to_dict() == default_config("kdv").to_dict()
+
+
 def test_digest_separates_configs():
     base = small_cfg()
     assert small_cfg(seed=12).digest() != base.digest()
@@ -329,6 +354,41 @@ def test_report_files_and_determinism(tmp_path, small_report):
     rows = load_runs_csv(out_a / "runs.csv")
     assert [r["run"] for r in rows] == ["0", "1"]
     assert float(rows[0]["err_norm"]) < 0.1
+
+
+def test_runs_csv_records_jets_and_diagnostics(tmp_path, small_report):
+    out = tmp_path / "rep"
+    run_experiment(small_cfg(), out_dir=out)
+    for row, blob in zip(load_runs_csv(out / "runs.csv"),
+                         small_report.models):
+        assert row["jets"] == "spectral"
+        diag = blob["diagnostics"]
+        assert float(row["condition_number"]) == diag["condition_number"]
+        assert float(row["min_singular_value"]) == \
+            diag["min_singular_value"]
+        assert 1.0 <= diag["condition_number"] < np.inf
+        # one mask per round, the last one the final support
+        assert len(blob["history"]) == diag["iterations"]
+        assert blob["history"][-1] == blob["M"]
+    noisy = run_experiment(small_cfg(runs=1, noise_sigma=1e-3))
+    assert noisy.rows[0]["jets"] == "fd2"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_empty_support_model_is_strict_json(tmp_path):
+    # a threshold above every coefficient empties the support, whose
+    # condition number is infinite
+    out = tmp_path / "rep"
+    rep = run_experiment(small_cfg(runs=1, threshold=1e6), out_dir=out)
+    assert rep.rows[0]["active"] == ""
+    text = (out / "models" / "run_0.json").read_text()
+    blob = json.loads(text, parse_constant=_reject_constant)
+    assert blob["model"]["M"] == [0, 0, 0, 0]
+    assert blob["model"]["diagnostics"]["condition_number"] is None
+    assert load_runs_csv(out / "runs.csv")[0]["condition_number"] == "inf"
 
 
 def test_summary_matches_recomputed_aggregates(tmp_path, small_report):

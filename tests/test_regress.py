@@ -1,10 +1,12 @@
 """Sparse regression: STLSQ rounds, the symmetry penalty, serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from liesindy import regress
 from liesindy.dynamics import SolverConfig, sample_initial_condition, solve_pde
 from liesindy.expr import Const, JetSpace, parse, to_string
 from liesindy.invariants import builtin_set
@@ -253,6 +255,99 @@ def test_closed_form_matches_gradient_descent():
     assert np.allclose(m.coef, w, atol=1e-6)
 
 
+def x_scaling():
+    return VectorField(SPACE, xi=(Const(0.0), P("x")), phi=(Const(0.0),),
+                       name="x-scaling")
+
+
+def poly2_fm(n, seed):
+    """n-row FeatureMatrix over the 20-term poly2 library, random jets."""
+    rng = np.random.default_rng(seed)
+    names = ("u", "u_x", "u_xx", "u_xxx", "u_xxxx")
+    binding = {name: rng.normal(size=n) for name in names}
+    binding["t"] = rng.uniform(0.5, 1.5, size=n)
+    binding["x"] = rng.normal(size=n)
+    binding["u_t"] = -binding["u_xxx"] - binding["u"] * binding["u_x"] \
+        + 1e-3 * rng.normal(size=n)
+    feats = build_library(LibrarySpec("poly2", tuple(P(s) for s in names)))
+    values = np.empty((n, len(feats)))
+    for j, f in enumerate(feats):
+        values[:, j] = regress.evaluate_array(f, binding)
+    return FeatureMatrix(columns=feats, values=values,
+                         target=binding["u_t"].copy(), target_label=P("u_t"),
+                         point_index=np.zeros((n, 2), dtype=int),
+                         row_binding=binding)
+
+
+def test_chunked_penalty_matches_one_chunk(monkeypatch):
+    fm = poly2_fm(5000, seed=21)
+    gens = [prolong(g, 4) for g in (galilean(), shift_u(), x_scaling())]
+    one = stlsq_regularized(fm, gens, lam=0.1, threshold=0.05)
+    monkeypatch.setattr(regress, "_CHUNK_ROWS", 700)   # 8 chunks, last short
+    many = stlsq_regularized(fm, gens, lam=0.1, threshold=0.05)
+    assert np.array_equal(many.mask, one.mask)
+    assert many.history == one.history
+    assert np.allclose(many.coef, one.coef, rtol=1e-12, atol=0.0)
+
+
+def test_regularized_fit_never_stacks_the_system():
+    # the stacked (A; B_1; B_2; B_3) system alone would be 4x fm.values
+    fm = poly2_fm(150_000, seed=22)
+    gens = [prolong(g, 4) for g in (galilean(), shift_u(), x_scaling())]
+    stlsq_regularized(fm, gens, lam=0.1, threshold=0.05)   # fill the cache
+    tracemalloc.start()
+    try:
+        stlsq_regularized(fm, gens, lam=0.1, threshold=0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    limit = 2 * fm.values.nbytes
+    assert peak < limit, (peak, limit)
+
+
+def test_second_fit_reuses_prolonged_actions(monkeypatch):
+    calls = []
+
+    def counted(pv, e):
+        calls.append(e)
+        return lie_apply(pv, e)
+
+    lie_apply = regress.lie_apply
+    monkeypatch.setattr(regress, "lie_apply", counted)
+    monkeypatch.setattr(regress, "_actions", {})
+    fm = poly2_fm(500, seed=23)
+    first = stlsq_regularized(fm, [galilean(), x_scaling()], lam=0.1,
+                              threshold=0.05)
+    assert len(calls) == 2 * (len(fm.columns) + 1)
+    # plain generators are prolonged afresh; equal fields share the cache
+    again = stlsq_regularized(fm, [galilean(), x_scaling()], lam=0.1,
+                              threshold=0.05)
+    assert len(calls) == 2 * (len(fm.columns) + 1)
+    assert np.array_equal(again.coef, first.coef)
+
+
+def test_annihilating_generator_is_never_evaluated(monkeypatch):
+    # no feature or target of this library depends on t or x, so both
+    # translations act as zero and add nothing to the normal equations
+    evaluated = []
+
+    def counted(e, binding):
+        evaluated.append(e)
+        return evaluate_array(e, binding)
+
+    evaluate_array = regress.evaluate_array
+    fm = poly2_fm(500, seed=24)
+    shifts = [VectorField(SPACE, xi=xi, phi=(Const(0.0),), name=name)
+              for xi, name in (((Const(0.0), Const(1.0)), "x-shift"),
+                               ((Const(1.0), Const(0.0)), "t-shift"))]
+    monkeypatch.setattr(regress, "evaluate_array", counted)
+    reg = stlsq_regularized(fm, shifts, lam=10.0, threshold=0.05)
+    assert evaluated == []
+    plain = stlsq(fm, threshold=0.05)
+    assert np.array_equal(reg.mask, plain.mask)
+    assert np.array_equal(reg.coef, plain.coef)
+
+
 def test_negative_lambda_rejected(kdv_fm):
     fm, inv = kdv_fm
     with pytest.raises(RegressionError):
@@ -294,3 +389,26 @@ def test_model_serialization_round_trip(kdv_fm):
     assert np.array_equal(back.mask, m.mask)
     assert np.array_equal(back.coef, m.coef)
     assert back.threshold == m.threshold
+
+
+def test_history_round_trips():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(300, 5))
+    y = a[:, 0] + 0.4 * a[:, 1] + 0.05 * a[:, 2]
+    m = stlsq(make_fm(a, y, ["u", "u_x", "u_xx", "u_xxx", "u_xxxx"]),
+              threshold=0.2)
+    d = json.loads(json.dumps(model_to_dict(m)))
+    assert len(d["history"]) == m.diagnostics["iterations"] > 1
+    assert model_from_dict(d, space=SPACE).history == m.history
+
+
+def test_empty_support_diagnostics_serialize_as_null():
+    rng = np.random.default_rng(1)
+    m = stlsq(make_fm(rng.normal(size=(100, 3)), np.zeros(100),
+                      ["u", "u_x", "u_xx"]), threshold=0.1)
+    assert m.diagnostics["condition_number"] == np.inf
+    d = model_to_dict(m)
+    assert d["diagnostics"]["condition_number"] is None
+    text = json.dumps(d, allow_nan=False)     # raises on inf or nan
+    assert model_from_dict(json.loads(text), space=SPACE).diagnostics[
+        "condition_number"] is None
