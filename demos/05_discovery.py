@@ -22,7 +22,7 @@ print("target  :", to_string(target))
 print("features:", [to_string(f) for f in feats])
 
 jet = finite_differences(tr, n=4)
-fm = evaluate_features(jet, feats, target, constants=cfg.params)
+fm = evaluate_features([jet], feats, target, constants=cfg.params)
 print("matrix  :", fm.values.shape, f"({fm.dropped} rows dropped)")
 
 model = stlsq(fm, threshold=0.5)
@@ -33,8 +33,8 @@ print("model   :", to_string(model_to_equation(model)), "= 0")
 resid = fm.values @ model.weights - fm.target
 print("residual:", float(np.sqrt(np.mean(resid ** 2))))
 
-# the harness wraps the same pipeline with multi-trajectory stacking,
-# seeds, metrics, and report files
+# the harness wraps the same pipeline: one feature evaluation over the jets
+# of all of a run's training trajectories, plus seeds, metrics and reports
 exp = ExperimentConfig(system="kdv", method="di-sindy", runs=10, seed=2024)
 print("harness would regress", to_string(exp.target), "on",
       len(exp.features), "features over", exp.runs, "runs")

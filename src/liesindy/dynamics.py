@@ -49,11 +49,15 @@ class ConfigError(DynamicsError):
 
 
 class BlowUpError(DynamicsError):
-    """Solution left the finite range; .step is the first bad sample index."""
+    """Solution left the finite range; .step is the first bad sample index.
 
-    def __init__(self, message, step):
+    `integrate_model` sets .rows to the finite samples before it, u[:step].
+    """
+
+    def __init__(self, message, step, rows=None):
         super().__init__(message)
         self.step = step
+        self.rows = rows
 
 
 class UnsupportedModelError(DynamicsError):
@@ -324,9 +328,10 @@ def _make_stepper(scheme, lin, h, nonlinear):
     return _make_ifrk4(lin, h, nonlinear)
 
 
-def _guard(row, step):
+def _guard(row, step, rows=None):
     if not np.all(np.isfinite(row)) or np.max(np.abs(row)) > BLOWUP_LIMIT:
-        raise BlowUpError(f"solution blew up at step {step}", step=step)
+        raise BlowUpError(f"solution blew up at step {step}", step=step,
+                          rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +571,7 @@ def integrate_model(model, ic, cfg: SolverConfig) -> TrajectoryGrid:
     x = np.arange(cfg.nx) * (cfg.length / cfg.nx)
     u = np.empty((cfg.nt, cfg.nx))
     u[0] = ic
-    _guard(u[0], 0)
+    _guard(u[0], 0, rows=u[:0])
     state = np.fft.rfft(ic)
     sub = cfg.dt / 4.0
     stepper_h = None
@@ -582,7 +587,7 @@ def integrate_model(model, ic, cfg: SolverConfig) -> TrajectoryGrid:
             for _ in range(m):
                 state = step(state)
             u[j] = np.fft.irfft(state, cfg.nx)
-            _guard(u[j], j)
+            _guard(u[j], j, rows=u[:j])
     return TrajectoryGrid(x, t, u, {"system": cfg.system,
                                     "kind": "model-integration",
                                     "params": dict(cfg.params),

@@ -184,9 +184,6 @@ ONE = Const(1.0)
 # ---------------------------------------------------------------------------
 # deterministic ordering
 
-_RANKS = {Const: 0, Param: 1, Exp: 2, Div: 3, IndepVar: 4, DepVar: 5,
-          Pow: 6, Mul: 7, Add: 8}
-
 
 def _key(e):
     if isinstance(e, Const):

@@ -32,9 +32,7 @@ from .expr import (
     substitute, to_string,
 )
 from .invariants import builtin_set, truth_equation
-from .jetgrid import (
-    FeatureMatrix, evaluate_features, finite_differences, spectral_jets,
-)
+from .jetgrid import evaluate_features, finite_differences, spectral_jets
 from .regress import (
     LibrarySpec, SparseModel, build_library, model_from_dict, model_to_dict,
     stlsq, stlsq_regularized,
@@ -260,30 +258,22 @@ def rmse(models, truth: SparseModel):
     return None, rmse_all
 
 
-def _integrate_truncated(model, ic, solver: SolverConfig):
-    """Model trajectory rows until the horizon or the first bad step."""
-    try:
-        return integrate_model(model, ic, solver).u, False
-    except BlowUpError as err:
-        if err.step >= 8:
-            sub = SolverConfig.from_dict({**solver.to_dict(),
-                                          "nt": int(err.step)})
-            return integrate_model(model, ic, sub).u, True
-        return np.asarray(ic, dtype=float)[None, :], True
-
-
 def long_term_mse(model, test_trajs, solver: SolverConfig):
     """Per-step spatial MSE vs ground truth, averaged over the test ICs.
 
     Each test trajectory contributes mean_x (u_model - u_truth)^2 per step;
-    a blow-up truncates that IC's series and flags the result.  The averaged
-    series stops at the shortest surviving length.
+    a blow-up truncates that IC's series to the finite rows before it and
+    flags the result.  The averaged series stops at the shortest surviving
+    length.
     """
     per_ic = []
     blown = False
     for tr in test_trajs:
-        u_model, bad = _integrate_truncated(model, tr.u[0], solver)
-        blown = blown or bad
+        try:
+            u_model = integrate_model(model, tr.u[0], solver).u
+        except BlowUpError as err:
+            u_model = err.rows
+            blown = True
         n = u_model.shape[0]
         per_ic.append(np.mean((u_model - tr.u[:n]) ** 2, axis=1))
     n_common = min(s.size for s in per_ic)
@@ -329,25 +319,6 @@ def make_train_set(cfg: ExperimentConfig, run):
     return out
 
 
-def _stack(fms):
-    first = fms[0]
-    binding = {}
-    for name in first.row_binding:
-        arrs = [fm.row_binding[name] for fm in fms]
-        if np.asarray(arrs[0]).ndim == 0:
-            binding[name] = arrs[0]
-        else:
-            binding[name] = np.concatenate(arrs)
-    return FeatureMatrix(
-        columns=first.columns,
-        values=np.vstack([fm.values for fm in fms]),
-        target=np.concatenate([fm.target for fm in fms]),
-        target_label=first.target_label,
-        point_index=np.vstack([fm.point_index for fm in fms]),
-        row_binding=binding,
-        dropped=sum(fm.dropped for fm in fms))
-
-
 def _jet_estimator(cfg: ExperimentConfig):
     """(name, estimator) for the config's data, as runs.csv records it.
 
@@ -361,17 +332,14 @@ def _jet_estimator(cfg: ExperimentConfig):
 
 
 def build_feature_matrix(cfg: ExperimentConfig, trains):
-    """Stacked feature matrix over the training trajectories.
+    """One feature matrix over all the training trajectories, in order.
 
-    Jets come from the estimator `_jet_estimator` picks.
+    Jets come from the estimator `_jet_estimator` picks; the features are
+    evaluated once over the rows of every trajectory.
     """
     _, jets = _jet_estimator(cfg)
-    fms = []
-    for tr in trains:
-        jet = jets(tr, n=4)
-        fms.append(evaluate_features(jet, cfg.features, cfg.target,
-                                     constants=cfg.solver.params))
-    return _stack(fms)
+    return evaluate_features([jets(tr, n=4) for tr in trains], cfg.features,
+                             cfg.target, constants=cfg.solver.params)
 
 
 def _fit(cfg: ExperimentConfig, fm):
@@ -471,14 +439,13 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None,
             raise HarnessError(
                 f"dataset digest {tag} does not match the config's "
                 f"{cfg.data_digest()}")
-    need_tests = cfg.long_term
-    if data_dir is not None and os.path.isdir(
+    if not cfg.long_term:
+        test_trajs = None
+    elif data_dir is not None and os.path.isdir(
             os.path.join(data_dir, "test")):
         test_trajs, _ = load_trajectories(os.path.join(data_dir, "test"))
-    elif need_tests:
-        test_trajs = make_test_set(cfg)
     else:
-        test_trajs = None
+        test_trajs = make_test_set(cfg)
 
     workers = int(os.environ.get("LIESINDY_WORKERS", "1"))
     cfg_dict = cfg.to_dict()

@@ -7,9 +7,12 @@ periodic by construction), one endpoint row trimmed at each end in t.
 round-off on periodic band-limited fields, and u_t from the 7-point
 sixth-order central stencil, trimming three rows at each end in t.  Its
 x-derivatives amplify high-wavenumber noise as k^m, so noisy data keeps the
-finite-difference estimator.  Features evaluate into plain dense matrices;
-rows where any feature or the target fails to be finite are dropped and
-counted rather than silently kept.
+finite-difference estimator.  `evaluate_features` takes all the jets of
+one fit (one run's training trajectories), lays their rows end to end in
+one flat array per coordinate, and evaluates each feature and the target
+once over all of them into one dense matrix; rows where any feature or the
+target fails to be finite are dropped and counted rather than silently
+kept.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .dynamics import TrajectoryGrid
 
 __all__ = [
     "JetGrid", "FeatureMatrix", "finite_differences", "spectral_jets",
-    "evaluate_features", "export_features_csv", "GridTooSmallError",
+    "evaluate_features", "GridTooSmallError",
 ]
 
 
@@ -68,27 +71,37 @@ class JetGrid:
     derivs: dict = field(default_factory=dict)  # multi-index tuple -> array
     valid_t: tuple = (1, -1)
 
-    @property
-    def t_indices(self):
-        return np.arange(self.valid_t[0], self.valid_t[1])
-
-    def binding(self, stride_t: int = 1, stride_x: int = 1):
+    def binding(self):
         """Flattened name -> 1-D array map over the valid window."""
-        lo, hi = self.valid_t
-        tsel = np.arange(lo, hi)[::stride_t]
-        xsel = np.arange(self.base.x.size)[::stride_x]
-        rows = tsel - lo
-        out = {
-            "t": np.repeat(self.base.t[tsel], xsel.size),
-            "x": np.tile(self.base.x[xsel], tsel.size),
-        }
-        for j, arr in self.derivs.items():
-            name = "u" if not j else "u_" + "".join(j)
-            out[name] = arr[np.ix_(rows, xsel)].ravel()
-        index = np.empty((tsel.size * xsel.size, 2), dtype=int)
-        index[:, 0] = np.repeat(tsel, xsel.size)
-        index[:, 1] = np.tile(xsel, tsel.size)
-        return out, index
+        return _flat_binding([self])
+
+
+def _flat_binding(jets):
+    """name -> one 1-D array over every jet's valid window, in jet order.
+
+    Each jet's rows run in (t index, x index) order after the previous jet's;
+    the arrays are filled in place, with no per-jet copy.
+    """
+    keys = jets[0].derivs.keys()
+    if any(jet.derivs.keys() != keys for jet in jets):
+        raise GridTooSmallError("jets evaluated together need equal orders")
+    names = {j: "u_" + "".join(j) if j else "u" for j in keys}
+    sizes = [jet.derivs[()].size for jet in jets]
+    out = {name: np.empty(sum(sizes))
+           for name in ["t", "x", *names.values()]}
+    start = 0
+    for jet, size in zip(jets, sizes):
+        lo, hi = jet.valid_t
+
+        def block(name):
+            return out[name][start:start + size].reshape(hi - lo, -1)
+
+        block("t")[:] = jet.base.t[lo:hi, None]
+        block("x")[:] = jet.base.x
+        for j, name in names.items():
+            block(name)[:] = jet.derivs[j]
+        start += size
+    return out
 
 
 def _check_grid(traj: TrajectoryGrid, n: int, nt_min: int):
@@ -158,7 +171,6 @@ class FeatureMatrix:
     values: np.ndarray      # (#points, #features)
     target: np.ndarray      # (#points,)
     target_label: Expr
-    point_index: np.ndarray  # (#points, 2) of (t index, x index)
     row_binding: dict        # name -> (#points,) arrays incl. constants
     dropped: int = 0
 
@@ -169,52 +181,45 @@ class FeatureMatrix:
             raise ValueError("target length must match the row count")
 
 
-def evaluate_features(jet: JetGrid, feats, target: Expr, constants=None,
-                      stride_t: int = 1, stride_x: int = 1) -> FeatureMatrix:
-    """Evaluate symbolic features and target over the valid grid window.
+def evaluate_features(jets, feats, target: Expr,
+                      constants=None) -> FeatureMatrix:
+    """Evaluate symbolic features and target over the jets' valid windows.
 
-    Constants (t0, nu, ...) must all be supplied; a missing one raises with
-    its name.  Rows with any non-finite entry are dropped and counted.
+    The rows of all jets form one matrix, in jet order, and each expression
+    is evaluated once over all of them.  Constants (t0, nu, ...) must all be
+    supplied; a missing one raises with its name.  Rows with any non-finite
+    entry are dropped and counted.
     """
+    jets = list(jets)
+    if not jets:
+        raise GridTooSmallError("no jets to evaluate features on")
     feats = list(feats)
     constants = dict(constants or {})
-    for e in list(feats) + [target]:
-        if max_order(e) > jet.order:
+    order = jets[0].order
+    for e in feats + [target]:
+        if max_order(e) > order:
             raise GridTooSmallError(
-                f"{to_string(e)} needs derivatives beyond order {jet.order}")
+                f"{to_string(e)} needs derivatives beyond order {order}")
         for p in params_in(e):
             if p.name not in constants:
                 raise MissingSymbolError(
                     f"no value for constant '{p.name}' in {to_string(e)}")
-    binding, index = jet.binding(stride_t=stride_t, stride_x=stride_x)
+    binding = _flat_binding(jets)
+    npts = binding["u"].size
     for name, val in constants.items():
         binding[name] = float(val)
-    npts = index.shape[0]
+    tvec = np.empty(npts)
+    tvec[:] = evaluate_array(target, binding)
+    keep = np.isfinite(tvec)
     values = np.empty((npts, len(feats)))
     for c, e in enumerate(feats):
-        values[:, c] = np.broadcast_to(evaluate_array(e, binding), (npts,))
-    tvec = np.asarray(np.broadcast_to(evaluate_array(target, binding),
-                                      (npts,)), dtype=float)
-    keep = np.isfinite(values).all(axis=1) & np.isfinite(tvec)
+        values[:, c] = evaluate_array(e, binding)
+        keep &= np.isfinite(values[:, c])
     dropped = int(npts - keep.sum())
-    row_binding = {}
-    for name, val in binding.items():
-        arr = np.asarray(val, dtype=float)
-        row_binding[name] = arr[keep] if arr.ndim else arr
-    return FeatureMatrix(columns=feats, values=values[keep],
-                         target=tvec[keep], target_label=target,
-                         point_index=index[keep], row_binding=row_binding,
+    if dropped:
+        values, tvec = values[keep], tvec[keep]
+        binding = {name: val[keep] if np.ndim(val) else val
+                   for name, val in binding.items()}
+    return FeatureMatrix(columns=feats, values=values, target=tvec,
+                         target_label=target, row_binding=binding,
                          dropped=dropped)
-
-
-def export_features_csv(fm: FeatureMatrix, path):
-    """features.csv layout: point-index columns, features, then target."""
-    header = ["t_index", "x_index"] + [to_string(e) for e in fm.columns]
-    header.append(to_string(fm.target_label))
-    with open(path, "w") as f:
-        f.write(",".join(f'"{h}"' for h in header) + "\n")
-        for (ti, xi), row, y in zip(fm.point_index, fm.values, fm.target):
-            cells = [str(int(ti)), str(int(xi))]
-            cells += [repr(float(v)) for v in row]
-            cells.append(repr(float(y)))
-            f.write(",".join(cells) + "\n")

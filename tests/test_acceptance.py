@@ -328,7 +328,6 @@ def _fm(values, target):
     return FeatureMatrix(
         columns=[P(s) for s in _SYNTH[:values.shape[1]]],
         values=values, target=target, target_label=P("u_t"),
-        point_index=np.zeros((values.shape[0], 2), dtype=int),
         row_binding={})
 
 

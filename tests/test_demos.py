@@ -1,0 +1,28 @@
+"""Smoke test: demos 01-05 run standalone and exit 0.
+
+Each demo runs in its own interpreter with PYTHONPATH=src, as the README
+shows.  Demo 06 is left out: it runs four small experiments (16 runs) and takes
+about 20 s on 2 CPUs, longer than the other five together.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = ("01_symbolic_jets.py", "02_prolongation.py", "03_invariants.py",
+         "04_trajectories.py", "05_discovery.py")
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name, tmp_path):
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                               if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

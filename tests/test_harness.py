@@ -1,7 +1,9 @@
 """Experiment orchestration: configs, ground truth, metrics, reports."""
 
 import json
+import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ import pytest
 from liesindy import harness as hz
 from liesindy import LiesindyError
 from liesindy.dynamics import (
-    ConfigError, DynamicsError, SolverConfig, default_config,
+    BlowUpError, ConfigError, DynamicsError, SolverConfig, TrajectoryGrid,
+    default_config, sample_initial_condition,
 )
 from liesindy.expr import ExprError, parse, to_string
 from liesindy.harness import (
@@ -282,6 +285,29 @@ def test_stack_matches_concatenation():
         np.concatenate([fm_a.row_binding["u"], fm_b.row_binding["u"]]))
 
 
+def test_feature_matrix_is_built_without_a_stacked_copy():
+    # room for the jets, one flat binding and the values, but not for a
+    # second, stacked copy of the per-trajectory matrices (3.2x)
+    solver = default_config("ks").to_dict()
+    solver["nt"] = 200
+    cfg = ExperimentConfig(system="ks", method="sindy", runs=1, seed=3,
+                           solver=solver, long_term=False)
+    trains = make_train_set(cfg, 0)
+    tracemalloc.start()
+    try:
+        fm = hz.build_feature_matrix(cfg, trains)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trains) == 4 and fm.values.shape[1] == 20
+    assert peak < 2.2 * fm.values.nbytes
+
+
+def test_no_trajectories_is_a_grid_error():
+    with pytest.raises(GridTooSmallError):
+        hz.build_feature_matrix(small_cfg(), [])
+
+
 # ---------------------------------------------------------------------------
 # long-term prediction
 
@@ -315,6 +341,42 @@ def test_longterm_wrong_model_grows(kdv_longterm):
     assert not blown
     assert np.isfinite(mean).all()
     assert mean[10] > 1e6 * tmean[10]
+
+
+def test_blown_rollout_keeps_its_finite_rows(monkeypatch):
+    # backward heat, as in test_integrate_detects_blow_up: each IC blows up
+    # within the 16-step horizon and is integrated once
+    solver = SolverConfig("kdv", nx=64, length=2.0 * math.pi, dt=0.01,
+                          nt=16)
+    model = SparseModel(target=P("u_t"), features=[P("u_xx")],
+                        coef=np.array([-1.0]), mask=np.array([True]),
+                        threshold=0.5)
+    x = np.arange(solver.nx) * (solver.length / solver.nx)
+    t = np.arange(solver.nt) * solver.dt
+    tests = []
+    for seed in (2, 3):
+        ic = sample_initial_condition(solver.nx, solver.length, seed=seed)
+        tests.append(TrajectoryGrid(x, t, np.tile(ic, (solver.nt, 1))))
+    calls, steps = [], []
+    integrate = hz.integrate_model
+
+    def spy(model, ic, cfg):
+        calls.append(cfg.nt)
+        try:
+            return integrate(model, ic, cfg)
+        except BlowUpError as err:
+            steps.append(err.step)
+            raise
+
+    monkeypatch.setattr(hz, "integrate_model", spy)
+    mean, per_ic, blown = long_term_mse(model, tests, solver)
+    assert blown
+    assert calls == [solver.nt] * len(tests)
+    assert len(steps) == len(tests)
+    assert [s.size for s in per_ic] == steps
+    assert mean.size == min(steps)
+    assert mean[0] == 0.0                       # the IC row itself
+    assert all(np.isfinite(s).all() for s in per_ic)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +487,24 @@ def test_run_error_becomes_error_row(monkeypatch):
     rep = run_experiment(small_cfg(runs=1))
     assert rep.rows[0]["status"] == "error"
     assert rep.rows[0]["message"].startswith("GridTooSmallError: need nx")
+
+
+def test_discover_without_long_term_skips_the_test_set(tmp_path,
+                                                     monkeypatch):
+    data = tmp_path / "data"
+    cfg = small_cfg(runs=1)
+    generate_dataset(cfg, data)
+    loaded = []
+    load = hz.load_trajectories
+
+    def spy(path):
+        loaded.append(os.path.basename(os.fspath(path)))
+        return load(path)
+
+    monkeypatch.setattr(hz, "load_trajectories", spy)
+    rep = run_experiment(cfg, data_dir=data)
+    assert rep.rows[0]["status"] == "ok"
+    assert loaded == ["run_0"]
 
 
 def test_dataset_digest_mismatch(tmp_path):

@@ -1,6 +1,5 @@
 """Jet estimators and feature-matrix assembly."""
 
-import csv
 import math
 
 import numpy as np
@@ -9,11 +8,14 @@ import pytest
 from liesindy.dynamics import (
     SolverConfig, TrajectoryGrid, sample_initial_condition, solve_pde,
 )
-from liesindy.expr import JetSpace, MissingSymbolError, parse, to_string
+from liesindy.expr import (
+    Const, JetSpace, MissingSymbolError, parse, to_string,
+)
 from liesindy.jetgrid import (
     GridTooSmallError, _dx, _dxx, _dxxx, _dxxxx, evaluate_features,
-    export_features_csv, finite_differences, spectral_jets,
+    finite_differences, spectral_jets,
 )
+from liesindy.liealg import VectorField, check_symmetry_criterion, prolong
 
 SPACE = JetSpace(("t", "x"), ("u",), 4)
 
@@ -109,7 +111,6 @@ def test_valid_window_trims_one_row_each_side():
     jet = finite_differences(tr, n=4)
     assert jet.valid_t == (1, 9)
     assert jet.derivs[()].shape == (8, 32)
-    assert np.array_equal(jet.t_indices, np.arange(1, 9))
 
 
 def test_spectral_window_trims_three_rows_each_side():
@@ -117,7 +118,6 @@ def test_spectral_window_trims_three_rows_each_side():
     jet = spectral_jets(tr, n=4)
     assert jet.valid_t == (3, 7)
     assert jet.derivs[()].shape == (4, 32)
-    assert np.array_equal(jet.t_indices, np.arange(3, 7))
 
 
 def test_spatial_order_bounds():
@@ -143,14 +143,14 @@ def test_lower_order_jets_omit_high_derivatives():
 def test_kdv_residual_is_small_and_second_order(kdv_jet):
     tr, jet = kdv_jet
     resid = P("u_t + u*u_x + u_xxx")
-    fm = evaluate_features(jet, [P("u")], resid)
+    fm = evaluate_features([jet], [P("u")], resid)
     rms = float(np.sqrt(np.mean(fm.target ** 2)))
     assert rms < 2e-2
 
     fine_cfg = SolverConfig("kdv", nx=512, length=20.0, dt=0.005, nt=400)
     fine_ic = sample_initial_condition(512, 20.0, seed=7)
     fine_jet = finite_differences(solve_pde("kdv", fine_ic, fine_cfg), n=4)
-    fine = evaluate_features(fine_jet, [P("u")], resid)
+    fine = evaluate_features([fine_jet], [P("u")], resid)
     fine_rms = float(np.sqrt(np.mean(fine.target ** 2)))
     assert 3.0 < rms / fine_rms < 5.0
 
@@ -162,59 +162,44 @@ def test_kdv_residual_is_small_and_second_order(kdv_jet):
 def test_feature_matrix_shape_and_bookkeeping(kdv_jet):
     tr, jet = kdv_jet
     feats = [P(s) for s in ("u_x", "u_xx", "u_xxx", "u_xxxx")]
-    fm = evaluate_features(jet, feats, P("u_t + u*u_x"))
+    fm = evaluate_features([jet], feats, P("u_t + u*u_x"))
     npts = (tr.t.size - 2) * tr.x.size
     assert fm.values.shape == (npts, 4)
     assert fm.target.shape == (npts,)
     assert fm.dropped == 0
-    assert fm.point_index.shape == (npts, 2)
-    assert fm.point_index[:, 0].min() == 1
-    assert fm.point_index[:, 0].max() == tr.t.size - 2
+    assert fm.row_binding["t"].min() == tr.t[1]
+    assert fm.row_binding["t"].max() == tr.t[-2]
     for name in ("t", "x", "u", "u_t", "u_xxxx"):
         assert fm.row_binding[name].shape == (npts,)
 
 
 def test_row_binding_matches_point_index(kdv_jet):
     tr, jet = kdv_jet
-    fm = evaluate_features(jet, [P("u_x")], P("u_t"))
-    ti, xi = fm.point_index[:, 0], fm.point_index[:, 1]
+    fm = evaluate_features([jet], [P("u_x")], P("u_t"))
+    # rows run over the valid window in (t index, x index) order
+    ti = np.repeat(np.arange(1, tr.t.size - 1), tr.x.size)
+    xi = np.tile(np.arange(tr.x.size), tr.t.size - 2)
     assert np.array_equal(fm.row_binding["t"], tr.t[ti])
     assert np.array_equal(fm.row_binding["x"], tr.x[xi])
     assert np.array_equal(fm.row_binding["u"], tr.u[ti, xi])
 
 
-def test_strides_subsample_rows(kdv_jet):
-    tr, jet = kdv_jet
-    fm = evaluate_features(jet, [P("u_x")], P("u_t"), stride_t=3, stride_x=4)
-    tsel = np.arange(1, tr.t.size - 1)[::3]
-    xsel = np.arange(tr.x.size)[::4]
-    assert fm.values.shape[0] == tsel.size * xsel.size
-    assert set(np.unique(fm.point_index[:, 0])) == set(tsel)
-    assert set(np.unique(fm.point_index[:, 1])) == set(xsel)
-    full = evaluate_features(jet, [P("u_x")], P("u_t"))
-    # strided rows are a subset of the full rows, same values
-    lookup = {(a, b): v for (a, b), v in
-              zip(map(tuple, full.point_index), full.values[:, 0])}
-    for (a, b), v in zip(map(tuple, fm.point_index), fm.values[:, 0]):
-        assert lookup[(a, b)] == v
-
-
 def test_constants_are_bound_and_checked(kdv_jet):
     _, jet = kdv_jet
     target = P("exp(-t/t0)*u_t")
-    fm = evaluate_features(jet, [P("u*u_x")], target, constants={"t0": 1.0})
+    fm = evaluate_features([jet], [P("u*u_x")], target, constants={"t0": 1.0})
     expected = np.exp(-fm.row_binding["t"]) * fm.row_binding["u_t"]
     assert np.allclose(fm.target, expected, rtol=1e-12)
     with pytest.raises(MissingSymbolError, match="t0"):
-        evaluate_features(jet, [P("u*u_x")], target)
+        evaluate_features([jet], [P("u*u_x")], target)
 
 
 def test_order_beyond_jet_raises(kdv_jet):
     tr, _ = kdv_jet
     low = finite_differences(tr, n=2)
     with pytest.raises(GridTooSmallError):
-        evaluate_features(low, [P("u_xxx")], P("u_t"))
-    fm = evaluate_features(low, [P("u_xx")], P("u_t"))
+        evaluate_features([low], [P("u_xxx")], P("u_t"))
+    fm = evaluate_features([low], [P("u_xx")], P("u_t"))
     assert fm.values.shape[1] == 1
 
 
@@ -225,27 +210,56 @@ def test_non_finite_rows_are_dropped():
     u[4, 7] = 0.0                      # exact zero poisons 1/u at one point
     tr = TrajectoryGrid(x, t, u)
     jet = finite_differences(tr, n=2)
-    fm = evaluate_features(jet, [P("1/u")], P("u_t"))
+    fm = evaluate_features([jet], [P("1/u")], P("u_t"))
     assert fm.dropped == 1
     assert fm.values.shape[0] == 8 * 32 - 1
     assert np.all(np.isfinite(fm.values))
-    assert (4, 7) not in set(map(tuple, fm.point_index))
+    assert not np.any((fm.row_binding["t"] == t[4])
+                      & (fm.row_binding["x"] == x[7]))
     assert fm.row_binding["u"].shape == (8 * 32 - 1,)
 
 
-def test_features_csv_round_trip(tmp_path, kdv_jet):
-    _, jet = kdv_jet
-    feats = [P("u_x"), P("u*u_x")]
-    fm = evaluate_features(jet, feats, P("u_t"), stride_t=40, stride_x=32)
-    path = tmp_path / "features.csv"
-    export_features_csv(fm, path)
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ["t_index", "x_index", "u_x", "u*u_x", "u_t"]
-    assert len(rows) == fm.target.size + 1
-    got = np.array([[float(v) for v in r[2:]] for r in rows[1:]])
-    # repr round trip is bit exact
-    assert np.array_equal(got[:, :2], fm.values)
-    assert np.array_equal(got[:, 2], fm.target)
-    idx = np.array([[int(r[0]), int(r[1])] for r in rows[1:]])
-    assert np.array_equal(idx, fm.point_index)
+def test_jets_evaluate_as_one_matrix_with_a_dropped_row():
+    x = np.arange(32) * 0.5
+    t = np.arange(10) * 0.1
+    u = np.ones((10, 32)) + 0.1 * np.sin(x)[None, :]
+    poisoned = u.copy()
+    poisoned[4, 7] = 0.0              # 1/u is infinite in the second jet only
+    jets = [finite_differences(TrajectoryGrid(x, t, v), n=2)
+            for v in (u, poisoned)]
+    fm = evaluate_features(jets, [P("1/u")], P("u_t"))
+    n = 8 * 32
+    assert fm.dropped == 1
+    assert fm.values.shape == (2 * n - 1, 1)
+    rb = fm.row_binding
+    for name in ("t", "x", "u", "u_t", "u_x", "u_xx"):
+        assert rb[name].shape == (2 * n - 1,)
+    # every row of values, target and binding describes one grid point
+    assert np.array_equal(fm.values[:, 0], 1.0 / rb["u"])
+    assert np.array_equal(fm.target, rb["u_t"])
+    # jet order: the first jet's rows, then the second's less (4, 7)
+    rows = np.concatenate([u[1:-1].ravel(), poisoned[1:-1].ravel()])
+    assert np.array_equal(rb["u"], np.delete(rows, n + 3 * 32 + 7))
+    first = evaluate_features(jets[:1], [P("1/u")], P("u_t"))
+    assert np.array_equal(fm.values[:n], first.values)
+    assert np.array_equal(rb["t"][:n], first.row_binding["t"])
+
+
+def test_jets_of_one_matrix_share_their_orders():
+    tr, _, _ = manufactured(32, 10)
+    mixed = [finite_differences(tr, n=2), finite_differences(tr, n=4)]
+    with pytest.raises(GridTooSmallError):
+        evaluate_features(mixed, [P("u_x")], P("u_t"))
+
+
+def test_binding_feeds_the_symmetry_criterion(kdv_jet):
+    tr, jet = kdv_jet
+    binding = jet.binding()
+    assert binding["u"].size == (tr.t.size - 2) * tr.x.size
+    galilean = VectorField(SPACE, xi=(Const(0.0), P("t")),
+                           phi=(Const(1.0),))
+    rep = check_symmetry_criterion(prolong(galilean, 4),
+                                   P("u_t + u*u_x + u_xxx"), data=jet)
+    assert rep.symbolic_zero
+    assert rep.points == binding["u"].size
+    assert np.isfinite(rep.max_abs_on_data)

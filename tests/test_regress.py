@@ -33,7 +33,6 @@ def make_fm(values, target, labels, target_label="u_t", binding=None):
         values=values,
         target=np.asarray(target, dtype=float),
         target_label=P(target_label),
-        point_index=np.zeros((values.shape[0], 2), dtype=int),
         row_binding=dict(binding or {}),
     )
 
@@ -44,7 +43,7 @@ def kdv_fm():
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=7)
     jet = finite_differences(solve_pde("kdv", ic, cfg), n=4)
     inv = builtin_set("kdv")
-    return evaluate_features(jet, inv.rhs_features(), inv.lhs), inv
+    return evaluate_features([jet], inv.rhs_features(), inv.lhs), inv
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +274,6 @@ def poly2_fm(n, seed):
         values[:, j] = regress.evaluate_array(f, binding)
     return FeatureMatrix(columns=feats, values=values,
                          target=binding["u_t"].copy(), target_label=P("u_t"),
-                         point_index=np.zeros((n, 2), dtype=int),
                          row_binding=binding)
 
 
