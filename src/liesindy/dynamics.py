@@ -1,15 +1,20 @@
 """Trajectory generation and model integration on periodic 1+1 grids.
 
 Ground-truth data comes from pseudo-spectral method-of-lines solvers: FFT
-derivatives, 2/3-rule dealiasing, ETDRK4 stepping for the stiff dispersive
-systems and integrating-factor RK4 for Burgers.  The time-rescaled KdV
-variant is solved through its exact substitution onto KdV time, landing on
-every requested output instant rather than interpolating.
+derivatives, 2/3-rule dealiasing, and the configured scheme, ETDRK4 for the
+stiff dispersive systems or integrating-factor RK4 for Burgers.  The
+time-rescaled KdV variant is solved through its exact substitution onto KdV
+time, under the configured scheme, landing on every requested output
+instant rather than interpolating.
 
 Discovered models are integrated by the same spectral machinery: the model's
 own constant-coefficient linear part is absorbed into an integrating factor
 (a bare explicit step is unstable for any dispersive model worth finding)
 and the remainder is evaluated pointwise.
+
+Every solve and rollout steps through one loop, `_march`, which cuts each
+output span into sub-steps, writes every sample and guards it against
+blow-up.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from .regress import model_to_equation
 
 __all__ = [
     "SolverConfig", "TrajectoryGrid", "default_config", "builtin_configs",
-    "sample_initial_condition", "solve_pde", "solve_nkdv_direct",
-    "integrate_model", "add_noise", "save_trajectories", "load_trajectories",
+    "sample_initial_condition", "solve_pde", "integrate_model", "add_noise",
+    "save_trajectories", "load_trajectories",
     "DynamicsError", "BlowUpError", "ConfigError", "UnsupportedModelError",
 ]
 
@@ -51,7 +56,8 @@ class ConfigError(DynamicsError):
 class BlowUpError(DynamicsError):
     """Solution left the finite range; .step is the first bad sample index.
 
-    `integrate_model` sets .rows to the finite samples before it, u[:step].
+    .rows holds the finite samples before it, u[:step]; a step inside a
+    discarded transient is negative and has no rows.
     """
 
     def __init__(self, message, step, rows=None):
@@ -71,7 +77,8 @@ def check_config_dict(d, types, what, error):
     """Raise `error` for keys of `d` outside `types` or mistyped values.
 
     `types` maps each key to (accepted types, their name in the message);
-    JSON's true/false pass as integers only where bool is listed.
+    JSON's true/false pass as integers only where bool is listed, and its
+    NaN and Infinity pass nowhere.
     """
     unknown = sorted(set(d) - set(types))
     if unknown:
@@ -81,6 +88,8 @@ def check_config_dict(d, types, what, error):
         if not isinstance(val, accepted) or (
                 isinstance(val, bool) and bool not in accepted):
             raise error(f"{what} key '{key}' must be {kind}, not {val!r}")
+        if isinstance(val, float) and not math.isfinite(val):
+            raise error(f"{what} key '{key}' must be finite, not {val!r}")
 
 
 _SOLVER_TYPES = {
@@ -128,6 +137,9 @@ class SolverConfig:
             raise ConfigError("burgers needs nu > 0")
         if self.system == "nkdv" and self.params.get("t0", 0.0) <= 0:
             raise ConfigError("nkdv needs t0 > 0")
+        if self.system == "nkdv" and self.transient:
+            # the equation depends on absolute t
+            raise ConfigError("nkdv takes no transient")
 
     @property
     def horizon(self):
@@ -243,13 +255,18 @@ def add_noise(traj: TrajectoryGrid, sigma: float, seed) -> TrajectoryGrid:
 # spectral plumbing
 
 
-def _wavenumbers(nx, length):
-    return 2.0 * math.pi * np.fft.rfftfreq(nx, d=length / nx)
+def _grid(cfg):
+    """(x, t, wavenumbers, dealias mask) of cfg's periodic grid.
 
-
-def _dealias_mask(nx):
-    # 2/3 rule for quadratic nonlinearities: keep bins up to nx//3
-    return (np.arange(nx // 2 + 1) <= nx // 3).astype(float)
+    The mask keeps bins up to nx//3 (2/3 rule for quadratic
+    nonlinearities), or every bin when dealiasing is off.
+    """
+    nx = cfg.nx
+    x = np.arange(nx) * (cfg.length / nx)
+    t = np.arange(cfg.nt) * cfg.dt
+    k = 2.0 * math.pi * np.fft.rfftfreq(nx, d=cfg.length / nx)
+    keep = nx // 3 if cfg.dealias else nx
+    return x, t, k, (np.arange(nx // 2 + 1) <= keep).astype(float)
 
 
 def _linear_symbol(system, k, params):
@@ -322,16 +339,48 @@ def _make_ifrk4(lin, h, nonlinear):
     return step
 
 
-def _make_stepper(scheme, lin, h, nonlinear):
-    if scheme == "etdrk4":
-        return _make_etdrk4(lin, h, nonlinear)
-    return _make_ifrk4(lin, h, nonlinear)
+def _make_stepper(scheme, lin, nonlinear):
+    """h -> `scheme`'s step of size h for v' = lin*v + nonlinear(v)."""
+    make = _make_etdrk4 if scheme == "etdrk4" else _make_ifrk4
+    return lambda h: make(lin, h, nonlinear)
 
 
-def _guard(row, step, rows=None):
+def _guard(row, step, rows):
     if not np.all(np.isfinite(row)) or np.max(np.abs(row)) > BLOWUP_LIMIT:
         raise BlowUpError(f"solution blew up at step {step}", step=step,
                           rows=rows)
+
+
+def _march(make_step, ic, spans, sub, min_steps=1, skip=0):
+    """Step rfft(ic) across `spans` and return the (samples, nx) array u.
+
+    Each span is cut into max(min_steps, ceil(span/sub)) equal sub-steps,
+    and the stepper is rebuilt only when the sub-step size changes.  Row 0
+    is ic and row j the state after the j-th span.  With `skip`, the first
+    skip spans are a discarded transient: guarded at steps -skip..-1, not
+    stored, and the state after them becomes row 0.  A BlowUpError carries
+    the finite rows before the bad sample.
+    """
+    nx = ic.size
+    u = np.empty((len(spans) + 1 - skip, nx))
+    u[0] = ic
+    if not skip:
+        _guard(u[0], 0, u[:0])
+    state = np.fft.rfft(ic)
+    step = step_h = None
+    with np.errstate(all="ignore"):
+        for i, span in enumerate(spans, -skip):
+            m = max(min_steps, math.ceil(span / sub - 1e-12))
+            h = span / m
+            if step is None or abs(h - step_h) > 1e-15 * abs(h):
+                step, step_h = make_step(h), h
+            for _ in range(m):
+                state = step(state)
+            # transient samples pass through row 0 as steps -skip..-1
+            j = max(i + 1, 0)
+            u[j] = np.fft.irfft(state, nx)
+            _guard(u[j], j if i >= 0 else i, u[:j])
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +396,8 @@ def solve_pde(system, ic, cfg: SolverConfig | None = None,
     """Solve one built-in system from ic on the configured grid.
 
     The time-rescaled KdV runs as KdV in the substituted time tau(t) =
-    t0*(e^{t/t0} - 1), stepped in sub-intervals that land exactly on every
-    tau(t_j), so no temporal interpolation is involved.
+    t0*(e^{t/t0} - 1), stepped in sub-intervals of at most KdV's dt that
+    land exactly on every tau(t_j), so no temporal interpolation is involved.
     """
     cfg = default_config(system) if cfg is None else cfg
     if cfg.system != system:
@@ -356,95 +405,22 @@ def solve_pde(system, ic, cfg: SolverConfig | None = None,
     ic = np.asarray(ic, dtype=float)
     if ic.shape != (cfg.nx,):
         raise ConfigError(f"ic must have length nx = {cfg.nx}")
-    k = _wavenumbers(cfg.nx, cfg.length)
-    mask = _dealias_mask(cfg.nx) if cfg.dealias else np.ones(cfg.nx // 2 + 1)
-    nonlinear = _advection(k, mask, cfg.nx)
+    x, t, k, mask = _grid(cfg)
     lin = _linear_symbol(system, k, cfg.params)
-    x = np.arange(cfg.nx) * (cfg.length / cfg.nx)
-    t = np.arange(cfg.nt) * cfg.dt
+    make_step = _make_stepper(cfg.scheme, lin, _advection(k, mask, cfg.nx))
     out_meta = {"system": system, "params": dict(cfg.params),
                 "noise_sigma": 0.0, **(meta or {})}
-    u = np.empty((cfg.nt, cfg.nx))
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        if system == "nkdv":
-            t0 = cfg.params["t0"]
-            tau = _tau_of_t(t, t0)
-            state = np.fft.rfft(ic)
-            u[0] = ic
-            _guard(u[0], 0)
-            base_h = default_config("kdv").dt
-            for j in range(1, cfg.nt):
-                span = tau[j] - tau[j - 1]
-                m = max(1, int(math.ceil(span / base_h - 1e-12)))
-                step = _make_etdrk4(lin, span / m, nonlinear)
-                for _ in range(m):
-                    state = step(state)
-                u[j] = np.fft.irfft(state, cfg.nx)
-                _guard(u[j], j)
-        else:
-            state = np.fft.rfft(ic)
-            step = _make_stepper(cfg.scheme, lin, cfg.dt, nonlinear)
-            n_transient = int(round(cfg.transient / cfg.dt))
-            for j in range(n_transient):
-                state = step(state)
-                _guard(np.fft.irfft(state, cfg.nx), j - n_transient)
-            if n_transient:
-                u[0] = np.fft.irfft(state, cfg.nx)
-                out_meta["transient"] = cfg.transient
-            else:
-                u[0] = ic
-            _guard(u[0], 0)
-            for j in range(1, cfg.nt):
-                state = step(state)
-                u[j] = np.fft.irfft(state, cfg.nx)
-                _guard(u[j], j)
-
+    skip = round(cfg.transient / cfg.dt)
+    if skip:
+        out_meta["transient"] = cfg.transient
+    if system == "nkdv":
+        spans = np.diff(_tau_of_t(t, cfg.params["t0"]))
+        sub = default_config("kdv").dt
+    else:
+        # exactly dt per span: np.diff(t) would differ in the last bits
+        spans, sub = [cfg.dt] * (skip + cfg.nt - 1), cfg.dt
+    u = _march(make_step, ic, spans, sub, skip=skip)
     return TrajectoryGrid(x, t, u, out_meta)
-
-
-def solve_nkdv_direct(ic, cfg: SolverConfig, dt_inner=2e-5) -> TrajectoryGrid:
-    """Fully explicit RK4 for the time-rescaled KdV in raw t.
-
-    Deliberately naive (no substitution, no integrating factor) so it serves
-    as an independent cross-check of the substitution route; needs a tiny
-    inner step for stability and is only meant for short horizons.
-    """
-    if cfg.system != "nkdv":
-        raise ConfigError("direct integration is the nkdv cross-check")
-    ic = np.asarray(ic, dtype=float)
-    t0 = cfg.params["t0"]
-    k = _wavenumbers(cfg.nx, cfg.length)
-    mask = _dealias_mask(cfg.nx) if cfg.dealias else np.ones(cfg.nx // 2 + 1)
-    ik = 1j * k
-    lin = -(ik ** 3)
-
-    def rhs(time, v):
-        u = np.fft.irfft(v, cfg.nx)
-        return math.exp(time / t0) * mask * (
-            lin * v - ik * np.fft.rfft(0.5 * u * u))
-
-    x = np.arange(cfg.nx) * (cfg.length / cfg.nx)
-    t = np.arange(cfg.nt) * cfg.dt
-    u = np.empty((cfg.nt, cfg.nx))
-    u[0] = ic
-    state = np.fft.rfft(ic) * mask
-    time = 0.0
-    for j in range(1, cfg.nt):
-        m = max(1, int(math.ceil(cfg.dt / dt_inner - 1e-12)))
-        h = cfg.dt / m
-        for _ in range(m):
-            k1 = rhs(time, state)
-            k2 = rhs(time + h / 2, state + h / 2 * k1)
-            k3 = rhs(time + h / 2, state + h / 2 * k2)
-            k4 = rhs(time + h, state + h * k3)
-            state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            time += h
-        u[j] = np.fft.irfft(state, cfg.nx)
-        _guard(u[j], j)
-    return TrajectoryGrid(x, t, u, {"system": "nkdv-direct",
-                                    "params": dict(cfg.params),
-                                    "noise_sigma": 0.0})
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +514,7 @@ def integrate_model(model, ic, cfg: SolverConfig) -> TrajectoryGrid:
     c, gexp, rest = _time_coefficient(eq)
     linear, leftover = _linear_split(rest)
 
-    k = _wavenumbers(cfg.nx, cfg.length)
-    mask = _dealias_mask(cfg.nx) if cfg.dealias else np.ones(cfg.nx // 2 + 1)
+    x, t, k, mask = _grid(cfg)
     # du/ds = -(rest)/c in the rescaled time s with ds = e^{-g t} dt
     lin = np.zeros_like(k, dtype=complex)
     for order, w in linear.items():
@@ -563,31 +538,9 @@ def integrate_model(model, ic, cfg: SolverConfig) -> TrajectoryGrid:
             (cfg.nx,))
         return (-1.0 / c) * mask * np.fft.rfft(vals)
 
-    t = np.arange(cfg.nt) * cfg.dt
-    if gexp == 0.0:
-        s = t.copy()
-    else:
-        s = -np.expm1(-gexp * t) / gexp
-    x = np.arange(cfg.nx) * (cfg.length / cfg.nx)
-    u = np.empty((cfg.nt, cfg.nx))
-    u[0] = ic
-    _guard(u[0], 0, rows=u[:0])
-    state = np.fft.rfft(ic)
-    sub = cfg.dt / 4.0
-    stepper_h = None
-    step = None
-    with np.errstate(all="ignore"):
-        for j in range(1, cfg.nt):
-            span = s[j] - s[j - 1]
-            m = max(4, int(math.ceil(span / sub - 1e-12)))
-            h = span / m
-            if step is None or abs(h - stepper_h) > 1e-15 * abs(h):
-                step = _make_ifrk4(lin, h, nonlinear)
-                stepper_h = h
-            for _ in range(m):
-                state = step(state)
-            u[j] = np.fft.irfft(state, cfg.nx)
-            _guard(u[j], j, rows=u[:j])
+    s = t if gexp == 0.0 else -np.expm1(-gexp * t) / gexp
+    u = _march(_make_stepper("rk4-spectral", lin, nonlinear), ic, np.diff(s),
+               cfg.dt / 4.0, min_steps=4)
     return TrajectoryGrid(x, t, u, {"system": cfg.system,
                                     "kind": "model-integration",
                                     "params": dict(cfg.params),
@@ -643,6 +596,8 @@ def load_trajectories(path):
                             f"dataset with `liesindy generate`")
     with open(os.path.join(path, "manifest")) as f:
         manifest = json.load(f)
+    if not isinstance(manifest, dict):
+        raise DynamicsError(f"{path}/manifest is not a JSON object")
     cfg = (SolverConfig.from_dict(manifest["config"])
            if manifest.get("config") else None)
     with np.load(npz) as data:

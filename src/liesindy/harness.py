@@ -362,12 +362,12 @@ def _run_one(cfg_dict, run, data_dir, test_trajs):
            "train_seeds": "|".join(map(str, seeds["train_ic"])),
            "noise_seeds": "|".join(map(str, seeds["noise"]))}
     out = {"row": row, "model": None, "longterm": None}
+    # an unreadable dataset ends the experiment instead of one run
+    trains = (None if data_dir is None else
+              load_trajectories(os.path.join(data_dir, f"run_{run}"))[0])
     try:
-        if data_dir is None:
+        if trains is None:
             trains = make_train_set(cfg, run)
-        else:
-            trains, _ = load_trajectories(
-                os.path.join(data_dir, f"run_{run}"))
         fm = build_feature_matrix(cfg, trains)
         model = _fit(cfg, fm)
         row["n_rows"] = int(fm.target.size)
@@ -434,7 +434,10 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None,
     """
     if data_dir is not None:
         with open(os.path.join(data_dir, "dataset.json")) as f:
-            tag = json.load(f)["data_digest"]
+            blob = json.load(f)
+        if not isinstance(blob, dict) or "data_digest" not in blob:
+            raise HarnessError(f"{data_dir}/dataset.json has no data_digest")
+        tag = blob["data_digest"]
         if tag != cfg.data_digest():
             raise HarnessError(
                 f"dataset digest {tag} does not match the config's "

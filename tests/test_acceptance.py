@@ -21,7 +21,7 @@ import pytest
 
 from liesindy.dynamics import (
     SolverConfig, TrajectoryGrid, default_config, sample_initial_condition,
-    solve_nkdv_direct, solve_pde,
+    solve_pde,
 )
 from liesindy.expr import DepVar, IndepVar, JetSpace, is_zero, parse, simplify
 from liesindy.harness import (
@@ -34,6 +34,7 @@ from liesindy.invariants import (
 from liesindy.jetgrid import FeatureMatrix, finite_differences
 from liesindy.liealg import VectorField, check_symmetry_criterion, prolong
 from liesindy.regress import model_from_dict, model_to_equation, stlsq
+from nkdv_oracle import solve_nkdv_direct
 
 P = lambda s: parse(s, SPACE)
 SYSTEMS = ("kdv", "ks", "burgers", "nkdv")

@@ -1,6 +1,7 @@
 """CLI subcommands drive the same library paths the tests exercise."""
 
 import json
+import shutil
 
 import pytest
 
@@ -111,8 +112,10 @@ def _solver_edit(**over):
      "system"),
     (lambda d: json.dumps({**d, "runs": "ten"}), "runs"),
     (_solver_edit(nx="64"), "nx"),
+    (_solver_edit(dt=float("nan")), "'dt' must be finite"),
 ], ids=["unknown-key", "truncated-json", "bad-nx", "unknown-solver-key",
-        "not-an-object", "no-system", "runs-not-integer", "nx-not-integer"])
+        "not-an-object", "no-system", "runs-not-integer", "nx-not-integer",
+        "dt-nan"])
 def test_bad_config_is_one_error_line(tmp_path, capsys, config_path, edit,
                                       needle):
     bad = tmp_path / "bad.json"
@@ -123,3 +126,20 @@ def test_bad_config_is_one_error_line(tmp_path, capsys, config_path, edit,
     assert err.startswith("error:") and err.count("\n") == 1
     assert needle in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("part, text, needle", [
+    ("dataset.json", "{}", "data_digest"),
+    ("run_0/manifest", "[]", "not a JSON object"),
+], ids=["no-data-digest", "manifest-not-an-object"])
+def test_bad_dataset_is_one_error_line(tmp_path, capsys, config_path,
+                                       pipeline, part, text, needle):
+    data, _ = pipeline
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    (bad / part).write_text(text)
+    assert main(["discover", "--config", str(config_path), "--data",
+                 str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert needle in err

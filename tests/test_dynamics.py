@@ -17,10 +17,11 @@ from liesindy.dynamics import (
     BlowUpError, ConfigError, DynamicsError, SolverConfig, TrajectoryGrid,
     UnsupportedModelError, add_noise, builtin_configs, default_config,
     integrate_model, load_trajectories, sample_initial_condition,
-    save_trajectories, solve_nkdv_direct, solve_pde,
+    save_trajectories, solve_pde,
 )
 from liesindy import LiesindyError
 from liesindy.expr import JetSpace, MissingSymbolError, parse
+from nkdv_oracle import solve_nkdv_direct
 
 SPACE = JetSpace(("t", "x"), ("u",), 4)
 
@@ -69,6 +70,7 @@ def test_default_configs_cover_all_systems():
     {"system": "kdv", "transient": 0.0105},  # not a whole step count
     {"system": "burgers"},                   # nu missing
     {"system": "nkdv"},                      # t0 missing
+    {"system": "nkdv", "params": {"t0": 1.0}, "transient": 1.0},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -89,6 +91,9 @@ def test_config_round_trip():
     (lambda d: {**d, "dealias": 1}, "'dealias' must be true or false"),
     (lambda d: {**d, "params": [1.0]}, "'params' must be an object"),
     (lambda d: {**d, "params": {"t0": "1"}}, "'t0' must be a number"),
+    (lambda d: {**d, "dt": float("nan")}, "'dt' must be finite"),
+    (lambda d: {**d, "length": float("inf")}, "'length' must be finite"),
+    (lambda d: {**d, "params": {"t0": float("-inf")}}, "'t0' must be finite"),
 ])
 def test_config_values_are_type_checked(edit, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -263,6 +268,30 @@ def test_nkdv_substitution_matches_direct_integration():
     fast = solve_pde("nkdv", ic, cfg)
     slow = solve_nkdv_direct(ic, cfg)
     assert np.max(np.abs(fast.u - slow.u)) < 1e-6
+
+
+def test_nkdv_honours_the_scheme():
+    cfg = SolverConfig("nkdv", nx=256, length=20.0, dt=0.01, nt=50,
+                       params={"t0": 1.0})
+    ic = sample_initial_condition(cfg.nx, cfg.length, seed=17)
+    etd = solve_pde("nkdv", ic, cfg)
+    cfg.scheme = "rk4-spectral"
+    rk4 = solve_pde("nkdv", ic, cfg)
+    assert not np.array_equal(rk4.u, etd.u)
+    assert np.max(np.abs(rk4.u - etd.u)) < 1e-6
+
+
+def test_blow_up_in_the_transient_has_a_negative_step():
+    # ten discarded steps; the nonlinear term outruns rk4 at this dt
+    cfg = SolverConfig("burgers", nx=64, length=2.0 * math.pi, dt=0.1, nt=8,
+                       scheme="rk4-spectral", transient=1.0,
+                       params={"nu": 0.01})
+    ic = 10.0 * sample_initial_condition(cfg.nx, cfg.length, seed=3)
+    with pytest.raises(BlowUpError) as err:
+        solve_pde("burgers", ic, cfg)
+    # transient step j (from 0) is guarded as step j - 10: the fourth blew up
+    assert err.value.step == -7
+    assert err.value.rows.shape == (0, cfg.nx)
 
 
 def test_nkdv_direct_requires_nkdv_config():

@@ -133,6 +133,8 @@ def test_unknown_config_keys_rejected():
     (lambda d: {**d, "library": {"inputz": ["u"]}}, "inputz"),
     (lambda d: {**d, "library": {"inputs": "u_x"}}, "'inputs' must be a list"),
     (lambda d: {**d, "library": {"inputs": [1]}}, "inputs must be strings"),
+    (lambda d: {**d, "threshold": float("nan")}, "'threshold' must be finite"),
+    (lambda d: {**d, "lam": float("inf")}, "'lam' must be finite"),
 ])
 def test_config_values_are_type_checked(edit, msg):
     with pytest.raises(HarnessError, match=msg):
