@@ -14,7 +14,11 @@ and the remainder is evaluated pointwise.
 
 Every solve and rollout steps through one loop, `_march`, which cuts each
 output span into sub-steps, writes every sample and guards it against
-blow-up.
+blow-up.  An (nx,) initial condition is a batch of one; an (n, nx) batch is
+stepped as one state, with every FFT along the last axis, so each member
+gets the same bits as on its own.  The guard is per member: a member that
+blows up leaves the state at its first bad sample, keeping its finite rows,
+and the others march on.
 """
 
 from __future__ import annotations
@@ -120,6 +124,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.system not in SYSTEMS:
             raise ConfigError(f"unknown system '{self.system}'")
+        for name, val in (("dt", self.dt), ("length", self.length),
+                          ("transient", self.transient),
+                          *self.params.items()):
+            if not math.isfinite(val):
+                raise ConfigError(f"{name} must be finite, not {val!r}")
         if self.nx < 16 or self.nx & (self.nx - 1):
             raise ConfigError("nx must be a power of two, at least 16")
         if self.nt < 8:
@@ -153,6 +162,9 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError(
+                f"solver must be an object, not {type(d).__name__}")
         check_config_dict(d, _SOLVER_TYPES, "solver", ConfigError)
         if "system" not in d:
             raise ConfigError("solver lacks required key 'system'")
@@ -284,8 +296,8 @@ def _advection(k, mask, nx):
     ik = 1j * k
 
     def nonlinear(v):
-        u = np.fft.irfft(v, nx)
-        return -ik * mask * np.fft.rfft(0.5 * u * u)
+        u = np.fft.irfft(v, nx, axis=-1)
+        return -ik * mask * np.fft.rfft(0.5 * u * u, axis=-1)
 
     return nonlinear
 
@@ -309,8 +321,24 @@ def _etdrk4_coeffs(lin, h, m=64):
     return np.exp(z), np.exp(z / 2), q, f1, f2, f3
 
 
+# _etdrk4_coeffs by (h, bytes of lin), oldest out first past _COEFFS_MAX:
+# nKdV's 199 step sizes depend only on the t grid, so every solve on it
+# shares them
+_COEFFS = {}
+_COEFFS_MAX = 512
+
+
 def _make_etdrk4(lin, h, nonlinear):
-    e1, e2, q, f1, f2, f3 = _etdrk4_coeffs(lin, h)
+    lin = lin.astype(complex)
+    key = (h, lin.tobytes())
+    if key not in _COEFFS:
+        if len(_COEFFS) >= _COEFFS_MAX:
+            del _COEFFS[next(iter(_COEFFS))]
+        coeffs = _etdrk4_coeffs(lin, h)
+        for a in coeffs:
+            a.flags.writeable = False
+        _COEFFS[key] = coeffs
+    e1, e2, q, f1, f2, f3 = _COEFFS[key]
 
     def step(v):
         nv = nonlinear(v)
@@ -345,42 +373,75 @@ def _make_stepper(scheme, lin, nonlinear):
     return lambda h: make(lin, h, nonlinear)
 
 
-def _guard(row, step, rows):
-    if not np.all(np.isfinite(row)) or np.max(np.abs(row)) > BLOWUP_LIMIT:
-        raise BlowUpError(f"solution blew up at step {step}", step=step,
-                          rows=rows)
+def _blown(u):
+    """Per row of u: non-finite, or some |value| above BLOWUP_LIMIT."""
+    return ~np.isfinite(u).all(axis=-1) | (
+        np.abs(u).max(axis=-1) > BLOWUP_LIMIT)
+
+
+def _batch(ic, nx):
+    """(ic as an (n, nx) float batch, whether ic was a batch already)."""
+    ic = np.asarray(ic, dtype=float)
+    if ic.ndim not in (1, 2) or ic.shape[-1] != nx:
+        raise ConfigError(
+            f"ic must have shape (nx,) or (n, nx) with nx = {nx}, "
+            f"not {ic.shape}")
+    return (ic, True) if ic.ndim == 2 else (ic[None], False)
 
 
 def _march(make_step, ic, spans, sub, min_steps=1, skip=0):
-    """Step rfft(ic) across `spans` and return the (samples, nx) array u.
+    """Step the (n, nx) batch rfft(ic) across `spans` as one state.
 
     Each span is cut into max(min_steps, ceil(span/sub)) equal sub-steps,
     and the stepper is rebuilt only when the sub-step size changes.  Row 0
     is ic and row j the state after the j-th span.  With `skip`, the first
     skip spans are a discarded transient: guarded at steps -skip..-1, not
-    stored, and the state after them becomes row 0.  A BlowUpError carries
-    the finite rows before the bad sample.
+    stored, and the state after them becomes row 0.
+
+    Returns one outcome per member: its (samples, nx) array u, or, if a
+    sample is non-finite or beyond BLOWUP_LIMIT, a BlowUpError whose .step
+    is the first bad one and whose .rows are the finite u[:step] before it.
+    A blown member leaves the state; the others march on unchanged.
     """
-    nx = ic.size
-    u = np.empty((len(spans) + 1 - skip, nx))
-    u[0] = ic
-    if not skip:
-        _guard(u[0], 0, u[:0])
-    state = np.fft.rfft(ic)
-    step = step_h = None
+    n, nx = ic.shape
+    u = np.empty((n, len(spans) + 1 - skip, nx))
+    u[:, 0] = ic
+    out = list(u)
+    live = np.arange(n)
+
+    def keep(rows, j, step):
+        """Mask of the live members whose row of `rows` is fine.
+
+        Each other one gets its BlowUpError at `step`, with rows u[b, :j].
+        """
+        bad = _blown(rows)
+        for b in live[bad]:
+            out[b] = BlowUpError(f"solution blew up at step {step}",
+                                 step=step, rows=u[b, :j])
+        return ~bad
+
     with np.errstate(all="ignore"):
+        if not skip:
+            live = live[keep(ic, 0, 0)]
+        state = np.fft.rfft(ic[live], axis=-1)
+        advance = step_h = None
         for i, span in enumerate(spans, -skip):
+            if not live.size:
+                break
             m = max(min_steps, math.ceil(span / sub - 1e-12))
             h = span / m
-            if step is None or abs(h - step_h) > 1e-15 * abs(h):
-                step, step_h = make_step(h), h
+            if advance is None or abs(h - step_h) > 1e-15 * abs(h):
+                advance, step_h = make_step(h), h
             for _ in range(m):
-                state = step(state)
+                state = advance(state)
             # transient samples pass through row 0 as steps -skip..-1
             j = max(i + 1, 0)
-            u[j] = np.fft.irfft(state, nx)
-            _guard(u[j], j if i >= 0 else i, u[:j])
-    return u
+            rows = np.fft.irfft(state, nx, axis=-1)
+            u[live, j] = rows
+            ok = keep(rows, j, j if i >= 0 else i)
+            if not ok.all():
+                live, state = live[ok], state[ok]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +452,14 @@ def _tau_of_t(t, t0):
     return t0 * np.expm1(t / t0)
 
 
-def solve_pde(system, ic, cfg: SolverConfig | None = None,
-              meta=None) -> TrajectoryGrid:
+def solve_pde(system, ic, cfg: SolverConfig | None = None, meta=None):
     """Solve one built-in system from ic on the configured grid.
+
+    An (nx,) ic returns one TrajectoryGrid.  An (n, nx) batch is stepped as
+    one state and returns a list of n, each bit-identical to its own solve;
+    `meta` is then a sequence of one dict (or None) per member.  A blow-up
+    raises BlowUpError with the bad step and the finite rows before it; in
+    a batch, those of the first member that blew up, which it names.
 
     The time-rescaled KdV runs as KdV in the substituted time tau(t) =
     t0*(e^{t/t0} - 1), stepped in sub-intervals of at most KdV's dt that
@@ -402,25 +468,37 @@ def solve_pde(system, ic, cfg: SolverConfig | None = None,
     cfg = default_config(system) if cfg is None else cfg
     if cfg.system != system:
         raise ConfigError(f"config is for '{cfg.system}', not '{system}'")
-    ic = np.asarray(ic, dtype=float)
-    if ic.shape != (cfg.nx,):
-        raise ConfigError(f"ic must have length nx = {cfg.nx}")
+    ics, batched = _batch(ic, cfg.nx)
+    if not batched:
+        metas = [meta]
+    else:
+        metas = [None] * len(ics) if meta is None else list(meta)
+    if len(metas) != len(ics):
+        raise ConfigError(f"{len(metas)} metas for {len(ics)} ics")
     x, t, k, mask = _grid(cfg)
     lin = _linear_symbol(system, k, cfg.params)
     make_step = _make_stepper(cfg.scheme, lin, _advection(k, mask, cfg.nx))
-    out_meta = {"system": system, "params": dict(cfg.params),
-                "noise_sigma": 0.0, **(meta or {})}
     skip = round(cfg.transient / cfg.dt)
-    if skip:
-        out_meta["transient"] = cfg.transient
     if system == "nkdv":
         spans = np.diff(_tau_of_t(t, cfg.params["t0"]))
         sub = default_config("kdv").dt
     else:
         # exactly dt per span: np.diff(t) would differ in the last bits
         spans, sub = [cfg.dt] * (skip + cfg.nt - 1), cfg.dt
-    u = _march(make_step, ic, spans, sub, skip=skip)
-    return TrajectoryGrid(x, t, u, out_meta)
+    outcomes = _march(make_step, ics, spans, sub, skip=skip)
+    for b, u in enumerate(outcomes):
+        if isinstance(u, BlowUpError):
+            if not batched:
+                raise u
+            raise BlowUpError(f"member {b}: {u}", step=u.step, rows=u.rows)
+    trajs = []
+    for u, m in zip(outcomes, metas):
+        out_meta = {"system": system, "params": dict(cfg.params),
+                    "noise_sigma": 0.0, **(m or {})}
+        if skip:
+            out_meta["transient"] = cfg.transient
+        trajs.append(TrajectoryGrid(x, t, u, out_meta))
+    return trajs if batched else trajs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +572,7 @@ def _linear_split(rest):
     return linear, left
 
 
-def integrate_model(model, ic, cfg: SolverConfig) -> TrajectoryGrid:
+def integrate_model(model, ic, cfg: SolverConfig):
     """Integrate a discovered model LHS = W*Theta from ic on cfg's grid.
 
     The equation is rearranged to u_t = g(...); a u_t coefficient of the
@@ -502,10 +580,13 @@ def integrate_model(model, ic, cfg: SolverConfig) -> TrajectoryGrid:
     model's own constant-coefficient linear terms go into an integrating
     factor, and the remainder steps with RK4 at dt/4 substeps, sampling
     every 4th step.
+
+    An (nx,) ic returns one TrajectoryGrid or raises BlowUpError.  An
+    (n, nx) batch is stepped as one state and raises nothing for a
+    blow-up: it returns, per member, its TrajectoryGrid or its BlowUpError
+    (.step and the finite .rows), each bit-identical to its own call.
     """
-    ic = np.asarray(ic, dtype=float)
-    if ic.shape != (cfg.nx,):
-        raise ConfigError(f"ic must have length nx = {cfg.nx}")
+    ics, batched = _batch(ic, cfg.nx)
     eq = simplify(substitute(model_to_equation(model), cfg.params))
     missing = sorted(p.name for p in params_in(eq))
     if missing:
@@ -527,24 +608,31 @@ def integrate_model(model, ic, cfg: SolverConfig) -> TrajectoryGrid:
     def nonlinear(v):
         if not has_leftover:
             return np.zeros_like(v)
-        u = np.fft.irfft(v, cfg.nx)
+        u = np.fft.irfft(v, cfg.nx, axis=-1)
         binding = {"u": u}
         for order in needed:
             if order:
                 binding["u_" + "x" * order] = np.fft.irfft(
-                    (1j * k) ** order * v, cfg.nx)
+                    (1j * k) ** order * v, cfg.nx, axis=-1)
         vals = np.broadcast_to(
             np.asarray(evaluate_array(leftover, binding), dtype=float),
-            (cfg.nx,))
-        return (-1.0 / c) * mask * np.fft.rfft(vals)
+            u.shape)
+        return (-1.0 / c) * mask * np.fft.rfft(vals, axis=-1)
 
     s = t if gexp == 0.0 else -np.expm1(-gexp * t) / gexp
-    u = _march(_make_stepper("rk4-spectral", lin, nonlinear), ic, np.diff(s),
-               cfg.dt / 4.0, min_steps=4)
-    return TrajectoryGrid(x, t, u, {"system": cfg.system,
+    outcomes = _march(_make_stepper("rk4-spectral", lin, nonlinear), ics,
+                      np.diff(s), cfg.dt / 4.0, min_steps=4)
+    out = [u if isinstance(u, BlowUpError) else
+           TrajectoryGrid(x, t, u, {"system": cfg.system,
                                     "kind": "model-integration",
                                     "params": dict(cfg.params),
                                     "noise_sigma": 0.0})
+           for u in outcomes]
+    if batched:
+        return out
+    if isinstance(out[0], BlowUpError):
+        raise out[0]
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +686,12 @@ def load_trajectories(path):
         manifest = json.load(f)
     if not isinstance(manifest, dict):
         raise DynamicsError(f"{path}/manifest is not a JSON object")
+    entries = manifest.get("trajs")
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("meta"), dict)
+            for e in entries):
+        raise DynamicsError(f"{path}/manifest: trajs must be a list of "
+                            f"objects, each with a meta object")
     cfg = (SolverConfig.from_dict(manifest["config"])
            if manifest.get("config") else None)
     with np.load(npz) as data:
@@ -605,7 +699,7 @@ def load_trajectories(path):
             x = data["x"]
             trajs = [TrajectoryGrid(x, data[f"t_{i}"], data[f"u_{i}"],
                                     dict(entry["meta"]))
-                     for i, entry in enumerate(manifest["trajs"])]
+                     for i, entry in enumerate(entries)]
         except KeyError as err:
             raise DynamicsError(
                 f"incomplete trajectory set {path}: {err}") from None

@@ -261,19 +261,22 @@ def rmse(models, truth: SparseModel):
 def long_term_mse(model, test_trajs, solver: SolverConfig):
     """Per-step spatial MSE vs ground truth, averaged over the test ICs.
 
-    Each test trajectory contributes mean_x (u_model - u_truth)^2 per step;
-    a blow-up truncates that IC's series to the finite rows before it and
+    The model is rolled out from every test IC in one batched call.  Each
+    test trajectory contributes mean_x (u_model - u_truth)^2 per step; a
+    blow-up truncates that IC's series to the finite rows before it and
     flags the result.  The averaged series stops at the shortest surviving
     length.
     """
+    rollouts = integrate_model(model, np.array([tr.u[0] for tr in test_trajs]),
+                               solver)
     per_ic = []
     blown = False
-    for tr in test_trajs:
-        try:
-            u_model = integrate_model(model, tr.u[0], solver).u
-        except BlowUpError as err:
-            u_model = err.rows
+    for tr, out in zip(test_trajs, rollouts):
+        if isinstance(out, BlowUpError):
+            u_model = out.rows
             blown = True
+        else:
+            u_model = out.u
         n = u_model.shape[0]
         per_ic.append(np.mean((u_model - tr.u[:n]) ** 2, axis=1))
     n_common = min(s.size for s in per_ic)
@@ -297,26 +300,27 @@ def holdout_initial_seeds(cfg: ExperimentConfig):
 
 
 def make_test_set(cfg: ExperimentConfig):
-    """The four clean test trajectories shared by every run."""
-    out = []
-    for s in holdout_initial_seeds(cfg):
-        ic = sample_initial_condition(cfg.solver.nx, cfg.solver.length, s)
-        out.append(solve_pde(cfg.system, ic, cfg.solver,
-                             meta={"role": "test", "ic_seed": s}))
-    return out
+    """The four clean test trajectories shared by every run, in one solve."""
+    seeds = holdout_initial_seeds(cfg)
+    ics = np.array([sample_initial_condition(cfg.solver.nx, cfg.solver.length,
+                                             s) for s in seeds])
+    return solve_pde(cfg.system, ics, cfg.solver,
+                     meta=[{"role": "test", "ic_seed": s} for s in seeds])
 
 
 def make_train_set(cfg: ExperimentConfig, run):
+    """Run `run`'s four training trajectories, in one solve.
+
+    Noise is added per trajectory, each from its own seed.
+    """
     seeds = _run_seeds(cfg.seed, run)
-    out = []
-    for ic_seed, noise_seed in zip(seeds["train_ic"], seeds["noise"]):
-        ic = sample_initial_condition(cfg.solver.nx, cfg.solver.length,
-                                      ic_seed)
-        tr = solve_pde(cfg.system, ic, cfg.solver,
-                       meta={"role": "train", "run": run,
-                             "ic_seed": ic_seed})
-        out.append(add_noise(tr, cfg.noise_sigma, noise_seed))
-    return out
+    ics = np.array([sample_initial_condition(cfg.solver.nx, cfg.solver.length,
+                                             s) for s in seeds["train_ic"]])
+    trajs = solve_pde(cfg.system, ics, cfg.solver,
+                      meta=[{"role": "train", "run": run, "ic_seed": s}
+                            for s in seeds["train_ic"]])
+    return [add_noise(tr, cfg.noise_sigma, noise_seed)
+            for tr, noise_seed in zip(trajs, seeds["noise"])]
 
 
 def _jet_estimator(cfg: ExperimentConfig):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from liesindy.dynamics import (
-    ConfigError, SolverConfig, TrajectoryGrid, _grid, _guard,
+    BlowUpError, ConfigError, SolverConfig, TrajectoryGrid, _blown, _grid,
 )
 
 
@@ -44,7 +44,8 @@ def solve_nkdv_direct(ic, cfg: SolverConfig, dt_inner=2e-5) -> TrajectoryGrid:
             state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             time += h
         u[j] = np.fft.irfft(state, cfg.nx)
-        _guard(u[j], j, u[:j])
+        if _blown(u[j]):
+            raise BlowUpError(f"solution blew up at step {j}", j, u[:j])
     return TrajectoryGrid(x, t, u, {"system": "nkdv-direct",
                                     "params": dict(cfg.params),
                                     "noise_sigma": 0.0})

@@ -131,7 +131,8 @@ def test_bad_config_is_one_error_line(tmp_path, capsys, config_path, edit,
 @pytest.mark.parametrize("part, text, needle", [
     ("dataset.json", "{}", "data_digest"),
     ("run_0/manifest", "[]", "not a JSON object"),
-], ids=["no-data-digest", "manifest-not-an-object"])
+    ("run_0/manifest", '{"trajs": [1]}', "meta object"),
+], ids=["no-data-digest", "manifest-not-an-object", "trajs-not-objects"])
 def test_bad_dataset_is_one_error_line(tmp_path, capsys, config_path,
                                        pipeline, part, text, needle):
     data, _ = pipeline

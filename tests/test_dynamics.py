@@ -71,6 +71,12 @@ def test_default_configs_cover_all_systems():
     {"system": "burgers"},                   # nu missing
     {"system": "nkdv"},                      # t0 missing
     {"system": "nkdv", "params": {"t0": 1.0}, "transient": 1.0},
+    {"system": "kdv", "dt": float("nan")},
+    {"system": "kdv", "transient": float("nan")},
+    {"system": "kdv", "length": float("nan")},
+    {"system": "kdv", "length": float("inf")},
+    {"system": "burgers", "params": {"nu": float("nan")}},
+    {"system": "nkdv", "params": {"t0": float("nan")}},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -377,6 +383,107 @@ def test_integrate_names_unbound_constants():
 
 
 # ---------------------------------------------------------------------------
+# batches
+
+
+def _short(system):
+    """system's default grid cut to 40 samples; KS keeps 20 transient steps."""
+    d = default_config(system).to_dict()
+    d.update(nt=40, transient=1.0 if system == "ks" else 0.0)
+    return SolverConfig.from_dict(d)
+
+
+_TRUTH = {
+    "kdv": ("u_t + u*u_x", ["u_xxx"], [-1.0]),
+    "nkdv": ("exp(-t/t0)*u_t + u*u_x", ["u_xxx"], [-1.0]),
+    "ks": ("u_t + u*u_x", ["u_xx", "u_xxxx"], [-1.0, -1.0]),
+    "burgers": ("u_t + u*u_x", ["u_xx"], [0.1]),
+}
+
+
+@pytest.mark.parametrize("n", [1, 4, 11])
+@pytest.mark.parametrize("system", ["kdv", "nkdv", "ks", "burgers"])
+def test_batch_matches_one_at_a_time(system, n):
+    cfg = _short(system)
+    ics = np.array([sample_initial_condition(cfg.nx, cfg.length, seed=s)
+                    for s in range(n)])
+    metas = [{"ic_seed": s} for s in range(n)]
+    model = truth_model(*_TRUTH[system])
+    solved = solve_pde(system, ics, cfg, meta=metas)
+    rolled = integrate_model(model, ics, cfg)
+    assert len(solved) == len(rolled) == n
+    for ic, meta, tr, mtr in zip(ics, metas, solved, rolled):
+        solo = solve_pde(system, ic, cfg, meta=meta)
+        assert np.array_equal(tr.u, solo.u)
+        assert tr.meta == solo.meta
+        assert np.array_equal(mtr.u, integrate_model(model, ic, cfg).u)
+
+
+def test_one_member_blow_up_leaves_the_others():
+    # u_t = u^2 blows up in finite time ~ 1/max(u0): only the scaled member
+    # leaves the horizon
+    model = truth_model("u_t", ["u^2"], [1.0])
+    cfg = SolverConfig("kdv", nx=64, length=2.0 * math.pi, dt=0.1, nt=16)
+    ics = np.array([scale * sample_initial_condition(cfg.nx, cfg.length, s)
+                    for scale, s in ((0.2, 1), (0.2, 2), (3.0, 3), (0.2, 4))])
+    out = integrate_model(model, ics, cfg)
+    with pytest.raises(BlowUpError) as solo:
+        integrate_model(model, ics[2], cfg)
+    assert 0 < solo.value.step < cfg.nt
+    assert isinstance(out[2], BlowUpError)
+    assert out[2].step == solo.value.step
+    assert np.array_equal(out[2].rows, solo.value.rows)
+    for b in (0, 1, 3):
+        assert np.array_equal(out[b].u, integrate_model(model, ics[b], cfg).u)
+
+
+def test_solve_names_the_blown_member():
+    cfg = SolverConfig("burgers", nx=64, length=2.0 * math.pi, dt=0.1, nt=16,
+                       scheme="rk4-spectral", params={"nu": 0.01})
+    ics = np.array([scale * sample_initial_condition(cfg.nx, cfg.length, s)
+                    for scale, s in ((0.5, 1), (10.0, 3), (0.5, 4))])
+    with pytest.raises(BlowUpError) as solo:
+        solve_pde("burgers", ics[1], cfg)
+    with pytest.raises(BlowUpError, match="member 1") as err:
+        solve_pde("burgers", ics, cfg)
+    assert err.value.step == solo.value.step > 0
+    assert np.array_equal(err.value.rows, solo.value.rows)
+
+
+@pytest.mark.parametrize("ic, meta", [
+    (np.zeros((2, 3, 64)), None),
+    (np.zeros((2, 32)), None),
+    (np.zeros((2, 64)), [{}]),
+])
+def test_batch_shapes_are_checked(ic, meta):
+    cfg = SolverConfig("kdv", nx=64, length=20.0, dt=0.01, nt=8)
+    with pytest.raises(ConfigError):
+        solve_pde("kdv", ic, cfg, meta=meta)
+
+
+def test_etdrk4_coefficients_are_computed_once_per_grid(monkeypatch):
+    from liesindy import dynamics
+    calls = []
+    coeffs = dynamics._etdrk4_coeffs
+
+    def counted(lin, h):
+        calls.append(h)
+        return coeffs(lin, h)
+
+    monkeypatch.setattr(dynamics, "_COEFFS", {})
+    monkeypatch.setattr(dynamics, "_etdrk4_coeffs", counted)
+    cfg = SolverConfig("nkdv", nx=64, length=20.0, dt=0.01, nt=20,
+                       params={"t0": 1.0})
+    ic = sample_initial_condition(cfg.nx, cfg.length, seed=5)
+    first = solve_pde("nkdv", ic, cfg)
+    # one step size per output span (each shorter than KdV's dt of 0.01)
+    assert len(calls) == len(set(calls)) == cfg.nt - 1
+    again = solve_pde("nkdv", np.array([ic, ic]), cfg)
+    assert len(calls) == cfg.nt - 1
+    assert all(np.array_equal(tr.u, first.u) for tr in again)
+
+
+# ---------------------------------------------------------------------------
 # trajectory files
 
 
@@ -455,4 +562,23 @@ def test_manifest_listing_absent_member_is_rejected(tmp_path, kdv_run):
     blob["trajs"].append({"meta": {}})
     manifest.write_text(json.dumps(blob))
     with pytest.raises(DynamicsError, match="t_1"):
+        load_trajectories(tmp_path / "set")
+
+
+@pytest.mark.parametrize("key, value, msg", [
+    ("trajs", [1], "meta object"),
+    ("trajs", [{"meta": 1}], "meta object"),
+    ("trajs", [{}], "meta object"),
+    ("trajs", 5, "meta object"),
+    ("config", 1, "solver must be an object"),
+])
+def test_manifest_with_bad_entries_is_rejected(tmp_path, kdv_run, key, value,
+                                               msg):
+    _, _, tr = kdv_run
+    save_trajectories(tmp_path / "set", [tr], config=default_config("kdv"))
+    manifest = tmp_path / "set" / "manifest"
+    blob = json.loads(manifest.read_text())
+    blob[key] = value
+    manifest.write_text(json.dumps(blob))
+    with pytest.raises(DynamicsError, match=msg):
         load_trajectories(tmp_path / "set")

@@ -347,7 +347,7 @@ def test_longterm_wrong_model_grows(kdv_longterm):
 
 def test_blown_rollout_keeps_its_finite_rows(monkeypatch):
     # backward heat, as in test_integrate_detects_blow_up: each IC blows up
-    # within the 16-step horizon and is integrated once
+    # within the 16-step horizon, and all are integrated in one batch
     solver = SolverConfig("kdv", nx=64, length=2.0 * math.pi, dt=0.01,
                           nt=16)
     model = SparseModel(target=P("u_t"), features=[P("u_xx")],
@@ -362,18 +362,16 @@ def test_blown_rollout_keeps_its_finite_rows(monkeypatch):
     calls, steps = [], []
     integrate = hz.integrate_model
 
-    def spy(model, ic, cfg):
-        calls.append(cfg.nt)
-        try:
-            return integrate(model, ic, cfg)
-        except BlowUpError as err:
-            steps.append(err.step)
-            raise
+    def spy(model, ics, cfg):
+        calls.append((cfg.nt, ics.shape))
+        out = integrate(model, ics, cfg)
+        steps.extend(o.step for o in out if isinstance(o, BlowUpError))
+        return out
 
     monkeypatch.setattr(hz, "integrate_model", spy)
     mean, per_ic, blown = long_term_mse(model, tests, solver)
     assert blown
-    assert calls == [solver.nt] * len(tests)
+    assert calls == [(solver.nt, (len(tests), solver.nx))]
     assert len(steps) == len(tests)
     assert [s.size for s in per_ic] == steps
     assert mean.size == min(steps)
