@@ -1,7 +1,7 @@
 """Invariant library vs unrestricted baselines on noisy KS data.
 
 Small version of the benchmark: 3 runs instead of 10 so it finishes in
-about half a minute.  The plain poly2 baseline loses the Kuramoto-
+a few seconds.  The plain poly2 baseline loses the Kuramoto-
 Sivashinsky structure at 0.1% noise; the invariant library keeps it.
 """
 

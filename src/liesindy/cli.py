@@ -14,13 +14,14 @@ import sys
 from .dynamics import load_trajectories
 from .expr import LiesindyError, max_order, to_string
 from .harness import (
-    SPACE, ExperimentConfig, long_term_mse, load_longterm_csv, load_runs_csv,
-    render_longterm_svg, run_experiment, generate_dataset, summarize_rows,
-    write_summary_csv, _aggregate_longterm, _write_longterm_csv,
+    SPACE, ExperimentConfig, HarnessError, long_term_mse, load_longterm_csv,
+    load_runs_csv, render_longterm_svg, run_experiment, generate_dataset,
+    summarize_rows, write_summary_csv, _aggregate_longterm,
+    _write_longterm_csv,
 )
 from .invariants import CatalogError, builtin_set, truth_equation, verify_set
 from .liealg import check_symmetry_criterion, prolong
-from .regress import model_from_dict
+from .regress import RegressionError, model_from_dict
 
 
 def _cmd_generate(args):
@@ -79,13 +80,33 @@ def _cmd_verify(args):
     return status
 
 
+def _saved_model(path):
+    """The model a run_<k>.json holds, or None for a run without one."""
+    with open(path) as f:
+        blob = json.load(f)
+    if not isinstance(blob, dict):
+        raise HarnessError(f"{path} is not a JSON object")
+    if blob.get("model") is None:
+        return None
+    try:
+        return model_from_dict(blob["model"], space=SPACE)
+    except RegressionError as err:
+        raise HarnessError(f"{path}: {err}") from None
+
+
+def _run_number(path):
+    stem = os.path.basename(path)[4:-5]
+    if not stem.isdigit():
+        raise HarnessError(f"{path} is not named run_<number>.json")
+    return int(stem)
+
+
 def _cmd_evaluate(args):
     models_dir = args.models
     if os.path.isdir(os.path.join(models_dir, "models")):
         models_dir = os.path.join(models_dir, "models")
     paths = sorted(glob.glob(os.path.join(models_dir, "run_*.json")),
-                   key=lambda p: int(
-                       os.path.basename(p)[4:].split(".")[0]))
+                   key=_run_number)
     if not paths:
         print(f"no run_*.json under {models_dir}", file=sys.stderr)
         return 1
@@ -97,19 +118,16 @@ def _cmd_evaluate(args):
         print("test data has no solver config", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
-    series, blown = [], 0
-    for path in paths:
-        with open(path) as f:
-            blob = json.load(f)
-        if blob.get("model") is None:
-            continue
-        model = model_from_dict(blob["model"], space=SPACE)
-        mean, _, bad = long_term_mse(model, test_trajs, solver)
-        series.append(mean)
-        blown += bad
-    if not series:
+    models = [m for m in map(_saved_model, paths) if m is not None]
+    if not models:
         print("no usable models", file=sys.stderr)
         return 1
+    scores = long_term_mse(models, test_trajs, solver)
+    for score in scores:
+        if isinstance(score, Exception):
+            raise score
+    series = [mean for mean, _, _ in scores]
+    blown = sum(bad for _, _, bad in scores)
     mean, std, counts = _aggregate_longterm(series)
     _write_longterm_csv(os.path.join(args.out, "longterm.csv"), mean, std,
                         counts)

@@ -10,7 +10,8 @@ instant rather than interpolating.
 Discovered models are integrated by the same spectral machinery: the model's
 own constant-coefficient linear part is absorbed into an integrating factor
 (a bare explicit step is unstable for any dispersive model worth finding)
-and the remainder is evaluated pointwise.
+and the remainder is evaluated pointwise.  Models that share one equation
+structure march as one batch, each member with its own coefficients.
 
 Every solve and rollout steps through one loop, `_march`, which cuts each
 output span into sub-steps, writes every sample and guards it against
@@ -31,9 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import (
-    Add, Const, DepVar, Exp, IndepVar, LiesindyError, MissingSymbolError,
-    Mul, dep_vars_in, evaluate, evaluate_array, is_zero, params_in,
-    partial_derivative, simplify, substitute, to_string, _walk,
+    Add, Const, DepVar, Div, Exp, IndepVar, LiesindyError, MissingSymbolError,
+    Mul, Param, Pow, dep_vars_in, evaluate, evaluate_array, is_zero,
+    params_in, partial_derivative, simplify, substitute, to_string, _walk,
 )
 from .regress import model_to_equation
 
@@ -293,13 +294,14 @@ def _linear_symbol(system, k, params):
 
 
 def _advection(k, mask, nx):
+    """live -> the advection term, the same for every member."""
     ik = 1j * k
 
     def nonlinear(v):
         u = np.fft.irfft(v, nx, axis=-1)
         return -ik * mask * np.fft.rfft(0.5 * u * u, axis=-1)
 
-    return nonlinear
+    return lambda live: nonlinear
 
 
 def _etdrk4_coeffs(lin, h, m=64):
@@ -368,9 +370,18 @@ def _make_ifrk4(lin, h, nonlinear):
 
 
 def _make_stepper(scheme, lin, nonlinear):
-    """h -> `scheme`'s step of size h for v' = lin*v + nonlinear(v)."""
+    """(h, live) -> `scheme`'s step of size h for v' = lin*v + N(v).
+
+    The step advances the rows of the `live` members only.  lin is one
+    (nk,) symbol shared by every member or an (n, nk) array of one row per
+    member, cut to the live rows; nonlinear(live) is N for the live members.
+    """
     make = _make_etdrk4 if scheme == "etdrk4" else _make_ifrk4
-    return lambda h: make(lin, h, nonlinear)
+
+    def build(h, live):
+        return make(lin if lin.ndim == 1 else lin[live], h, nonlinear(live))
+
+    return build
 
 
 def _blown(u):
@@ -392,11 +403,14 @@ def _batch(ic, nx):
 def _march(make_step, ic, spans, sub, min_steps=1, skip=0):
     """Step the (n, nx) batch rfft(ic) across `spans` as one state.
 
-    Each span is cut into max(min_steps, ceil(span/sub)) equal sub-steps,
-    and the stepper is rebuilt only when the sub-step size changes.  Row 0
-    is ic and row j the state after the j-th span.  With `skip`, the first
-    skip spans are a discarded transient: guarded at steps -skip..-1, not
-    stored, and the state after them becomes row 0.
+    Each span is cut into max(min_steps, ceil(span/sub)) equal sub-steps.
+    make_step(h, live) builds the step for the live members; it is rebuilt
+    when the sub-step size changes and when a member leaves, then with the
+    size the current step was built with, so the survivors keep the bits
+    of their own march.  Row 0 is ic and row j the state after the j-th
+    span.  With `skip`, the first skip spans are a discarded transient:
+    guarded at steps -skip..-1, not stored, and the state after them
+    becomes row 0.
 
     Returns one outcome per member: its (samples, nx) array u, or, if a
     sample is non-finite or beyond BLOWUP_LIMIT, a BlowUpError whose .step
@@ -404,8 +418,10 @@ def _march(make_step, ic, spans, sub, min_steps=1, skip=0):
     A blown member leaves the state; the others march on unchanged.
     """
     n, nx = ic.shape
-    u = np.empty((n, len(spans) + 1 - skip, nx))
-    u[:, 0] = ic
+    # one array per member, so each is freed with its own trajectory
+    u = [np.empty((len(spans) + 1 - skip, nx)) for _ in range(n)]
+    for ub, row in zip(u, ic):
+        ub[0] = row
     out = list(u)
     live = np.arange(n)
 
@@ -417,7 +433,7 @@ def _march(make_step, ic, spans, sub, min_steps=1, skip=0):
         bad = _blown(rows)
         for b in live[bad]:
             out[b] = BlowUpError(f"solution blew up at step {step}",
-                                 step=step, rows=u[b, :j])
+                                 step=step, rows=u[b][:j])
         return ~bad
 
     with np.errstate(all="ignore"):
@@ -430,17 +446,20 @@ def _march(make_step, ic, spans, sub, min_steps=1, skip=0):
                 break
             m = max(min_steps, math.ceil(span / sub - 1e-12))
             h = span / m
-            if advance is None or abs(h - step_h) > 1e-15 * abs(h):
-                advance, step_h = make_step(h), h
+            if step_h is None or abs(h - step_h) > 1e-15 * abs(h):
+                advance, step_h = None, h
+            if advance is None:
+                advance = make_step(step_h, live)
             for _ in range(m):
                 state = advance(state)
             # transient samples pass through row 0 as steps -skip..-1
             j = max(i + 1, 0)
             rows = np.fft.irfft(state, nx, axis=-1)
-            u[live, j] = rows
+            for b, row in zip(live, rows):
+                u[b][j] = row
             ok = keep(rows, j, j if i >= 0 else i)
             if not ok.all():
-                live, state = live[ok], state[ok]
+                live, state, advance = live[ok], state[ok], None
     return out
 
 
@@ -455,11 +474,11 @@ def _tau_of_t(t, t0):
 def solve_pde(system, ic, cfg: SolverConfig | None = None, meta=None):
     """Solve one built-in system from ic on the configured grid.
 
-    An (nx,) ic returns one TrajectoryGrid.  An (n, nx) batch is stepped as
-    one state and returns a list of n, each bit-identical to its own solve;
-    `meta` is then a sequence of one dict (or None) per member.  A blow-up
-    raises BlowUpError with the bad step and the finite rows before it; in
-    a batch, those of the first member that blew up, which it names.
+    An (nx,) ic returns one TrajectoryGrid or raises BlowUpError with the
+    bad step and the finite rows before it.  An (n, nx) batch is stepped as
+    one state and raises nothing for a blow-up: it returns, per member, its
+    TrajectoryGrid or its BlowUpError, each bit-identical to its own solve;
+    `meta` is then a sequence of one dict (or None) per member.
 
     The time-rescaled KdV runs as KdV in the substituted time tau(t) =
     t0*(e^{t/t0} - 1), stepped in sub-intervals of at most KdV's dt that
@@ -486,19 +505,15 @@ def solve_pde(system, ic, cfg: SolverConfig | None = None, meta=None):
         # exactly dt per span: np.diff(t) would differ in the last bits
         spans, sub = [cfg.dt] * (skip + cfg.nt - 1), cfg.dt
     outcomes = _march(make_step, ics, spans, sub, skip=skip)
-    for b, u in enumerate(outcomes):
-        if isinstance(u, BlowUpError):
-            if not batched:
-                raise u
-            raise BlowUpError(f"member {b}: {u}", step=u.step, rows=u.rows)
     trajs = []
     for u, m in zip(outcomes, metas):
         out_meta = {"system": system, "params": dict(cfg.params),
                     "noise_sigma": 0.0, **(m or {})}
         if skip:
             out_meta["transient"] = cfg.transient
-        trajs.append(TrajectoryGrid(x, t, u, out_meta))
-    return trajs if batched else trajs[0]
+        trajs.append(u if isinstance(u, BlowUpError) else
+                     TrajectoryGrid(x, t, u, out_meta))
+    return _unbatch(trajs, batched)
 
 
 # ---------------------------------------------------------------------------
@@ -572,21 +587,37 @@ def _linear_split(rest):
     return linear, left
 
 
-def integrate_model(model, ic, cfg: SolverConfig):
-    """Integrate a discovered model LHS = W*Theta from ic on cfg's grid.
+def _lift_consts(e, consts):
+    """e with each Const, depth first, replaced by Param("_c<i>").
 
-    The equation is rearranged to u_t = g(...); a u_t coefficient of the
-    form c*e^{g t} is removed by the exact change of time variable, the
-    model's own constant-coefficient linear terms go into an integrating
-    factor, and the remainder steps with RK4 at dt/4 substeps, sampling
-    every 4th step.
-
-    An (nx,) ic returns one TrajectoryGrid or raises BlowUpError.  An
-    (n, nx) batch is stepped as one state and raises nothing for a
-    blow-up: it returns, per member, its TrajectoryGrid or its BlowUpError
-    (.step and the finite .rows), each bit-identical to its own call.
+    The i-th constant's value is appended to consts.
     """
-    ics, batched = _batch(ic, cfg.nx)
+    if isinstance(e, Const):
+        consts.append(e.value)
+        return Param(f"_c{len(consts) - 1}")
+    if isinstance(e, Add):
+        return Add(tuple(_lift_consts(a, consts) for a in e.terms))
+    if isinstance(e, Mul):
+        return Mul(tuple(_lift_consts(a, consts) for a in e.factors))
+    if isinstance(e, Pow):
+        return Pow(_lift_consts(e.base, consts), e.exponent)
+    if isinstance(e, Exp):
+        return Exp(_lift_consts(e.arg, consts))
+    if isinstance(e, Div):
+        return Div(_lift_consts(e.num, consts), _lift_consts(e.den, consts))
+    return e
+
+
+def _rollout_form(model, cfg):
+    """(structure, c, linear weights, leftover constants) of a model.
+
+    The model's equation on cfg's params is c*e^{g t}*u_t + linear terms +
+    leftover.  The structure is (g, the linear orders in order, the
+    leftover with its constants lifted by _lift_consts, or None when it is
+    zero); models that share it march as one group.  Raises
+    UnsupportedModelError or MissingSymbolError for a model that cannot
+    be rolled out.
+    """
     eq = simplify(substitute(model_to_equation(model), cfg.params))
     missing = sorted(p.name for p in params_in(eq))
     if missing:
@@ -594,45 +625,115 @@ def integrate_model(model, ic, cfg: SolverConfig):
             f"model references unbound constants {missing}")
     c, gexp, rest = _time_coefficient(eq)
     linear, leftover = _linear_split(rest)
+    consts = []
+    shape = None if is_zero(leftover) else _lift_consts(leftover, consts)
+    return (gexp, tuple(linear), shape), c, tuple(linear.values()), consts
+
+
+def _leftover_term(shape, consts, scale, k, mask, nx):
+    """live -> v -> scale*mask*rfft(shape) for the live members.
+
+    consts maps each lifted constant's name to its (n, 1) column of member
+    values and scale is the (n, 1) column of -1/c.
+    """
+    if shape is None:
+        return lambda live: np.zeros_like
+    needed = sorted({dv.order for dv in dep_vars_in(shape)} - {0})
+    ikp = {order: (1j * k) ** order for order in needed}
+
+    def for_live(live):
+        bound = {name: col[live] for name, col in consts.items()}
+        s = scale[live]
+
+        def nonlinear(v):
+            u = np.fft.irfft(v, nx, axis=-1)
+            binding = {"u": u, **bound}
+            for order in needed:
+                binding["u_" + "x" * order] = np.fft.irfft(
+                    ikp[order] * v, nx, axis=-1)
+            vals = np.broadcast_to(
+                np.asarray(evaluate_array(shape, binding), dtype=float),
+                u.shape)
+            return s * mask * np.fft.rfft(vals, axis=-1)
+
+        return nonlinear
+
+    return for_live
+
+
+def _unbatch(outcomes, batched):
+    """The outcome list of a batch; alone, the one outcome or its error."""
+    if batched:
+        return outcomes
+    if isinstance(outcomes[0], Exception):
+        raise outcomes[0]
+    return outcomes[0]
+
+
+def integrate_model(model, ic, cfg: SolverConfig):
+    """Integrate discovered models LHS = W*Theta from ic on cfg's grid.
+
+    The equation is rearranged to u_t = g(...); a u_t coefficient of the
+    form c*e^{g t} is removed by the exact change of time variable, the
+    model's own constant-coefficient linear terms go into an integrating
+    factor, and the remainder steps with RK4 at dt/4 substeps, sampling
+    every 4th step.
+
+    `model` is one model for every member or a list of one per member of
+    an (n, nx) batch.  Members whose models share one structure (see
+    _rollout_form) march as one state, each with its own coefficients, so
+    each gets the bits of its own call.
+
+    One model and an (nx,) ic return one TrajectoryGrid or raise
+    BlowUpError; a model that cannot be rolled out raises
+    UnsupportedModelError or MissingSymbolError.  A batch raises nothing
+    for a blow-up: it returns, per member, its TrajectoryGrid or its
+    BlowUpError (.step and the finite .rows).  In the list form a member
+    whose model cannot be rolled out gets that error as its outcome too.
+    """
+    ics, batched = _batch(ic, cfg.nx)
+    listed = isinstance(model, list)
+    models = model if listed else [model] * len(ics)
+    if len(models) != len(ics):
+        raise ConfigError(f"{len(models)} models for {len(ics)} ics")
+    forms = {}
+    out = [None] * len(ics)
+    groups = {}
+    for b, m in enumerate(models):
+        if id(m) not in forms:
+            try:
+                forms[id(m)] = _rollout_form(m, cfg)
+            except LiesindyError as err:
+                if not listed:
+                    raise
+                forms[id(m)] = err
+        if isinstance(forms[id(m)], LiesindyError):
+            out[b] = forms[id(m)]
+        else:
+            groups.setdefault(forms[id(m)][0], []).append(b)
 
     x, t, k, mask = _grid(cfg)
-    # du/ds = -(rest)/c in the rescaled time s with ds = e^{-g t} dt
-    lin = np.zeros_like(k, dtype=complex)
-    for order, w in linear.items():
-        lin += (-w / c) * (1j * k) ** order
-    lin *= mask
-
-    needed = sorted({dv.order for dv in dep_vars_in(leftover)})
-    has_leftover = not is_zero(leftover)
-
-    def nonlinear(v):
-        if not has_leftover:
-            return np.zeros_like(v)
-        u = np.fft.irfft(v, cfg.nx, axis=-1)
-        binding = {"u": u}
-        for order in needed:
-            if order:
-                binding["u_" + "x" * order] = np.fft.irfft(
-                    (1j * k) ** order * v, cfg.nx, axis=-1)
-        vals = np.broadcast_to(
-            np.asarray(evaluate_array(leftover, binding), dtype=float),
-            u.shape)
-        return (-1.0 / c) * mask * np.fft.rfft(vals, axis=-1)
-
-    s = t if gexp == 0.0 else -np.expm1(-gexp * t) / gexp
-    outcomes = _march(_make_stepper("rk4-spectral", lin, nonlinear), ics,
-                      np.diff(s), cfg.dt / 4.0, min_steps=4)
-    out = [u if isinstance(u, BlowUpError) else
-           TrajectoryGrid(x, t, u, {"system": cfg.system,
-                                    "kind": "model-integration",
-                                    "params": dict(cfg.params),
-                                    "noise_sigma": 0.0})
-           for u in outcomes]
-    if batched:
-        return out
-    if isinstance(out[0], BlowUpError):
-        raise out[0]
-    return out[0]
+    for (gexp, orders, shape), members in groups.items():
+        group = [forms[id(models[b])][1:] for b in members]
+        # du/ds = -(rest)/c in the rescaled time s with ds = e^{-g t} dt
+        lin = np.zeros((len(members), k.size), dtype=complex)
+        for row, (c, weights, _) in zip(lin, group):
+            for order, w in zip(orders, weights):
+                row += (-w / c) * (1j * k) ** order
+        lin *= mask
+        scale = np.array([[-1.0 / c] for c, _, _ in group])
+        consts = {f"_c{i}": np.array([[f[2][i]] for f in group])
+                  for i in range(len(group[0][2]))}
+        nonlinear = _leftover_term(shape, consts, scale, k, mask, cfg.nx)
+        s = t if gexp == 0.0 else -np.expm1(-gexp * t) / gexp
+        outcomes = _march(_make_stepper("rk4-spectral", lin, nonlinear),
+                          ics[members], np.diff(s), cfg.dt / 4.0,
+                          min_steps=4)
+        for b, u in zip(members, outcomes):
+            out[b] = u if isinstance(u, BlowUpError) else TrajectoryGrid(
+                x, t, u, {"system": cfg.system, "kind": "model-integration",
+                          "params": dict(cfg.params), "noise_sigma": 0.0})
+    return _unbatch(out, batched or listed)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 An experiment is one (system, method) cell: `runs` repetitions, each with
 fresh training data, one regression, and a scored model.  Everything derives
 from the master seed through named SeedSequence children, so a config file
-pins the entire batch bit-for-bit, including the CSV bytes.  Workers only
-change wall-clock time, never content; the pool size comes from the
-LIESINDY_WORKERS environment variable and nowhere else.
+pins the entire batch bit-for-bit, including the CSV bytes.  The test set
+and every run's training set are solved in one batched call, each run is
+then fitted in order, and all runs' models are rolled out from every test
+IC in one more call; each member gets the bits of its own solve or rollout.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +34,8 @@ from .expr import (
 from .invariants import builtin_set, truth_equation
 from .jetgrid import evaluate_features, finite_differences, spectral_jets
 from .regress import (
-    LibrarySpec, SparseModel, build_library, model_from_dict, model_to_dict,
-    stlsq, stlsq_regularized,
+    LibrarySpec, SparseModel, build_library, model_to_dict, stlsq,
+    stlsq_regularized,
 )
 
 __all__ = [
@@ -261,27 +261,46 @@ def rmse(models, truth: SparseModel):
 def long_term_mse(model, test_trajs, solver: SolverConfig):
     """Per-step spatial MSE vs ground truth, averaged over the test ICs.
 
-    The model is rolled out from every test IC in one batched call.  Each
+    Every model is rolled out from every test IC in one batched call.  Each
     test trajectory contributes mean_x (u_model - u_truth)^2 per step; a
     blow-up truncates that IC's series to the finite rows before it and
     flags the result.  The averaged series stops at the shortest surviving
     length.
+
+    One model returns (mean, per_ic, blown) and raises what stops its
+    rollout (UnsupportedModelError, MissingSymbolError).  A list of models
+    returns, per model, that tuple or that error.
     """
-    rollouts = integrate_model(model, np.array([tr.u[0] for tr in test_trajs]),
-                               solver)
-    per_ic = []
-    blown = False
-    for tr, out in zip(test_trajs, rollouts):
-        if isinstance(out, BlowUpError):
-            u_model = out.rows
-            blown = True
-        else:
-            u_model = out.u
-        n = u_model.shape[0]
-        per_ic.append(np.mean((u_model - tr.u[:n]) ** 2, axis=1))
-    n_common = min(s.size for s in per_ic)
-    mean = np.mean([s[:n_common] for s in per_ic], axis=0)
-    return mean, per_ic, blown
+    models = model if isinstance(model, list) else [model]
+    n = len(test_trajs)
+    ics = np.array([tr.u[0] for tr in test_trajs])
+    rollouts = integrate_model([m for m in models for _ in range(n)],
+                               np.tile(ics, (len(models), 1)), solver)
+    results = []
+    for i in range(len(models)):
+        outs = rollouts[i * n:(i + 1) * n]
+        if isinstance(outs[0], LiesindyError) and not isinstance(
+                outs[0], BlowUpError):
+            results.append(outs[0])
+            continue
+        per_ic = []
+        blown = False
+        for tr, out in zip(test_trajs, outs):
+            if isinstance(out, BlowUpError):
+                u_model = out.rows
+                blown = True
+            else:
+                u_model = out.u
+            per_ic.append(np.mean((u_model - tr.u[:u_model.shape[0]]) ** 2,
+                                  axis=1))
+        n_common = min(s.size for s in per_ic)
+        mean = np.mean([s[:n_common] for s in per_ic], axis=0)
+        results.append((mean, per_ic, blown))
+    if isinstance(model, list):
+        return results
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
 
 
 # ---------------------------------------------------------------------------
@@ -299,28 +318,57 @@ def holdout_initial_seeds(cfg: ExperimentConfig):
     return _run_seeds(cfg.seed, _TEST_TAG)["test_ic"]
 
 
-def make_test_set(cfg: ExperimentConfig):
-    """The four clean test trajectories shared by every run, in one solve."""
-    seeds = holdout_initial_seeds(cfg)
+def _solve_sets(cfg: ExperimentConfig, runs, test=False):
+    """The test set (with `test`) and each of `runs`' training sets.
+
+    Every set's ICs are solved in one call.  Returns one list per set, the
+    test set first, holding each member's TrajectoryGrid or BlowUpError.
+    When noise_sigma > 0, noise is added to each training trajectory right
+    after the solve, from its own seed; the test set stays clean.
+    """
+    sets = []                 # per set: (ic seed, meta, noise seed or None)
+    if test:
+        sets.append([(s, {"role": "test", "ic_seed": s}, None)
+                     for s in holdout_initial_seeds(cfg)])
+    for run in runs:
+        seeds = _run_seeds(cfg.seed, run)
+        sets.append([(s, {"role": "train", "run": run, "ic_seed": s}, n)
+                     for s, n in zip(seeds["train_ic"], seeds["noise"])])
+    flat = [member for members in sets for member in members]
     ics = np.array([sample_initial_condition(cfg.solver.nx, cfg.solver.length,
-                                             s) for s in seeds])
-    return solve_pde(cfg.system, ics, cfg.solver,
-                     meta=[{"role": "test", "ic_seed": s} for s in seeds])
+                                             s) for s, _, _ in flat])
+    outs = solve_pde(cfg.system, ics, cfg.solver,
+                     meta=[meta for _, meta, _ in flat])
+    if cfg.noise_sigma > 0:
+        outs = [tr if noise is None or isinstance(tr, BlowUpError) else
+                add_noise(tr, cfg.noise_sigma, noise)
+                for tr, (_, _, noise) in zip(outs, flat)]
+    outs = iter(outs)
+    return [[next(outs) for _ in members] for members in sets]
+
+
+def _trajectories(outcomes):
+    """A solved set's trajectories, or its first blown member's error.
+
+    The error names the member by its place in the set.
+    """
+    for b, tr in enumerate(outcomes):
+        if isinstance(tr, BlowUpError):
+            raise BlowUpError(f"member {b}: {tr}", step=tr.step, rows=tr.rows)
+    return outcomes
+
+
+def make_test_set(cfg: ExperimentConfig):
+    """The four clean test trajectories shared by every run."""
+    return _trajectories(_solve_sets(cfg, (), test=True)[0])
 
 
 def make_train_set(cfg: ExperimentConfig, run):
-    """Run `run`'s four training trajectories, in one solve.
+    """Run `run`'s four training trajectories.
 
     Noise is added per trajectory, each from its own seed.
     """
-    seeds = _run_seeds(cfg.seed, run)
-    ics = np.array([sample_initial_condition(cfg.solver.nx, cfg.solver.length,
-                                             s) for s in seeds["train_ic"]])
-    trajs = solve_pde(cfg.system, ics, cfg.solver,
-                      meta=[{"role": "train", "run": run, "ic_seed": s}
-                            for s in seeds["train_ic"]])
-    return [add_noise(tr, cfg.noise_sigma, noise_seed)
-            for tr, noise_seed in zip(trajs, seeds["noise"])]
+    return _trajectories(_solve_sets(cfg, (run,))[0])
 
 
 def _jet_estimator(cfg: ExperimentConfig):
@@ -353,11 +401,13 @@ def _fit(cfg: ExperimentConfig, fm):
     return stlsq(fm, threshold=cfg.threshold)
 
 
-def _run_one(cfg_dict, run, data_dir, test_trajs):
-    """One run: data, regression, scoring.  Returns a plain-data dict."""
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    truth = ground_truth(cfg.system, cfg.target, cfg.features,
-                         cfg.solver.params)
+def _fit_run(cfg: ExperimentConfig, run, trains, truth):
+    """One run's regression on its solved or loaded training set.
+
+    Returns (plain-data result dict, fitted SparseModel or None).  A
+    LiesindyError, such as a blown training member, makes the row an error
+    row.
+    """
     seeds = _run_seeds(cfg.seed, run)
     row = {"run": run, "status": "ok", "success": 0, "err_norm": "",
            "n_rows": 0, "dropped": 0, "jets": _jet_estimator(cfg)[0],
@@ -366,13 +416,8 @@ def _run_one(cfg_dict, run, data_dir, test_trajs):
            "train_seeds": "|".join(map(str, seeds["train_ic"])),
            "noise_seeds": "|".join(map(str, seeds["noise"]))}
     out = {"row": row, "model": None, "longterm": None}
-    # an unreadable dataset ends the experiment instead of one run
-    trains = (None if data_dir is None else
-              load_trajectories(os.path.join(data_dir, f"run_{run}"))[0])
     try:
-        if trains is None:
-            trains = make_train_set(cfg, run)
-        fm = build_feature_matrix(cfg, trains)
+        fm = build_feature_matrix(cfg, _trajectories(trains))
         model = _fit(cfg, fm)
         row["n_rows"] = int(fm.target.size)
         row["dropped"] = int(fm.dropped)
@@ -386,17 +431,15 @@ def _run_one(cfg_dict, run, data_dir, test_trajs):
         row["active"] = "|".join(to_string(f)
                                  for f in model.active_features())
         out["model"] = model_to_dict(model)
-        if cfg.long_term and test_trajs is not None:
-            mean, per_ic, blown = long_term_mse(model, test_trajs,
-                                                cfg.solver)
-            out["longterm"] = {"mean": [repr(float(v)) for v in mean],
-                               "per_ic": [[repr(float(v)) for v in s]
-                                          for s in per_ic],
-                               "blown": bool(blown)}
     except LiesindyError as err:
-        row["status"] = "error"
-        row["message"] = f"{type(err).__name__}: {err}"
-    return out
+        _error_row(row, err)
+        return out, None
+    return out, model
+
+
+def _error_row(row, err):
+    row["status"] = "error"
+    row["message"] = f"{type(err).__name__}: {err}"
 
 
 @dataclass
@@ -433,8 +476,11 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None,
     """Execute every run, aggregate, and (optionally) write the report.
 
     With `data_dir`, trajectories come from a generated dataset (its
-    data_digest must match the config); otherwise they are solved in
-    memory from the same seeds, which yields byte-identical reports.
+    data_digest must match the config), each run's set loaded on its turn;
+    otherwise the test set and every run's set are solved in memory in one
+    call from the same seeds, which yields byte-identical reports.  A blown
+    training member makes its run an error row; a blown test member ends
+    the experiment.
     """
     if data_dir is not None:
         with open(os.path.join(data_dir, "dataset.json")) as f:
@@ -446,35 +492,49 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None,
             raise HarnessError(
                 f"dataset digest {tag} does not match the config's "
                 f"{cfg.data_digest()}")
-    if not cfg.long_term:
-        test_trajs = None
-    elif data_dir is not None and os.path.isdir(
+    test_trajs = None
+    if cfg.long_term and data_dir is not None and os.path.isdir(
             os.path.join(data_dir, "test")):
         test_trajs, _ = load_trajectories(os.path.join(data_dir, "test"))
-    else:
+    solve_test = cfg.long_term and test_trajs is None
+    if data_dir is None:
+        train_sets = _solve_sets(cfg, range(cfg.runs), test=solve_test)
+        if solve_test:
+            test_trajs = _trajectories(train_sets.pop(0))
+    elif solve_test:
         test_trajs = make_test_set(cfg)
 
-    workers = int(os.environ.get("LIESINDY_WORKERS", "1"))
-    cfg_dict = cfg.to_dict()
-    results = [None] * cfg.runs
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(_run_one, cfg_dict, r, data_dir,
-                                test_trajs): r for r in range(cfg.runs)}
-            for fut, r in futs.items():
-                results[r] = fut.result()
-    else:
-        for r in range(cfg.runs):
-            results[r] = _run_one(cfg_dict, r, data_dir, test_trajs)
+    truth = ground_truth(cfg.system, cfg.target, cfg.features,
+                         cfg.solver.params)
+    results, fitted = [], []
+    for r in range(cfg.runs):
+        if data_dir is None:
+            trains, train_sets[r] = train_sets[r], None
+        else:
+            # an unreadable dataset ends the experiment instead of one run
+            trains = load_trajectories(os.path.join(data_dir, f"run_{r}"))[0]
+        res, model = _fit_run(cfg, r, trains, truth)
+        results.append(res)
+        fitted.append(model)
+    scored = [r for r, model in enumerate(fitted) if model is not None]
+    if test_trajs is not None and scored:
+        scores = long_term_mse([fitted[r] for r in scored], test_trajs,
+                               cfg.solver)
+        for r, score in zip(scored, scores):
+            if isinstance(score, LiesindyError):
+                _error_row(results[r]["row"], score)
+                continue
+            mean, per_ic, blown = score
+            results[r]["longterm"] = {
+                "mean": [repr(float(v)) for v in mean],
+                "per_ic": [[repr(float(v)) for v in s] for s in per_ic],
+                "blown": bool(blown)}
 
     rows = [res["row"] for res in results]
     models = [res["model"] for res in results]
-    truth = ground_truth(cfg.system, cfg.target, cfg.features,
-                         cfg.solver.params)
-    fitted = [model_from_dict(m, space=SPACE)
-              for m in models if m is not None]
     rate = float(np.mean([r["success"] for r in rows])) if rows else 0.0
-    rmse_ok, rmse_all = rmse(fitted, truth) if fitted else (None, None)
+    rmse_ok, rmse_all = rmse([fitted[r] for r in scored], truth) \
+        if scored else (None, None)
     lt_mean, lt_std, lt_count = _aggregate_longterm(
         [[float(v) for v in res["longterm"]["mean"]]
          for res in results if res["longterm"] is not None])
@@ -501,13 +561,17 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None,
 
 
 def generate_dataset(cfg: ExperimentConfig, out_dir):
-    """Write the test set and each run's training set under out_dir."""
+    """Write the test set and each run's training set under out_dir.
+
+    All sets are solved in one call.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    save_trajectories(os.path.join(out_dir, "test"), make_test_set(cfg),
+    test, *trains = _solve_sets(cfg, range(cfg.runs), test=True)
+    save_trajectories(os.path.join(out_dir, "test"), _trajectories(test),
                       config=cfg.solver)
-    for r in range(cfg.runs):
+    for r, outcomes in enumerate(trains):
         save_trajectories(os.path.join(out_dir, f"run_{r}"),
-                          make_train_set(cfg, r), config=cfg.solver)
+                          _trajectories(outcomes), config=cfg.solver)
     with open(os.path.join(out_dir, "dataset.json"), "w") as f:
         json.dump({"data_digest": cfg.data_digest(),
                    "system": cfg.system, "runs": cfg.runs,

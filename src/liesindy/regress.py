@@ -283,13 +283,22 @@ def model_to_dict(m: SparseModel) -> dict:
 
 
 def model_from_dict(d: dict, space: JetSpace | None = None) -> SparseModel:
+    """The model a model_to_dict blob holds; RegressionError if none."""
+    if not isinstance(d, dict):
+        raise RegressionError(
+            f"a model must be an object, not {type(d).__name__}")
     space = space or JetSpace()
-    return SparseModel(
-        target=parse(d["target"], space),
-        features=[parse(s, space) for s in d["features"]],
-        coef=np.array(d["C"], dtype=float),
-        mask=np.array(d["M"], dtype=bool),
-        threshold=float(d["threshold"]),
-        history=[tuple(bool(v) for v in h) for h in d.get("history", [])],
-        diagnostics=dict(d.get("diagnostics", {})),
-    )
+    try:
+        return SparseModel(
+            target=parse(d["target"], space),
+            features=[parse(s, space) for s in d["features"]],
+            coef=np.array(d["C"], dtype=float),
+            mask=np.array(d["M"], dtype=bool),
+            threshold=float(d["threshold"]),
+            history=[tuple(bool(v) for v in h)
+                     for h in d.get("history", [])],
+            diagnostics=dict(d.get("diagnostics", {})),
+        )
+    except (KeyError, TypeError, ValueError) as err:
+        raise RegressionError(
+            f"not a model: {type(err).__name__}: {err}") from None

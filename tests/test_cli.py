@@ -75,6 +75,28 @@ def test_evaluate_reproduces_longterm(pipeline, tmp_path, capsys):
     assert (evald / "longterm.svg").exists()
 
 
+@pytest.mark.parametrize("name, text, needle", [
+    ("run_0.json", "[1,2]", "not a JSON object"),
+    ("run_0.json", '{"model": {"target": "u_t"}}', "'features'"),
+    ("run_best.json", "{}", "run_<number>.json"),
+    ("run_1.json", '{"model": {"target": "u_t", "features": ["x*u_x"], '
+     '"C": [1.0], "M": [1], "threshold": 0.5}}', "explicit x"),
+], ids=["not-an-object", "model-lacks-features", "stray-name",
+        "unrollable-model"])
+def test_bad_saved_model_is_one_error_line(tmp_path, capsys, pipeline,
+                                           name, text, needle):
+    data, out = pipeline
+    models = tmp_path / "models"
+    shutil.copytree(out / "models", models)
+    (models / name).write_text(text)
+    assert main(["evaluate", "--models", str(models), "--data", str(data),
+                 "--out", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert needle in err
+    assert "Traceback" not in err
+
+
 def test_verify_passes_for_catalog_systems(capsys):
     assert main(["verify", "--system", "kdv"]) == 0
     shown = capsys.readouterr().out

@@ -1,8 +1,8 @@
-"""Smoke test: demos 01-05 run standalone and exit 0.
+"""Smoke test: every demo runs standalone and exits 0.
 
 Each demo runs in its own interpreter with PYTHONPATH=src, as the README
-shows.  Demo 06 is left out: it runs four small experiments (16 runs) and takes
-about 20 s on 2 CPUs, longer than the other five together.
+shows.  Demo 06, four small experiments (16 runs), is the slowest: about
+6 s on 2 CPUs.
 """
 
 import os
@@ -13,7 +13,7 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = ("01_symbolic_jets.py", "02_prolongation.py", "03_invariants.py",
-         "04_trajectories.py", "05_discovery.py")
+         "04_trajectories.py", "05_discovery.py", "06_baselines.py")
 
 
 @pytest.mark.parametrize("name", DEMOS)

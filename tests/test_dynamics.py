@@ -444,10 +444,47 @@ def test_solve_names_the_blown_member():
                     for scale, s in ((0.5, 1), (10.0, 3), (0.5, 4))])
     with pytest.raises(BlowUpError) as solo:
         solve_pde("burgers", ics[1], cfg)
-    with pytest.raises(BlowUpError, match="member 1") as err:
-        solve_pde("burgers", ics, cfg)
-    assert err.value.step == solo.value.step > 0
-    assert np.array_equal(err.value.rows, solo.value.rows)
+    out = solve_pde("burgers", ics, cfg)
+    assert isinstance(out[1], BlowUpError)
+    assert out[1].step == solo.value.step > 0
+    assert np.array_equal(out[1].rows, solo.value.rows)
+    for b in (0, 2):
+        assert np.array_equal(out[b].u, solve_pde("burgers", ics[b], cfg).u)
+
+
+def test_grouped_rollout_matches_each_model_alone():
+    # two models of one structure with different coefficients, one with
+    # another linear order, one with an explicit-x term, and u_t = u^2,
+    # which blows up on the scaled IC only
+    cfg = SolverConfig("kdv", nx=64, length=2.0 * math.pi, dt=0.1, nt=16)
+    kdv_a = truth_model("u_t + u*u_x", ["u_xxx", "u^2"], [-1.0, 0.1])
+    kdv_b = truth_model("u_t + u*u_x", ["u_xxx", "u^2"], [-0.7, -0.3])
+    heat = truth_model("u_t + u*u_x", ["u_xx", "u^2"], [0.1, 0.2])
+    explicit = truth_model("u_t", ["x*u_x"], [1.0])
+    blowup = truth_model("u_t", ["u^2"], [1.0])
+    ics = np.array([scale * sample_initial_condition(cfg.nx, cfg.length, s)
+                    for scale, s in ((0.2, 1), (0.2, 2), (3.0, 3), (0.2, 4))])
+    models = [kdv_a, kdv_b, heat, explicit, blowup, blowup, kdv_b, kdv_a]
+    members = ics[[0, 1, 2, 3, 2, 0, 3, 1]]
+    out = integrate_model(models, members, cfg)
+    assert len(out) == len(models)
+    with pytest.raises(UnsupportedModelError) as unsupported:
+        integrate_model(explicit, members[3], cfg)
+    assert isinstance(out[3], UnsupportedModelError)
+    assert str(out[3]) == str(unsupported.value)
+    with pytest.raises(BlowUpError) as solo:
+        integrate_model(blowup, members[4], cfg)
+    assert isinstance(out[4], BlowUpError)
+    assert 0 < out[4].step == solo.value.step < cfg.nt
+    assert np.array_equal(out[4].rows, solo.value.rows)
+    for b in (0, 1, 2, 5, 6, 7):
+        assert np.array_equal(out[b].u,
+                              integrate_model(models[b], members[b], cfg).u)
+    # one model alone still raises what it cannot roll out
+    with pytest.raises(UnsupportedModelError):
+        integrate_model(explicit, members, cfg)
+    with pytest.raises(ConfigError, match="2 models for 8 ics"):
+        integrate_model(models[:2], members, cfg)
 
 
 @pytest.mark.parametrize("ic, meta", [

@@ -514,12 +514,72 @@ def test_dataset_digest_mismatch(tmp_path):
         run_experiment(small_cfg(seed=12), data_dir=data)
 
 
-def test_worker_count_does_not_change_results(tmp_path, monkeypatch,
-                                              small_report):
-    monkeypatch.setenv("LIESINDY_WORKERS", "2")
-    rep = run_experiment(small_cfg())
-    assert rep.rows == small_report.rows
-    assert rep.models == small_report.models
+def _count_calls(monkeypatch, *names):
+    """Count the calls the harness makes to each of `names`."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    for name in names:
+        monkeypatch.setattr(hz, name, counted(name, getattr(hz, name)))
+    return calls
+
+
+def test_experiment_solves_once_and_rolls_out_once(tmp_path, monkeypatch):
+    cfg = small_cfg(runs=3, long_term=True)
+    calls = _count_calls(monkeypatch, "solve_pde", "integrate_model")
+    rep = run_experiment(cfg, out_dir=tmp_path / "rep")
+    assert calls == {"solve_pde": 1, "integrate_model": 1}
+    assert [r["status"] for r in rep.rows] == ["ok"] * 3
+    assert rep.longterm_counts == [3] * cfg.solver.nt
+    # each run's series is its model's own rollout over the test set
+    tests = make_test_set(cfg)
+    for r, blob in enumerate(rep.models):
+        saved = json.loads(
+            (tmp_path / "rep" / "models" / f"run_{r}.json").read_text())
+        mean, _, _ = long_term_mse(model_from_dict(blob, space=hz.SPACE),
+                                   tests, cfg.solver)
+        assert saved["longterm"]["mean"] == [repr(float(v)) for v in mean]
+    calls.update(solve_pde=0)
+    generate_dataset(cfg, tmp_path / "data")
+    assert calls["solve_pde"] == 1
+
+
+def _spike(monkeypatch, seed):
+    """Scale the IC drawn from `seed` past the blow-up guard."""
+    sample = hz.sample_initial_condition
+
+    def spiked(nx, length, s):
+        ic = sample(nx, length, s)
+        return 1e7 * ic if s == seed else ic
+
+    monkeypatch.setattr(hz, "sample_initial_condition", spiked)
+
+
+def test_blown_training_member_fails_only_its_run(monkeypatch):
+    cfg = small_cfg(runs=3)
+    clean = run_experiment(cfg)
+    _spike(monkeypatch, hz._run_seeds(cfg.seed, 1)["train_ic"][2])
+    rep = run_experiment(cfg)
+    assert [r["status"] for r in rep.rows] == ["ok", "error", "ok"]
+    assert rep.rows[1]["message"] == \
+        "BlowUpError: member 2: solution blew up at step 0"
+    assert rep.models[1] is None
+    for r in (0, 2):
+        assert rep.rows[r] == clean.rows[r]
+        assert rep.models[r] == clean.models[r]
+
+
+def test_blown_test_member_ends_the_experiment(monkeypatch):
+    cfg = small_cfg(runs=2, long_term=True)
+    _spike(monkeypatch, hz.holdout_initial_seeds(cfg)[1])
+    with pytest.raises(BlowUpError,
+                       match="^member 1: solution blew up at step 0$"):
+        run_experiment(cfg)
 
 
 def test_longterm_report_outputs(tmp_path):
