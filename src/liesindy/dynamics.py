@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -778,6 +779,7 @@ def load_trajectories(path):
     directory without `trajs.npz`, such as a dataset in the former CSV
     layout, or a manifest naming members the npz lacks, raises
     DynamicsError; such datasets are regenerated with `liesindy generate`.
+    So does a `trajs.npz` that is not an npz or holds object arrays.
     """
     npz = os.path.join(path, "trajs.npz")
     if not os.path.isfile(npz):
@@ -795,13 +797,19 @@ def load_trajectories(path):
                             f"objects, each with a meta object")
     cfg = (SolverConfig.from_dict(manifest["config"])
            if manifest.get("config") else None)
-    with np.load(npz) as data:
-        try:
+    try:
+        with np.load(npz) as data:
             x = data["x"]
             trajs = [TrajectoryGrid(x, data[f"t_{i}"], data[f"u_{i}"],
                                     dict(entry["meta"]))
                      for i, entry in enumerate(entries)]
-        except KeyError as err:
-            raise DynamicsError(
-                f"incomplete trajectory set {path}: {err}") from None
+    except KeyError as err:
+        raise DynamicsError(
+            f"incomplete trajectory set {path}: {err}") from None
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as err:
+        # not an npz, or members only unpickling could read; the reason
+        # keeps numpy's first sentence, not its advice to unpickle
+        reason = str(err).partition(". ")[0].replace("\n", " ")
+        raise DynamicsError(
+            f"unreadable trajectory set {npz}: {reason}") from None
     return trajs, cfg

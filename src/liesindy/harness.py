@@ -32,7 +32,9 @@ from .expr import (
     substitute, to_string,
 )
 from .invariants import builtin_set, truth_equation
-from .jetgrid import evaluate_features, finite_differences, spectral_jets
+from .jetgrid import (
+    LazyJets, evaluate_features, finite_differences, spectral_jets,
+)
 from .regress import (
     LibrarySpec, SparseModel, build_library, model_to_dict, stlsq,
     stlsq_regularized,
@@ -386,11 +388,12 @@ def _jet_estimator(cfg: ExperimentConfig):
 def build_feature_matrix(cfg: ExperimentConfig, trains):
     """One feature matrix over all the training trajectories, in order.
 
-    Jets come from the estimator `_jet_estimator` picks; the features are
-    evaluated once over the rows of every trajectory.
+    Jets come from the estimator `_jet_estimator` picks, one trajectory at
+    a time, each released once copied into the flat arrays; the features
+    are evaluated once over the rows of every trajectory.
     """
-    _, jets = _jet_estimator(cfg)
-    return evaluate_features([jets(tr, n=4) for tr in trains], cfg.features,
+    _, estimate = _jet_estimator(cfg)
+    return evaluate_features(LazyJets(estimate, trains), cfg.features,
                              cfg.target, constants=cfg.solver.params)
 
 
@@ -650,8 +653,15 @@ def write_summary_csv(path, entries):
 
 
 def load_runs_csv(path):
+    """The rows of a runs.csv; HarnessError if it lacks any RUN_COLUMNS."""
     with open(path, newline="") as f:
-        return list(csv.DictReader(f))
+        reader = csv.DictReader(f)
+        header = reader.fieldnames or ()
+        missing = [c for c in RUN_COLUMNS if c not in header]
+        if missing:
+            raise HarnessError(
+                f"{path} lacks run columns: {', '.join(missing)}")
+        return list(reader)
 
 
 def summarize_rows(rows):

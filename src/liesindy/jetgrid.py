@@ -7,12 +7,18 @@ periodic by construction), one endpoint row trimmed at each end in t.
 round-off on periodic band-limited fields, and u_t from the 7-point
 sixth-order central stencil, trimming three rows at each end in t.  Its
 x-derivatives amplify high-wavenumber noise as k^m, so noisy data keeps the
-finite-difference estimator.  `evaluate_features` takes all the jets of
-one fit (one run's training trajectories), lays their rows end to end in
-one flat array per coordinate, and evaluates each feature and the target
-once over all of them into one dense matrix; rows where any feature or the
-target fails to be finite are dropped and counted rather than silently
-kept.
+finite-difference estimator.
+
+`evaluate_features` takes all the jets of one fit (one run's training
+trajectories) and lays their rows end to end in one flat array per
+coordinate.  Given a `LazyJets`, it estimates one trajectory's jets at a
+time, copies them into their row block and releases them before the next
+is estimated, so at most one trajectory's derivative arrays sit beside the
+flat arrays.  Each feature and the target is then evaluated once over all
+the rows.  The features fill a feature-major (features, rows) block, one
+contiguous row per feature, and `FeatureMatrix.values` is its transposed
+(rows, features) view.  Rows where any feature or the target fails to be
+finite are dropped and counted rather than silently kept.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from .expr import (
 from .dynamics import TrajectoryGrid
 
 __all__ = [
-    "JetGrid", "FeatureMatrix", "finite_differences", "spectral_jets",
-    "evaluate_features", "GridTooSmallError",
+    "JetGrid", "LazyJets", "FeatureMatrix", "finite_differences",
+    "spectral_jets", "evaluate_features", "GridTooSmallError",
 ]
 
 
@@ -73,34 +79,65 @@ class JetGrid:
 
     def binding(self):
         """Flattened name -> 1-D array map over the valid window."""
-        return _flat_binding([self])
+        return _flat_binding([self.base], [self])
 
 
-def _flat_binding(jets):
+@dataclass
+class LazyJets:
+    """The jets of `trajs` by `estimate`, each made when iteration reaches it.
+
+    `evaluate_features` copies each trajectory's jets into the flat arrays
+    and releases them before it draws the next, so only one trajectory's
+    derivative arrays are alive at a time.
+    """
+
+    estimate: object        # finite_differences, spectral_jets, ...
+    trajs: list
+    n: int = 4
+
+    def __iter__(self):
+        for traj in self.trajs:
+            yield self.estimate(traj, n=self.n)
+
+
+def _flat_binding(trajs, jets):
     """name -> one 1-D array over every jet's valid window, in jet order.
 
-    Each jet's rows run in (t index, x index) order after the previous jet's;
-    the arrays are filled in place, with no per-jet copy.
+    `jets` yields one JetGrid per trajectory of `trajs`, and each jet's rows
+    run in (t index, x index) order after the previous jet's.  The arrays
+    are allocated when the first jet is in, sized from every trajectory's
+    grid and that jet's trim.  Each jet is copied into its row block and
+    dropped before the next is drawn, so a lazy `jets` never holds two.
     """
-    keys = jets[0].derivs.keys()
-    if any(jet.derivs.keys() != keys for jet in jets):
-        raise GridTooSmallError("jets evaluated together need equal orders")
-    names = {j: "u_" + "".join(j) if j else "u" for j in keys}
-    sizes = [jet.derivs[()].size for jet in jets]
-    out = {name: np.empty(sum(sizes))
-           for name in ["t", "x", *names.values()]}
-    start = 0
-    for jet, size in zip(jets, sizes):
+    source = iter(jets)
+    out, start = None, 0
+    for traj in trajs:
+        jet = next(source)
+        if out is None:
+            trim, keys = jet.valid_t[0], jet.derivs.keys()
+            names = {j: "u_" + "".join(j) if j else "u" for j in keys}
+            rows = sum((tr.u.shape[0] - 2 * trim) * tr.u.shape[1]
+                       for tr in trajs)
+            out = {name: np.empty(rows)
+                   for name in ["t", "x", *names.values()]}
+        elif jet.derivs.keys() != keys:
+            raise GridTooSmallError(
+                "jets evaluated together need equal orders")
         lo, hi = jet.valid_t
+        if (lo, hi) != (trim, traj.u.shape[0] - trim):
+            raise GridTooSmallError(
+                "jets evaluated together need equal trims")
+        size = (hi - lo) * traj.u.shape[1]
 
         def block(name):
             return out[name][start:start + size].reshape(hi - lo, -1)
 
-        block("t")[:] = jet.base.t[lo:hi, None]
-        block("x")[:] = jet.base.x
+        block("t")[:] = traj.t[lo:hi, None]
+        block("x")[:] = traj.x
         for j, name in names.items():
             block(name)[:] = jet.derivs[j]
         start += size
+        del jet             # so next(source) estimates beside no other jet
     return out
 
 
@@ -167,6 +204,14 @@ def spectral_jets(traj: TrajectoryGrid, n: int = 4) -> JetGrid:
 
 @dataclass
 class FeatureMatrix:
+    """Features and target of one fit, one row per kept grid point.
+
+    `evaluate_features` fills a feature-major (#features, #points) block,
+    one contiguous row per feature, and `values` is its transposed view:
+    `values.T` is C-contiguous, and readers see the (#points, #features)
+    matrix either way.
+    """
+
     columns: list           # Expr labels, one per value column
     values: np.ndarray      # (#points, #features)
     target: np.ndarray      # (#points,)
@@ -185,17 +230,22 @@ def evaluate_features(jets, feats, target: Expr,
                       constants=None) -> FeatureMatrix:
     """Evaluate symbolic features and target over the jets' valid windows.
 
-    The rows of all jets form one matrix, in jet order, and each expression
-    is evaluated once over all of them.  Constants (t0, nu, ...) must all be
-    supplied; a missing one raises with its name.  Rows with any non-finite
-    entry are dropped and counted.
+    `jets` is an iterable of JetGrid, or a `LazyJets` that is estimated one
+    trajectory at a time.  The rows of all jets form one matrix, in jet
+    order, and each expression is evaluated once over all of them.
+    Constants (t0, nu, ...) must all be supplied; a missing one raises with
+    its name.  Rows with any non-finite entry are dropped and counted.
     """
-    jets = list(jets)
-    if not jets:
+    if isinstance(jets, LazyJets):
+        trajs, order = list(jets.trajs), jets.n
+    else:
+        jets = list(jets)
+        trajs = [jet.base for jet in jets]
+        order = jets[0].order if jets else 0
+    if not trajs:
         raise GridTooSmallError("no jets to evaluate features on")
     feats = list(feats)
     constants = dict(constants or {})
-    order = jets[0].order
     for e in feats + [target]:
         if max_order(e) > order:
             raise GridTooSmallError(
@@ -204,22 +254,24 @@ def evaluate_features(jets, feats, target: Expr,
             if p.name not in constants:
                 raise MissingSymbolError(
                     f"no value for constant '{p.name}' in {to_string(e)}")
-    binding = _flat_binding(jets)
+    binding = _flat_binding(trajs, jets)
     npts = binding["u"].size
     for name, val in constants.items():
         binding[name] = float(val)
     tvec = np.empty(npts)
     tvec[:] = evaluate_array(target, binding)
     keep = np.isfinite(tvec)
-    values = np.empty((npts, len(feats)))
+    block = np.empty((len(feats), npts))
     for c, e in enumerate(feats):
-        values[:, c] = evaluate_array(e, binding)
-        keep &= np.isfinite(values[:, c])
+        block[c] = evaluate_array(e, binding)
+        keep &= np.isfinite(block[c])
     dropped = int(npts - keep.sum())
     if dropped:
-        values, tvec = values[keep], tvec[keep]
+        # compress, not block[:, keep]: numpy lays that result out
+        # point-major
+        block, tvec = block.compress(keep, axis=1), tvec[keep]
         binding = {name: val[keep] if np.ndim(val) else val
                    for name, val in binding.items()}
-    return FeatureMatrix(columns=feats, values=values, target=tvec,
+    return FeatureMatrix(columns=feats, values=block.T, target=tvec,
                          target_label=target, row_binding=binding,
                          dropped=dropped)

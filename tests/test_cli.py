@@ -3,6 +3,7 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from liesindy.cli import main
@@ -166,3 +167,36 @@ def test_bad_dataset_is_one_error_line(tmp_path, capsys, config_path,
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert needle in err
+
+
+def _object_member(path):
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays["u_0"] = np.array([None, 1.0], dtype=object)
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("corrupt, needle", [
+    (lambda p: p.write_bytes(b"garbage"), "pickled"),
+    (_object_member, "Object arrays"),
+], ids=["not-an-npz", "object-member"])
+def test_bad_trajs_npz_is_one_error_line(tmp_path, capsys, config_path,
+                                         pipeline, corrupt, needle):
+    data, _ = pipeline
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    corrupt(bad / "run_0" / "trajs.npz")
+    assert main(["discover", "--config", str(config_path), "--data",
+                 str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert needle in err and "trajs.npz" in err
+    assert "Traceback" not in err
+
+
+def test_report_on_runs_csv_without_run_columns(tmp_path, capsys):
+    (tmp_path / "runs.csv").write_text("run,status\n0,ok\n")
+    assert main(["report", "--in", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "success" in err and "err_norm" in err

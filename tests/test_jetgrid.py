@@ -1,18 +1,21 @@
 """Jet estimators and feature-matrix assembly."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from liesindy import harness as hz
 from liesindy.dynamics import (
-    SolverConfig, TrajectoryGrid, sample_initial_condition, solve_pde,
+    SolverConfig, TrajectoryGrid, default_config, sample_initial_condition,
+    solve_pde,
 )
 from liesindy.expr import (
-    Const, JetSpace, MissingSymbolError, parse, to_string,
+    Const, JetSpace, MissingSymbolError, evaluate_array, parse, to_string,
 )
 from liesindy.jetgrid import (
-    GridTooSmallError, _dx, _dxx, _dxxx, _dxxxx, evaluate_features,
+    GridTooSmallError, LazyJets, _dx, _dxx, _dxxx, _dxxxx, evaluate_features,
     finite_differences, spectral_jets,
 )
 from liesindy.liealg import VectorField, check_symmetry_criterion, prolong
@@ -250,6 +253,87 @@ def test_jets_of_one_matrix_share_their_orders():
     mixed = [finite_differences(tr, n=2), finite_differences(tr, n=4)]
     with pytest.raises(GridTooSmallError):
         evaluate_features(mixed, [P("u_x")], P("u_t"))
+
+
+def test_jets_of_one_matrix_share_their_trims():
+    tr, _, _ = manufactured(32, 10)
+    mixed = [finite_differences(tr, n=4), spectral_jets(tr, n=4)]
+    with pytest.raises(GridTooSmallError, match="trims"):
+        evaluate_features(mixed, [P("u_x")], P("u_t"))
+
+
+def three_trajectories(poison=False):
+    x = np.arange(32) * (2.0 * math.pi / 32)
+    t = np.linspace(0.0, 1.0, 12)
+    grids = []
+    for k in range(3):
+        u = 3.0 + np.sin(x + k)[None, :] * np.exp(np.cos(t))[:, None]
+        if poison and k == 1:
+            u[5, 9] = 0.0               # 1/u is infinite at one point
+        grids.append(TrajectoryGrid(x, t, u))
+    return grids
+
+
+def column_reference(jets, feats, target):
+    """(values, target) assembled one strided column at a time."""
+    parts = [jet.binding() for jet in jets]
+    binding = {name: np.concatenate([b[name] for b in parts])
+               for name in parts[0]}
+    values = np.empty((binding["u"].size, len(feats)))
+    for c, e in enumerate(feats):
+        values[:, c] = evaluate_array(e, binding)
+    tvec = evaluate_array(target, binding)
+    keep = np.isfinite(tvec) & np.all(np.isfinite(values), axis=1)
+    return values[keep], tvec[keep]
+
+
+@pytest.mark.parametrize("poison", [False, True], ids=["kept", "dropped"])
+@pytest.mark.parametrize("estimate", [finite_differences, spectral_jets])
+def test_feature_major_values_match_a_column_reference(estimate, poison):
+    trajs = three_trajectories(poison)
+    feats = [P(s) for s in ("u", "u*u_x", "u_xx", "1/u", "u*u_xxx",
+                            "u_xxxx")]
+    target = P("u_t")
+    values, tvec = column_reference([estimate(tr, n=4) for tr in trajs],
+                                    feats, target)
+    for jets in (LazyJets(estimate, trajs),
+                 [estimate(tr, n=4) for tr in trajs]):
+        fm = evaluate_features(jets, feats, target)
+        assert fm.dropped == int(poison)
+        assert np.array_equal(fm.values, values)
+        assert np.array_equal(fm.target, tvec)
+        # one contiguous row per feature, dropped rows or not
+        assert fm.values.T.flags.c_contiguous
+
+
+def test_lazy_jets_of_no_trajectories_are_a_grid_error():
+    with pytest.raises(GridTooSmallError):
+        evaluate_features(LazyJets(finite_differences, []), [P("u")],
+                          P("u_t"))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-3], ids=["spectral", "fd2"])
+def test_feature_matrix_holds_the_jets_of_one_trajectory_at_a_time(sigma):
+    solver = default_config("ks").to_dict()
+    solver["nt"] = 200
+    cfg = hz.ExperimentConfig(system="ks", method="sindy", runs=1, seed=3,
+                              solver=solver, long_term=False,
+                              noise_sigma=sigma)
+    trains = hz.make_train_set(cfg, 0)
+    tracemalloc.start()
+    try:
+        fm = hz.build_feature_matrix(cfg, trains)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row = 8 * fm.target.size            # bytes of one float per row
+    binding = sum(v.nbytes for v in fm.row_binding.values() if np.ndim(v))
+    one_jet = 5 * row / len(trains)     # u_t and four x-derivatives
+    # values, flat binding, target, one trajectory's jets and a few rows of
+    # evaluation temporaries; the jets of all four trajectories (5 rows)
+    # do not fit
+    assert len(trains) == 4 and fm.dropped == 0
+    assert peak < fm.values.nbytes + binding + row + one_jet + 3 * row
 
 
 def test_binding_feeds_the_symmetry_criterion(kdv_jet):
