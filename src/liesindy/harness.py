@@ -652,12 +652,18 @@ def write_summary_csv(path, entries):
                         "N/A" if allv is None else repr(float(allv))])
 
 
+# the runs.csv columns `summarize_rows` reads; older reports lack some of
+# the other RUN_COLUMNS and still load
+_SUMMARY_COLUMNS = ("status", "success", "err_norm")
+
+
 def load_runs_csv(path):
-    """The rows of a runs.csv; HarnessError if it lacks any RUN_COLUMNS."""
+    """The rows of a runs.csv; HarnessError if it lacks a column that
+    `summarize_rows` reads."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         header = reader.fieldnames or ()
-        missing = [c for c in RUN_COLUMNS if c not in header]
+        missing = [c for c in _SUMMARY_COLUMNS if c not in header]
         if missing:
             raise HarnessError(
                 f"{path} lacks run columns: {', '.join(missing)}")

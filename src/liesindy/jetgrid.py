@@ -82,9 +82,13 @@ class JetGrid:
         return _flat_binding([self.base], [self])
 
 
+_LAZY_ORDER = 4             # the spatial order `LazyJets` estimates to
+
+
 @dataclass
 class LazyJets:
-    """The jets of `trajs` by `estimate`, each made when iteration reaches it.
+    """The order-4 jets of `trajs` by `estimate`, each made when iteration
+    reaches it.
 
     `evaluate_features` copies each trajectory's jets into the flat arrays
     and releases them before it draws the next, so only one trajectory's
@@ -93,11 +97,10 @@ class LazyJets:
 
     estimate: object        # finite_differences, spectral_jets, ...
     trajs: list
-    n: int = 4
 
     def __iter__(self):
         for traj in self.trajs:
-            yield self.estimate(traj, n=self.n)
+            yield self.estimate(traj, n=_LAZY_ORDER)
 
 
 def _flat_binding(trajs, jets):
@@ -114,13 +117,15 @@ def _flat_binding(trajs, jets):
     for traj in trajs:
         jet = next(source)
         if out is None:
-            trim, keys = jet.valid_t[0], jet.derivs.keys()
-            names = {j: "u_" + "".join(j) if j else "u" for j in keys}
+            # names is a new dict: a view of jet.derivs would keep the
+            # first jet's arrays alive to the end
+            trim = jet.valid_t[0]
+            names = {j: "u_" + "".join(j) if j else "u" for j in jet.derivs}
             rows = sum((tr.u.shape[0] - 2 * trim) * tr.u.shape[1]
                        for tr in trajs)
             out = {name: np.empty(rows)
                    for name in ["t", "x", *names.values()]}
-        elif jet.derivs.keys() != keys:
+        elif jet.derivs.keys() != names.keys():
             raise GridTooSmallError(
                 "jets evaluated together need equal orders")
         lo, hi = jet.valid_t
@@ -237,7 +242,7 @@ def evaluate_features(jets, feats, target: Expr,
     its name.  Rows with any non-finite entry are dropped and counted.
     """
     if isinstance(jets, LazyJets):
-        trajs, order = list(jets.trajs), jets.n
+        trajs, order = list(jets.trajs), _LAZY_ORDER
     else:
         jets = list(jets)
         trajs = [jet.base for jet in jets]

@@ -200,3 +200,11 @@ def test_report_on_runs_csv_without_run_columns(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "success" in err and "err_norm" in err
+
+
+def test_report_on_runs_csv_of_an_older_layout(tmp_path, capsys):
+    # no jets, condition_number or min_singular_value columns
+    (tmp_path / "runs.csv").write_text(
+        "run,status,success,err_norm\n0,ok,1,0.5\n1,ok,0,1.5\n")
+    assert main(["report", "--in", str(tmp_path)]) == 0
+    assert "50" in capsys.readouterr().out

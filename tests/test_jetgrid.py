@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -310,6 +311,24 @@ def test_lazy_jets_of_no_trajectories_are_a_grid_error():
     with pytest.raises(GridTooSmallError):
         evaluate_features(LazyJets(finite_differences, []), [P("u")],
                           P("u_t"))
+
+
+@pytest.mark.parametrize("estimator", [finite_differences, spectral_jets])
+def test_lazy_jets_are_released_before_the_next_estimate(estimator):
+    refs = []
+
+    def estimate(traj, n):
+        # every earlier trajectory's derivative arrays are already gone
+        assert all(r() is None for r in refs)
+        jet = estimator(traj, n=n)
+        refs.extend(weakref.ref(a) for a in jet.derivs.values())
+        return jet
+
+    trajs = three_trajectories()
+    fm = evaluate_features(LazyJets(estimate, trajs), [P("u*u_x")],
+                           P("u_t"))
+    assert len(refs) == 6 * len(trajs) and fm.dropped == 0
+    assert all(r() is None for r in refs)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1e-3], ids=["spectral", "fd2"])
