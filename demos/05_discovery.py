@@ -21,8 +21,9 @@ target, feats = inv.lhs, list(inv.rhs_features())
 print("target  :", to_string(target))
 print("features:", [to_string(f) for f in feats])
 
-jet = finite_differences(tr, n=4)
-fm = evaluate_features([jet], feats, target, constants=cfg.params)
+# jets are estimated to the highest order the target and features need
+fm = evaluate_features([tr], finite_differences, feats, target,
+                       constants=cfg.params)
 print("matrix  :", fm.values.shape, f"({fm.dropped} rows dropped)")
 
 model = stlsq(fm, threshold=0.5)

@@ -139,11 +139,7 @@ def _cmd_evaluate(args):
 
 
 def _cmd_report(args):
-    runs_path = os.path.join(args.indir, "runs.csv")
-    if not os.path.exists(runs_path):
-        print(f"no runs.csv in {args.indir}", file=sys.stderr)
-        return 1
-    rows = load_runs_csv(runs_path)
+    rows = load_runs_csv(os.path.join(args.indir, "runs.csv"))
     rate, rmse_ok, rmse_all = summarize_rows(rows)
     cfg_path = os.path.join(args.indir, "config.json")
     system, method = "?", "?"

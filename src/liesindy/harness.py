@@ -32,9 +32,7 @@ from .expr import (
     substitute, to_string,
 )
 from .invariants import builtin_set, truth_equation
-from .jetgrid import (
-    LazyJets, evaluate_features, finite_differences, spectral_jets,
-)
+from .jetgrid import evaluate_features, finite_differences, spectral_jets
 from .regress import (
     LibrarySpec, SparseModel, build_library, model_to_dict, stlsq,
     stlsq_regularized,
@@ -108,10 +106,16 @@ class ExperimentConfig:
             raise HarnessError(f"unknown method '{self.method}'")
         if self.runs < 1:
             raise HarnessError("runs must be at least 1")
-        if self.noise_sigma < 0:
-            raise HarnessError("noise_sigma must be non-negative")
         if self.threshold is None:
             self.threshold = 5e-3 if self.system == "burgers" else 0.5
+        # NaN passes the range checks below (a NaN threshold switches
+        # thresholding off)
+        for name, val in (("noise_sigma", self.noise_sigma),
+                          ("threshold", self.threshold), ("lam", self.lam)):
+            if not math.isfinite(val):
+                raise HarnessError(f"{name} must be finite, not {val!r}")
+        if self.noise_sigma < 0:
+            raise HarnessError("noise_sigma must be non-negative")
         if self.threshold <= 0:
             raise HarnessError("threshold must be positive")
         if self.lam < 0:
@@ -388,13 +392,14 @@ def _jet_estimator(cfg: ExperimentConfig):
 def build_feature_matrix(cfg: ExperimentConfig, trains):
     """One feature matrix over all the training trajectories, in order.
 
-    Jets come from the estimator `_jet_estimator` picks, one trajectory at
-    a time, each released once copied into the flat arrays; the features
-    are evaluated once over the rows of every trajectory.
+    Jets come from the estimator `_jet_estimator` picks, to the order the
+    library needs, one trajectory at a time, each released once copied into
+    the flat arrays; the features are evaluated once over the rows of every
+    trajectory.
     """
     _, estimate = _jet_estimator(cfg)
-    return evaluate_features(LazyJets(estimate, trains), cfg.features,
-                             cfg.target, constants=cfg.solver.params)
+    return evaluate_features(trains, estimate, cfg.features, cfg.target,
+                             constants=cfg.solver.params)
 
 
 def _fit(cfg: ExperimentConfig, fm):
@@ -633,11 +638,38 @@ def _write_longterm_csv(path, mean, std, counts):
 
 
 def load_longterm_csv(path):
-    """(mean, std) series back from a longterm.csv."""
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
+    """(mean, std) series back from a longterm.csv; HarnessError if a
+    column is missing, holds no rows, or holds a value that is not finite."""
+    rows = _read_csv(path, {"mean_mse": _finite, "std_mse": _finite})
+    if not rows:
+        raise HarnessError(f"{path} holds no rows")
     return ([float(r["mean_mse"]) for r in rows],
             [float(r["std_mse"]) for r in rows])
+
+
+def _finite(text):
+    if not math.isfinite(float(text)):
+        raise ValueError(text)
+
+
+def _read_csv(path, checks):
+    """The rows of a CSV file, as strings; HarnessError naming the file and
+    the column if a column of `checks` is missing or its check raises
+    ValueError or TypeError (a short row's None) on one of its values."""
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        missing = [c for c in checks if c not in (reader.fieldnames or ())]
+        if missing:
+            raise HarnessError(f"{path} lacks columns: {', '.join(missing)}")
+        rows = list(reader)
+    for row in rows:
+        for column, check in checks.items():
+            try:
+                check(row[column])
+            except (TypeError, ValueError):
+                raise HarnessError(f"{path}: column {column} holds "
+                                   f"{row[column]!r}") from None
+    return rows
 
 
 def write_summary_csv(path, entries):
@@ -652,22 +684,16 @@ def write_summary_csv(path, entries):
                         "N/A" if allv is None else repr(float(allv))])
 
 
-# the runs.csv columns `summarize_rows` reads; older reports lack some of
-# the other RUN_COLUMNS and still load
-_SUMMARY_COLUMNS = ("status", "success", "err_norm")
+# the runs.csv columns `summarize_rows` reads, with a check of each value;
+# older reports lack some of the other RUN_COLUMNS and still load
+_SUMMARY_COLUMNS = {"status": str, "success": ("0", "1").index,
+                    "err_norm": lambda v: v and float(v)}
 
 
 def load_runs_csv(path):
     """The rows of a runs.csv; HarnessError if it lacks a column that
-    `summarize_rows` reads."""
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        header = reader.fieldnames or ()
-        missing = [c for c in _SUMMARY_COLUMNS if c not in header]
-        if missing:
-            raise HarnessError(
-                f"{path} lacks run columns: {', '.join(missing)}")
-        return list(reader)
+    `summarize_rows` reads, or one of those holds a value it cannot read."""
+    return _read_csv(path, _SUMMARY_COLUMNS)
 
 
 def summarize_rows(rows):

@@ -9,16 +9,18 @@ sixth-order central stencil, trimming three rows at each end in t.  Its
 x-derivatives amplify high-wavenumber noise as k^m, so noisy data keeps the
 finite-difference estimator.
 
-`evaluate_features` takes all the jets of one fit (one run's training
-trajectories) and lays their rows end to end in one flat array per
-coordinate.  Given a `LazyJets`, it estimates one trajectory's jets at a
-time, copies them into their row block and releases them before the next
-is estimated, so at most one trajectory's derivative arrays sit beside the
-flat arrays.  Each feature and the target is then evaluated once over all
-the rows.  The features fill a feature-major (features, rows) block, one
-contiguous row per feature, and `FeatureMatrix.values` is its transposed
-(rows, features) view.  Rows where any feature or the target fails to be
-finite are dropped and counted rather than silently kept.
+`evaluate_features` takes the trajectories of one fit (one run's training
+set) and an estimator, and lays their rows end to end in one flat array per
+coordinate.  The jet order is the highest derivative order among the
+features and the target, so the expressions decide which jets are
+estimated.  It estimates one trajectory's jets at a time, copies them into
+their row block and releases them before the next is estimated, so at most
+one trajectory's derivative arrays sit beside the flat arrays.  Each
+feature and the target is then evaluated once over all the rows.  The
+features fill a feature-major (features, rows) block, one contiguous row
+per feature, and `FeatureMatrix.values` is its transposed (rows, features)
+view.  Rows where any feature or the target fails to be finite are dropped
+and counted rather than silently kept.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .expr import (
 from .dynamics import TrajectoryGrid
 
 __all__ = [
-    "JetGrid", "LazyJets", "FeatureMatrix", "finite_differences",
+    "JetGrid", "FeatureMatrix", "finite_differences",
     "spectral_jets", "evaluate_features", "GridTooSmallError",
 ]
 
@@ -73,7 +75,6 @@ class JetGrid:
     """
 
     base: TrajectoryGrid
-    order: int
     derivs: dict = field(default_factory=dict)  # multi-index tuple -> array
     valid_t: tuple = (1, -1)
 
@@ -82,36 +83,18 @@ class JetGrid:
         return _flat_binding([self.base], [self])
 
 
-_LAZY_ORDER = 4             # the spatial order `LazyJets` estimates to
-
-
-@dataclass
-class LazyJets:
-    """The order-4 jets of `trajs` by `estimate`, each made when iteration
-    reaches it.
-
-    `evaluate_features` copies each trajectory's jets into the flat arrays
-    and releases them before it draws the next, so only one trajectory's
-    derivative arrays are alive at a time.
-    """
-
-    estimate: object        # finite_differences, spectral_jets, ...
-    trajs: list
-
-    def __iter__(self):
-        for traj in self.trajs:
-            yield self.estimate(traj, n=_LAZY_ORDER)
-
-
 def _flat_binding(trajs, jets):
     """name -> one 1-D array over every jet's valid window, in jet order.
 
-    `jets` yields one JetGrid per trajectory of `trajs`, and each jet's rows
-    run in (t index, x index) order after the previous jet's.  The arrays
-    are allocated when the first jet is in, sized from every trajectory's
-    grid and that jet's trim.  Each jet is copied into its row block and
-    dropped before the next is drawn, so a lazy `jets` never holds two.
+    `jets` yields one JetGrid per trajectory of `trajs`, all from one
+    estimator at one order, and each jet's rows run in (t index, x index)
+    order after the previous jet's.  The arrays are allocated when the
+    first jet is in, sized from every trajectory's grid and that jet's
+    trim.  Each jet is copied into its row block and dropped before the
+    next is drawn, so a lazy `jets` never holds two.
     """
+    # next(source), not zip: zip keeps the last jet in its result tuple
+    # while it draws the next
     source = iter(jets)
     out, start = None, 0
     for traj in trajs:
@@ -125,13 +108,7 @@ def _flat_binding(trajs, jets):
                        for tr in trajs)
             out = {name: np.empty(rows)
                    for name in ["t", "x", *names.values()]}
-        elif jet.derivs.keys() != names.keys():
-            raise GridTooSmallError(
-                "jets evaluated together need equal orders")
         lo, hi = jet.valid_t
-        if (lo, hi) != (trim, traj.u.shape[0] - trim):
-            raise GridTooSmallError(
-                "jets evaluated together need equal trims")
         size = (hi - lo) * traj.u.shape[1]
 
         def block(name):
@@ -157,13 +134,12 @@ def _check_grid(traj: TrajectoryGrid, n: int, nt_min: int):
             f"need at least {nt_min} time samples for u_t")
 
 
-def _jet_grid(traj: TrajectoryGrid, n: int, derivs: dict,
-              trim: int) -> JetGrid:
+def _jet_grid(traj: TrajectoryGrid, derivs: dict, trim: int) -> JetGrid:
     for j, arr in derivs.items():
         if not np.all(np.isfinite(arr)):
             raise GridTooSmallError(
                 f"non-finite derivative estimate for index {j}")
-    return JetGrid(base=traj, order=n, derivs=derivs,
+    return JetGrid(base=traj, derivs=derivs,
                    valid_t=(trim, traj.u.shape[0] - trim))
 
 
@@ -177,7 +153,7 @@ def finite_differences(traj: TrajectoryGrid, n: int = 4) -> JetGrid:
     derivs[("t",)] = (u[2:] - u[:-2]) / (2.0 * dt)
     for m in range(1, n + 1):
         derivs[("x",) * m] = _SPATIAL[m - 1](u, h)[1:-1]
-    return _jet_grid(traj, n, derivs, 1)
+    return _jet_grid(traj, derivs, 1)
 
 
 # sixth-order central first-derivative weights for offsets +1, +2, +3
@@ -204,7 +180,7 @@ def spectral_jets(traj: TrajectoryGrid, n: int = 4) -> JetGrid:
     spec = np.fft.rfft(mid, axis=1)
     for m in range(1, n + 1):
         derivs[("x",) * m] = np.fft.irfft(ik ** m * spec, nx, axis=1)
-    return _jet_grid(traj, n, derivs, 3)
+    return _jet_grid(traj, derivs, 3)
 
 
 @dataclass
@@ -231,35 +207,32 @@ class FeatureMatrix:
             raise ValueError("target length must match the row count")
 
 
-def evaluate_features(jets, feats, target: Expr,
+def evaluate_features(trajs, estimate, feats, target: Expr,
                       constants=None) -> FeatureMatrix:
-    """Evaluate symbolic features and target over the jets' valid windows.
+    """Evaluate symbolic features and target over the trajectories' jets.
 
-    `jets` is an iterable of JetGrid, or a `LazyJets` that is estimated one
-    trajectory at a time.  The rows of all jets form one matrix, in jet
-    order, and each expression is evaluated once over all of them.
-    Constants (t0, nu, ...) must all be supplied; a missing one raises with
-    its name.  Rows with any non-finite entry are dropped and counted.
+    `estimate` (finite_differences, spectral_jets, ...) makes each
+    trajectory's jets up to the highest derivative order among `feats` and
+    `target`, one trajectory at a time; an order its stencils lack raises
+    GridTooSmallError.  The rows of all trajectories form one matrix, in
+    trajectory order, and each expression is evaluated once over all of
+    them.  Constants (t0, nu, ...) must all be supplied; a missing one
+    raises with its name.  Rows with any non-finite entry are dropped and
+    counted.
     """
-    if isinstance(jets, LazyJets):
-        trajs, order = list(jets.trajs), _LAZY_ORDER
-    else:
-        jets = list(jets)
-        trajs = [jet.base for jet in jets]
-        order = jets[0].order if jets else 0
+    trajs = list(trajs)
     if not trajs:
-        raise GridTooSmallError("no jets to evaluate features on")
+        raise GridTooSmallError("no trajectories to evaluate features on")
     feats = list(feats)
+    exprs = feats + [target]
     constants = dict(constants or {})
-    for e in feats + [target]:
-        if max_order(e) > order:
-            raise GridTooSmallError(
-                f"{to_string(e)} needs derivatives beyond order {order}")
+    for e in exprs:
         for p in params_in(e):
             if p.name not in constants:
                 raise MissingSymbolError(
                     f"no value for constant '{p.name}' in {to_string(e)}")
-    binding = _flat_binding(trajs, jets)
+    order = max(1, *map(max_order, exprs))
+    binding = _flat_binding(trajs, (estimate(tr, n=order) for tr in trajs))
     npts = binding["u"].size
     for name, val in constants.items():
         binding[name] = float(val)

@@ -119,6 +119,8 @@ def test_missing_config_is_an_error(tmp_path, capsys):
 
 def test_report_without_runs_csv(tmp_path, capsys):
     assert main(["report", "--in", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "runs.csv" in err
 
 
 def _solver_edit(**over):
@@ -200,6 +202,31 @@ def test_report_on_runs_csv_without_run_columns(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "success" in err and "err_norm" in err
+
+
+_RUNS = "run,status,success,err_norm\n0,ok,1,0.5\n"
+_LONGTERM = "step,mean_mse,std_mse,n_series\n0,0.0,0.0,4\n1,1e-6,1e-7,4\n"
+
+
+@pytest.mark.parametrize("runs, longterm, needle", [
+    (_RUNS, "step,mean\n0,0.0\n", "mean_mse"),
+    (_RUNS, _LONGTERM.replace("1e-6", "nan"), "mean_mse"),
+    (_RUNS, "step,mean_mse,std_mse,n_series\n", "no rows"),
+    ("run,status,success,err_norm\n0,ok,yes,0.5\n", None, "success"),
+    ("run,status,success,err_norm\n0,ok,1,big\n", None, "err_norm"),
+], ids=["longterm-no-mean-column", "longterm-nan-mean", "longterm-no-rows",
+        "success-not-a-flag", "err-norm-not-a-number"])
+def test_report_on_malformed_csv_is_one_error_line(tmp_path, capsys, runs,
+                                                   longterm, needle):
+    (tmp_path / "runs.csv").write_text(runs)
+    if longterm is not None:
+        (tmp_path / "longterm.csv").write_text(longterm)
+    assert main(["report", "--in", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert needle in err
+    name = "runs.csv" if longterm is None else "longterm.csv"
+    assert name in err and "Traceback" not in err
 
 
 def test_report_on_runs_csv_of_an_older_layout(tmp_path, capsys):

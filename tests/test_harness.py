@@ -78,6 +78,10 @@ def test_baseline_problem_shapes():
     (dict(noise_sigma=-1e-3), "noise_sigma"),
     (dict(lam=-0.1), "lam"),
     (dict(threshold=0.0), "threshold"),
+    (dict(noise_sigma=float("nan")), "noise_sigma must be finite"),
+    (dict(threshold=float("nan")), "threshold must be finite"),
+    (dict(lam=float("nan")), "lam must be finite"),
+    (dict(noise_sigma=float("inf")), "noise_sigma must be finite"),
 ])
 def test_config_validation(over, msg):
     kw = dict(system="kdv", method="di-sindy")

@@ -15,8 +15,9 @@ from liesindy.dynamics import (
 from liesindy.expr import (
     Const, JetSpace, MissingSymbolError, evaluate_array, parse, to_string,
 )
+from liesindy.invariants import builtin_set
 from liesindy.jetgrid import (
-    GridTooSmallError, LazyJets, _dx, _dxx, _dxxx, _dxxxx, evaluate_features,
+    GridTooSmallError, _dx, _dxx, _dxxx, _dxxxx, evaluate_features,
     finite_differences, spectral_jets,
 )
 from liesindy.liealg import VectorField, check_symmetry_criterion, prolong
@@ -145,16 +146,16 @@ def test_lower_order_jets_omit_high_derivatives():
 
 
 def test_kdv_residual_is_small_and_second_order(kdv_jet):
-    tr, jet = kdv_jet
+    tr, _ = kdv_jet
     resid = P("u_t + u*u_x + u_xxx")
-    fm = evaluate_features([jet], [P("u")], resid)
+    fm = evaluate_features([tr], finite_differences, [P("u")], resid)
     rms = float(np.sqrt(np.mean(fm.target ** 2)))
     assert rms < 2e-2
 
     fine_cfg = SolverConfig("kdv", nx=512, length=20.0, dt=0.005, nt=400)
     fine_ic = sample_initial_condition(512, 20.0, seed=7)
-    fine_jet = finite_differences(solve_pde("kdv", fine_ic, fine_cfg), n=4)
-    fine = evaluate_features([fine_jet], [P("u")], resid)
+    fine_tr = solve_pde("kdv", fine_ic, fine_cfg)
+    fine = evaluate_features([fine_tr], finite_differences, [P("u")], resid)
     fine_rms = float(np.sqrt(np.mean(fine.target ** 2)))
     assert 3.0 < rms / fine_rms < 5.0
 
@@ -164,9 +165,9 @@ def test_kdv_residual_is_small_and_second_order(kdv_jet):
 
 
 def test_feature_matrix_shape_and_bookkeeping(kdv_jet):
-    tr, jet = kdv_jet
+    tr, _ = kdv_jet
     feats = [P(s) for s in ("u_x", "u_xx", "u_xxx", "u_xxxx")]
-    fm = evaluate_features([jet], feats, P("u_t + u*u_x"))
+    fm = evaluate_features([tr], finite_differences, feats, P("u_t + u*u_x"))
     npts = (tr.t.size - 2) * tr.x.size
     assert fm.values.shape == (npts, 4)
     assert fm.target.shape == (npts,)
@@ -178,8 +179,8 @@ def test_feature_matrix_shape_and_bookkeeping(kdv_jet):
 
 
 def test_row_binding_matches_point_index(kdv_jet):
-    tr, jet = kdv_jet
-    fm = evaluate_features([jet], [P("u_x")], P("u_t"))
+    tr, _ = kdv_jet
+    fm = evaluate_features([tr], finite_differences, [P("u_x")], P("u_t"))
     # rows run over the valid window in (t index, x index) order
     ti = np.repeat(np.arange(1, tr.t.size - 1), tr.x.size)
     xi = np.tile(np.arange(tr.x.size), tr.t.size - 2)
@@ -189,22 +190,25 @@ def test_row_binding_matches_point_index(kdv_jet):
 
 
 def test_constants_are_bound_and_checked(kdv_jet):
-    _, jet = kdv_jet
+    tr, _ = kdv_jet
     target = P("exp(-t/t0)*u_t")
-    fm = evaluate_features([jet], [P("u*u_x")], target, constants={"t0": 1.0})
+    fm = evaluate_features([tr], finite_differences, [P("u*u_x")], target,
+                           constants={"t0": 1.0})
     expected = np.exp(-fm.row_binding["t"]) * fm.row_binding["u_t"]
     assert np.allclose(fm.target, expected, rtol=1e-12)
     with pytest.raises(MissingSymbolError, match="t0"):
-        evaluate_features([jet], [P("u*u_x")], target)
+        evaluate_features([tr], finite_differences, [P("u*u_x")], target)
 
 
 def test_order_beyond_jet_raises(kdv_jet):
+    # the estimators stop at order 4; their own grid check rejects order 5
     tr, _ = kdv_jet
-    low = finite_differences(tr, n=2)
-    with pytest.raises(GridTooSmallError):
-        evaluate_features([low], [P("u_xxx")], P("u_t"))
-    fm = evaluate_features([low], [P("u_xx")], P("u_t"))
-    assert fm.values.shape[1] == 1
+    fifth = parse("u_xxxxx", JetSpace(("t", "x"), ("u",), 5))
+    for estimate in (finite_differences, spectral_jets):
+        with pytest.raises(GridTooSmallError, match="between 1 and 4"):
+            evaluate_features([tr], estimate, [fifth], P("u_t"))
+        fm = evaluate_features([tr], estimate, [P("u_xxxx")], P("u_t"))
+        assert fm.values.shape[1] == 1
 
 
 def test_non_finite_rows_are_dropped():
@@ -213,8 +217,7 @@ def test_non_finite_rows_are_dropped():
     u = np.ones((10, 32)) + 0.1 * np.sin(x)[None, :]
     u[4, 7] = 0.0                      # exact zero poisons 1/u at one point
     tr = TrajectoryGrid(x, t, u)
-    jet = finite_differences(tr, n=2)
-    fm = evaluate_features([jet], [P("1/u")], P("u_t"))
+    fm = evaluate_features([tr], finite_differences, [P("1/u")], P("u_t"))
     assert fm.dropped == 1
     assert fm.values.shape[0] == 8 * 32 - 1
     assert np.all(np.isfinite(fm.values))
@@ -229,14 +232,15 @@ def test_jets_evaluate_as_one_matrix_with_a_dropped_row():
     u = np.ones((10, 32)) + 0.1 * np.sin(x)[None, :]
     poisoned = u.copy()
     poisoned[4, 7] = 0.0              # 1/u is infinite in the second jet only
-    jets = [finite_differences(TrajectoryGrid(x, t, v), n=2)
-            for v in (u, poisoned)]
-    fm = evaluate_features(jets, [P("1/u")], P("u_t"))
+    trajs = [TrajectoryGrid(x, t, v) for v in (u, poisoned)]
+    fm = evaluate_features(trajs, finite_differences, [P("1/u")], P("u_t"))
     n = 8 * 32
     assert fm.dropped == 1
     assert fm.values.shape == (2 * n - 1, 1)
     rb = fm.row_binding
-    for name in ("t", "x", "u", "u_t", "u_x", "u_xx"):
+    # 1/u and u_t need order 1: the jets stop at u_x
+    assert set(rb) == {"t", "x", "u", "u_t", "u_x"}
+    for name in rb:
         assert rb[name].shape == (2 * n - 1,)
     # every row of values, target and binding describes one grid point
     assert np.array_equal(fm.values[:, 0], 1.0 / rb["u"])
@@ -244,23 +248,10 @@ def test_jets_evaluate_as_one_matrix_with_a_dropped_row():
     # jet order: the first jet's rows, then the second's less (4, 7)
     rows = np.concatenate([u[1:-1].ravel(), poisoned[1:-1].ravel()])
     assert np.array_equal(rb["u"], np.delete(rows, n + 3 * 32 + 7))
-    first = evaluate_features(jets[:1], [P("1/u")], P("u_t"))
+    first = evaluate_features(trajs[:1], finite_differences, [P("1/u")],
+                              P("u_t"))
     assert np.array_equal(fm.values[:n], first.values)
     assert np.array_equal(rb["t"][:n], first.row_binding["t"])
-
-
-def test_jets_of_one_matrix_share_their_orders():
-    tr, _, _ = manufactured(32, 10)
-    mixed = [finite_differences(tr, n=2), finite_differences(tr, n=4)]
-    with pytest.raises(GridTooSmallError):
-        evaluate_features(mixed, [P("u_x")], P("u_t"))
-
-
-def test_jets_of_one_matrix_share_their_trims():
-    tr, _, _ = manufactured(32, 10)
-    mixed = [finite_differences(tr, n=4), spectral_jets(tr, n=4)]
-    with pytest.raises(GridTooSmallError, match="trims"):
-        evaluate_features(mixed, [P("u_x")], P("u_t"))
 
 
 def three_trajectories(poison=False):
@@ -297,20 +288,56 @@ def test_feature_major_values_match_a_column_reference(estimate, poison):
     target = P("u_t")
     values, tvec = column_reference([estimate(tr, n=4) for tr in trajs],
                                     feats, target)
-    for jets in (LazyJets(estimate, trajs),
-                 [estimate(tr, n=4) for tr in trajs]):
-        fm = evaluate_features(jets, feats, target)
-        assert fm.dropped == int(poison)
-        assert np.array_equal(fm.values, values)
-        assert np.array_equal(fm.target, tvec)
-        # one contiguous row per feature, dropped rows or not
-        assert fm.values.T.flags.c_contiguous
+    fm = evaluate_features(trajs, estimate, feats, target)
+    assert fm.dropped == int(poison)
+    assert np.array_equal(fm.values, values)
+    assert np.array_equal(fm.target, tvec)
+    # one contiguous row per feature, dropped rows or not
+    assert fm.values.T.flags.c_contiguous
 
 
 def test_lazy_jets_of_no_trajectories_are_a_grid_error():
     with pytest.raises(GridTooSmallError):
-        evaluate_features(LazyJets(finite_differences, []), [P("u")],
-                          P("u_t"))
+        evaluate_features([], finite_differences, [P("u")], P("u_t"))
+
+
+KDV = builtin_set("kdv")
+
+
+@pytest.mark.parametrize("feats, target, order", [
+    ([P("u")], P("u_t"), 1),
+    ([P("u"), P("u*u_x"), P("u_xx")], P("u_t"), 2),
+    ([P("u_x")], P("u_t + u_xxx"), 3),
+    (KDV.rhs_features(), KDV.lhs, 4),
+], ids=["u", "to-u_xx", "target-u_xxx", "kdv-invariants"])
+def test_jet_order_is_the_expressions_highest(feats, target, order):
+    orders = []
+
+    def estimate(traj, n):
+        orders.append(n)
+        return finite_differences(traj, n=n)
+
+    trajs = three_trajectories()
+    evaluate_features(trajs, estimate, feats, target)
+    assert orders == [order] * len(trajs)
+
+
+@pytest.mark.parametrize("poison", [False, True], ids=["kept", "dropped"])
+@pytest.mark.parametrize("estimate", [finite_differences, spectral_jets])
+def test_derived_order_matches_order_4_jets(estimate, poison):
+    # each x-derivative is computed independently of n, so the bits agree
+    trajs = three_trajectories(poison)
+    feats = [P(s) for s in ("u", "u*u_x", "1/u", "u_xx")]
+    target = P("u_t")
+    fm = evaluate_features(trajs, estimate, feats, target)
+    ref = evaluate_features(trajs, lambda tr, n: estimate(tr, n=4), feats,
+                            target)
+    assert fm.dropped == ref.dropped == int(poison)
+    assert np.array_equal(fm.values, ref.values)
+    assert np.array_equal(fm.target, ref.target)
+    assert set(fm.row_binding) == {"t", "x", "u", "u_t", "u_x", "u_xx"}
+    for name, arr in fm.row_binding.items():
+        assert np.array_equal(arr, ref.row_binding[name]), name
 
 
 @pytest.mark.parametrize("estimator", [finite_differences, spectral_jets])
@@ -325,9 +352,9 @@ def test_lazy_jets_are_released_before_the_next_estimate(estimator):
         return jet
 
     trajs = three_trajectories()
-    fm = evaluate_features(LazyJets(estimate, trajs), [P("u*u_x")],
-                           P("u_t"))
-    assert len(refs) == 6 * len(trajs) and fm.dropped == 0
+    fm = evaluate_features(trajs, estimate, [P("u*u_x")], P("u_t"))
+    # order 1: u, u_t and u_x per trajectory
+    assert len(refs) == 3 * len(trajs) and fm.dropped == 0
     assert all(r() is None for r in refs)
 
 

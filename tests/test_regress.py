@@ -41,9 +41,10 @@ def make_fm(values, target, labels, target_label="u_t", binding=None):
 def kdv_fm():
     cfg = SolverConfig("kdv", nx=256, length=20.0, dt=0.01, nt=200)
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=7)
-    jet = finite_differences(solve_pde("kdv", ic, cfg), n=4)
+    tr = solve_pde("kdv", ic, cfg)
     inv = builtin_set("kdv")
-    return evaluate_features([jet], inv.rhs_features(), inv.lhs), inv
+    return evaluate_features([tr], finite_differences, inv.rhs_features(),
+                             inv.lhs), inv
 
 
 # ---------------------------------------------------------------------------
