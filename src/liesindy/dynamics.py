@@ -34,13 +34,13 @@ import numpy as np
 
 from .expr import (
     Add, Const, DepVar, Div, Exp, IndepVar, LiesindyError, MissingSymbolError,
-    Mul, Param, Pow, dep_vars_in, evaluate, evaluate_array, is_zero,
-    params_in, partial_derivative, simplify, substitute, to_string, _walk,
+    Mul, Param, Pow, dep_vars_in, evaluate_array, is_zero, params_in,
+    partial_derivative, simplify, substitute, to_string, _walk,
 )
 from .regress import model_to_equation
 
 __all__ = [
-    "SolverConfig", "TrajectoryGrid", "default_config", "builtin_configs",
+    "SolverConfig", "TrajectoryGrid", "default_config",
     "sample_initial_condition", "solve_pde", "integrate_model", "add_noise",
     "save_trajectories", "load_trajectories",
     "DynamicsError", "BlowUpError", "ConfigError", "UnsupportedModelError",
@@ -193,10 +193,6 @@ def default_config(system: str) -> SolverConfig:
                             nt=400, scheme="rk4-spectral",
                             params={"nu": 0.1})
     raise ConfigError(f"unknown system '{system}'")
-
-
-def builtin_configs():
-    return {s: default_config(s) for s in SYSTEMS}
 
 
 @dataclass
@@ -547,7 +543,7 @@ def _time_coefficient(eq):
         raise UnsupportedModelError(
             f"u_t coefficient {to_string(a)} is not c*exp(g*t)")
     g = ratio.value
-    c = evaluate(a, {"t": 0.0})
+    c = float(evaluate_array(a, {"t": 0.0}))
     check = simplify(a - Const(c) * Exp(Const(g) * IndepVar("t"))) if g \
         else simplify(a - Const(c))
     if not is_zero(check):

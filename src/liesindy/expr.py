@@ -25,10 +25,9 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "IndepVar", "DepVar", "Param", "Add", "Mul", "Pow",
     "Exp", "Div", "JetSpace", "simplify", "is_zero", "partial_derivative",
-    "total_derivative", "total_derivative_multi", "evaluate",
-    "evaluate_array", "substitute", "parse", "to_string", "dep_vars_in",
-    "params_in", "denominators_in", "max_order", "LiesindyError",
-    "ExprError", "MissingSymbolError", "NonFiniteError", "OrderCapError",
+    "total_derivative", "evaluate_array", "substitute", "parse",
+    "to_string", "dep_vars_in", "params_in", "denominators_in", "max_order",
+    "LiesindyError", "ExprError", "MissingSymbolError", "OrderCapError",
     "ParseError",
 ]
 
@@ -43,10 +42,6 @@ class ExprError(LiesindyError):
 
 class MissingSymbolError(ExprError):
     """A symbol required during evaluation has no binding."""
-
-
-class NonFiniteError(ExprError):
-    """Evaluation produced a non-finite value (tagged, never silent)."""
 
 
 class OrderCapError(ExprError):
@@ -272,7 +267,7 @@ def _pow_terms(bt, k):
     if not bt:
         if k > 0:
             return {}
-        raise ZeroDivisionError("0 raised to a negative power")
+        raise ExprError("0 raised to a negative power")
     if len(bt) == 1:
         (mono, c), = bt.items()
         scaled = [(b, e * k) for b, e in mono]
@@ -345,7 +340,7 @@ def _norm_monomial(bases, coef):
 
 def _div_terms(nt, dt):
     if not dt:
-        raise ZeroDivisionError("division by symbolic zero")
+        raise ExprError("division by symbolic zero")
     if not nt:
         return {}
     if len(dt) == 1:
@@ -572,12 +567,6 @@ def total_derivative(e: Expr, i: str, cap: int | None = None) -> Expr:
     return simplify(Add(tuple(out)))
 
 
-def total_derivative_multi(e: Expr, J, cap: int | None = None) -> Expr:
-    for i in J:
-        e = total_derivative(e, i, cap=cap)
-    return e
-
-
 def substitute(e: Expr, binding) -> Expr:
     """Replace named constants (and optionally variables) by expressions."""
 
@@ -612,42 +601,6 @@ def _leaf_name(e):
         return e.display()
     if isinstance(e, Param):
         return e.name
-    raise TypeError(type(e))
-
-
-def evaluate(e: Expr, binding) -> float:
-    """Evaluate to a float; unbound symbols and non-finite results raise."""
-    try:
-        v = _eval(e, binding)
-    except (ZeroDivisionError, OverflowError) as err:
-        raise NonFiniteError(f"non-finite while evaluating {to_string(e)}: {err}") from err
-    if not math.isfinite(v):
-        raise NonFiniteError(f"non-finite value {v} for {to_string(e)}")
-    return v
-
-
-def _eval(e, binding):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, (IndepVar, DepVar, Param)):
-        name = _leaf_name(e)
-        try:
-            return float(binding[name])
-        except KeyError:
-            raise MissingSymbolError(f"no binding for symbol '{name}'") from None
-    if isinstance(e, Add):
-        return math.fsum(_eval(t, binding) for t in e.terms)
-    if isinstance(e, Mul):
-        v = 1.0
-        for f in e.factors:
-            v *= _eval(f, binding)
-        return v
-    if isinstance(e, Pow):
-        return _eval(e.base, binding) ** e.exponent
-    if isinstance(e, Exp):
-        return math.exp(_eval(e.arg, binding))
-    if isinstance(e, Div):
-        return _eval(e.num, binding) / _eval(e.den, binding)
     raise TypeError(type(e))
 
 
@@ -741,12 +694,6 @@ class JetSpace:
     def contains(self, dv: DepVar) -> bool:
         return dv.name in self.dependent and dv.index in set(self.multi_indices())
 
-    def var(self, name: str) -> Expr:
-        e = self.resolve(name)
-        if e is None:
-            raise ExprError(f"'{name}' is not a coordinate of this jet space")
-        return e
-
     def resolve(self, name: str):
         """Name -> leaf for this space, or None if it is not a coordinate."""
         if name in self.independent:
@@ -760,17 +707,6 @@ class JetSpace:
                 if self.contains(dv):
                     return dv
         return None
-
-    def validate(self, e: Expr, order: int | None = None):
-        """Raise if e references derivative coordinates outside this space."""
-        limit = self.order if order is None else order
-        bad = []
-        for dv in sorted(dep_vars_in(e), key=_key):
-            if not self.contains(dv) or dv.order > limit:
-                bad.append(dv.display())
-        if bad:
-            raise ExprError(
-                f"expression leaves {bad} outside jet space of order {limit}")
 
 
 # ---------------------------------------------------------------------------

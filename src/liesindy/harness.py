@@ -106,6 +106,8 @@ class ExperimentConfig:
             raise HarnessError(f"unknown method '{self.method}'")
         if self.runs < 1:
             raise HarnessError("runs must be at least 1")
+        if self.seed < 0:
+            raise HarnessError("seed must be non-negative")
         if self.threshold is None:
             self.threshold = 5e-3 if self.system == "burgers" else 0.5
         # NaN passes the range checks below (a NaN threshold switches
@@ -369,14 +371,6 @@ def make_test_set(cfg: ExperimentConfig):
     return _trajectories(_solve_sets(cfg, (), test=True)[0])
 
 
-def make_train_set(cfg: ExperimentConfig, run):
-    """Run `run`'s four training trajectories.
-
-    Noise is added per trajectory, each from its own seed.
-    """
-    return _trajectories(_solve_sets(cfg, (run,))[0])
-
-
 def _jet_estimator(cfg: ExperimentConfig):
     """(name, estimator) for the config's data, as runs.csv records it.
 
@@ -598,7 +592,7 @@ RUN_COLUMNS = ["run", "status", "success", "err_norm", "n_rows", "dropped",
                "noise_seeds"]
 
 
-def write_report(report: DiscoveryReport, out_dir, results=None):
+def write_report(report: DiscoveryReport, out_dir, results):
     os.makedirs(out_dir, exist_ok=True)
     cfg = ExperimentConfig.from_dict(report.config)
     cfg.save(os.path.join(out_dir, "config.json"))
@@ -614,7 +608,7 @@ def write_report(report: DiscoveryReport, out_dir, results=None):
     os.makedirs(mdir, exist_ok=True)
     for r, model in enumerate(report.models):
         blob = {"run": r, "model": model}
-        if results is not None and results[r]["longterm"] is not None:
+        if results[r]["longterm"] is not None:
             blob["longterm"] = results[r]["longterm"]
         with open(os.path.join(mdir, f"run_{r}.json"), "w") as f:
             json.dump(blob, f, indent=1, sort_keys=True)
@@ -717,15 +711,15 @@ def summarize_rows(rows):
 _SVG_FLOOR = 1e-18
 
 
-def render_longterm_svg(path, mean, std=None, title="long-term MSE",
-                        width=640, height=420):
-    """Log-scale MSE-vs-step line with an optional shaded std band.
+def render_longterm_svg(path, mean, std, title):
+    """Log-scale MSE-vs-step line with a shaded std band, 640 x 420.
 
     Step 0 is exactly zero by construction (identical initial conditions)
     and is omitted from the log plot.
     """
+    width, height = 640, 420
     mean = [float(v) for v in mean]
-    std = [float(v) for v in std] if std is not None else [0.0] * len(mean)
+    std = [float(v) for v in std]
     steps = list(range(1, len(mean)))
     if not steps:
         steps = [1]

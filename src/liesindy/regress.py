@@ -26,8 +26,8 @@ from .liealg import ProlongedVectorField, apply as lie_apply, prolong
 
 __all__ = [
     "LibrarySpec", "SparseModel", "build_library", "stlsq",
-    "stlsq_regularized", "least_squares_on_support", "model_to_equation",
-    "model_to_dict", "model_from_dict", "RegressionError",
+    "stlsq_regularized", "model_to_equation", "model_to_dict",
+    "model_from_dict", "RegressionError",
 ]
 
 
@@ -138,7 +138,7 @@ def _solve_round(gram, rhs, active):
     return coef, min_sv, cond
 
 
-def _stlsq_loop(gram, rhs, n_rows, features, target, threshold, max_iters):
+def _stlsq_loop(gram, rhs, n_rows, features, target, threshold):
     n_feats = gram.shape[0]
     if n_rows <= n_feats:
         raise RegressionError(
@@ -151,7 +151,7 @@ def _stlsq_loop(gram, rhs, n_rows, features, target, threshold, max_iters):
     min_sv = np.inf
     cond = 0.0
     iterations = 0
-    for _ in range(max_iters):
+    for _ in range(20):
         iterations += 1
         coef, min_sv, cond = _solve_round(gram, rhs, active)
         history.append(tuple(bool(m) for m in active))
@@ -177,11 +177,12 @@ def _normal_equations(fm):
     return a.T @ a, a.T @ fm.target
 
 
-def stlsq(fm, threshold: float, max_iters: int = 20) -> SparseModel:
-    """Sequential thresholded least squares on a FeatureMatrix."""
+def stlsq(fm, threshold: float) -> SparseModel:
+    """Sequential thresholded least squares on a FeatureMatrix, at most 20
+    thresholding rounds."""
     gram, rhs = _normal_equations(fm)
     return _stlsq_loop(gram, rhs, fm.target.size, fm.columns,
-                       fm.target_label, threshold, max_iters)
+                       fm.target_label, threshold)
 
 
 def _add_penalty(gram, rhs, fm, pv, lam):
@@ -213,8 +214,8 @@ def _add_penalty(gram, rhs, fm, pv, lam):
         rhs += lam * (b_cols @ b_vec)
 
 
-def stlsq_regularized(fm, generators, lam: float, threshold: float,
-                      max_iters: int = 20) -> SparseModel:
+def stlsq_regularized(fm, generators, lam: float,
+                      threshold: float) -> SparseModel:
     """STLSQ on the objective ||y - Aw||^2 + lam * sum_v ||b_v - B_v w||^2.
 
     `generators` may be plain or prolonged vector fields; plain ones are
@@ -226,7 +227,7 @@ def stlsq_regularized(fm, generators, lam: float, threshold: float,
     if lam < 0:
         raise RegressionError("lam must be non-negative")
     if lam == 0.0:
-        return stlsq(fm, threshold, max_iters)
+        return stlsq(fm, threshold)
     need = max(1, max_order(fm.target_label),
                *(max_order(f) for f in fm.columns))
     pvs = [g if isinstance(g, ProlongedVectorField) else prolong(g, need)
@@ -237,17 +238,9 @@ def stlsq_regularized(fm, generators, lam: float, threshold: float,
     # rows of the equivalent stacked least-squares system
     n_rows = fm.target.size * (1 + len(pvs))
     model = _stlsq_loop(gram, rhs, n_rows, fm.columns, fm.target_label,
-                        threshold, max_iters)
+                        threshold)
     model.diagnostics["lambda"] = lam
     return model
-
-
-def least_squares_on_support(fm, mask) -> np.ndarray:
-    """Plain least-squares coefficients restricted to a given support."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (len(fm.columns),):
-        raise RegressionError("mask length must match the feature count")
-    return _solve_round(*_normal_equations(fm), mask)[0]
 
 
 def model_to_equation(m: SparseModel) -> Expr:

@@ -138,9 +138,13 @@ def _solver_edit(**over):
     (lambda d: json.dumps({**d, "runs": "ten"}), "runs"),
     (_solver_edit(nx="64"), "nx"),
     (_solver_edit(dt=float("nan")), "'dt' must be finite"),
+    (lambda d: json.dumps({**d, "seed": -1}), "seed must be non-negative"),
+    (lambda d: json.dumps({**d, "method": "sindy",
+                           "library": {"inputs": ["u", "u/0"]}}),
+     "division by symbolic zero"),
 ], ids=["unknown-key", "truncated-json", "bad-nx", "unknown-solver-key",
         "not-an-object", "no-system", "runs-not-integer", "nx-not-integer",
-        "dt-nan"])
+        "dt-nan", "seed-negative", "library-divides-by-zero"])
 def test_bad_config_is_one_error_line(tmp_path, capsys, config_path, edit,
                                       needle):
     bad = tmp_path / "bad.json"

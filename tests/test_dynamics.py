@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from liesindy.dynamics import (
-    BlowUpError, ConfigError, DynamicsError, SolverConfig, TrajectoryGrid,
-    UnsupportedModelError, add_noise, builtin_configs, default_config,
+    SYSTEMS, BlowUpError, ConfigError, DynamicsError, SolverConfig,
+    TrajectoryGrid, UnsupportedModelError, add_noise, default_config,
     integrate_model, load_trajectories, sample_initial_condition,
     save_trajectories, solve_pde,
 )
@@ -48,7 +48,7 @@ def kdv_run():
 
 
 def test_default_configs_cover_all_systems():
-    cfgs = builtin_configs()
+    cfgs = {s: default_config(s) for s in SYSTEMS}
     assert set(cfgs) == {"kdv", "ks", "burgers", "nkdv"}
     assert cfgs["kdv"].nx == 256 and cfgs["kdv"].horizon == pytest.approx(5.0)
     assert cfgs["ks"].length == pytest.approx(32.0 * math.pi)
@@ -379,6 +379,13 @@ def test_integrate_names_unbound_constants():
     model = truth_model("u_t", ["alpha*u_xx"], [1.0])
     cfg = SolverConfig("kdv", nx=64, length=20.0, dt=0.01, nt=8)
     with pytest.raises(MissingSymbolError, match="alpha"):
+        integrate_model(model, np.zeros(64), cfg)
+
+
+def test_integrate_names_an_unbound_time_coefficient():
+    model = truth_model("beta*u_t", ["u_xx"], [1.0])
+    cfg = SolverConfig("kdv", nx=64, length=20.0, dt=0.01, nt=8)
+    with pytest.raises(MissingSymbolError, match="beta"):
         integrate_model(model, np.zeros(64), cfg)
 
 

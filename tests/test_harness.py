@@ -17,8 +17,8 @@ from liesindy.dynamics import (
 from liesindy.expr import ExprError, parse, to_string
 from liesindy.harness import (
     DiscoveryReport, ExperimentConfig, HarnessError, ground_truth,
-    long_term_mse, make_test_set, make_train_set, rmse, run_experiment,
-    success, generate_dataset, load_runs_csv, summarize_rows,
+    long_term_mse, make_test_set, rmse, run_experiment, success,
+    generate_dataset, load_runs_csv, summarize_rows,
 )
 from liesindy.invariants import CatalogError
 from liesindy.jetgrid import GridTooSmallError
@@ -82,6 +82,7 @@ def test_baseline_problem_shapes():
     (dict(threshold=float("nan")), "threshold must be finite"),
     (dict(lam=float("nan")), "lam must be finite"),
     (dict(noise_sigma=float("inf")), "noise_sigma must be finite"),
+    (dict(seed=-1), "seed must be non-negative"),
 ])
 def test_config_validation(over, msg):
     kw = dict(system="kdv", method="di-sindy")
@@ -262,14 +263,19 @@ def test_holdout_seeds_shared_by_all_runs():
         assert hz._run_seeds(cfg.seed, run)["train_ic"] != held
 
 
+def train_set(cfg):
+    """Run 0's training trajectories, as run_experiment solves them."""
+    return hz._trajectories(hz._solve_sets(cfg, (0,))[0])
+
+
 def test_train_and_test_sets():
     cfg = small_cfg(noise_sigma=1e-3)
     tests = make_test_set(cfg)
-    trains = make_train_set(cfg, 0)
+    trains = train_set(cfg)
     assert len(tests) == len(trains) == 4
     assert all(tr.meta["role"] == "test" for tr in tests)
     assert all(tr.meta["role"] == "train" for tr in trains)
-    clean = make_train_set(small_cfg(), 0)
+    clean = train_set(small_cfg())
     # same ICs and solver, so only the injected noise separates them
     diff = np.abs(trains[0].u - clean[0].u)
     assert 0 < diff.max() < 1e-2
@@ -277,7 +283,7 @@ def test_train_and_test_sets():
 
 def test_stack_matches_concatenation():
     cfg = small_cfg()
-    trains = make_train_set(cfg, 0)
+    trains = train_set(cfg)
     fm_a = hz.build_feature_matrix(cfg, trains[:1])
     fm_b = hz.build_feature_matrix(cfg, trains[1:2])
     fm_ab = hz.build_feature_matrix(cfg, trains[:2])
@@ -298,7 +304,7 @@ def test_feature_matrix_is_built_without_a_stacked_copy():
     solver["nt"] = 200
     cfg = ExperimentConfig(system="ks", method="sindy", runs=1, seed=3,
                            solver=solver, long_term=False)
-    trains = make_train_set(cfg, 0)
+    trains = train_set(cfg)
     tracemalloc.start()
     try:
         fm = hz.build_feature_matrix(cfg, trains)

@@ -365,7 +365,7 @@ def test_feature_matrix_holds_the_jets_of_one_trajectory_at_a_time(sigma):
     cfg = hz.ExperimentConfig(system="ks", method="sindy", runs=1, seed=3,
                               solver=solver, long_term=False,
                               noise_sigma=sigma)
-    trains = hz.make_train_set(cfg, 0)
+    trains = hz._trajectories(hz._solve_sets(cfg, (0,))[0])
     tracemalloc.start()
     try:
         fm = hz.build_feature_matrix(cfg, trains)
