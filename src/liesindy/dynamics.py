@@ -311,12 +311,11 @@ def _etdrk4_coeffs(lin, h, m=64):
     z = h * lin.astype(complex)
     r = np.exp(2j * math.pi * (np.arange(m) + 0.5) / m)
     zz = z[:, None] + r[None, :]
+    ez, zz2, zz3 = np.exp(zz), zz ** 2, zz ** 3
     q = h * np.mean((np.exp(zz / 2) - 1.0) / zz, axis=1)
-    f1 = h * np.mean(
-        (-4.0 - zz + np.exp(zz) * (4.0 - 3.0 * zz + zz ** 2)) / zz ** 3, axis=1)
-    f2 = h * np.mean((2.0 + zz + np.exp(zz) * (-2.0 + zz)) / zz ** 3, axis=1)
-    f3 = h * np.mean(
-        (-4.0 - 3.0 * zz - zz ** 2 + np.exp(zz) * (4.0 - zz)) / zz ** 3, axis=1)
+    f1 = h * np.mean((-4.0 - zz + ez * (4.0 - 3.0 * zz + zz2)) / zz3, axis=1)
+    f2 = h * np.mean((2.0 + zz + ez * (-2.0 + zz)) / zz3, axis=1)
+    f3 = h * np.mean((-4.0 - 3.0 * zz - zz2 + ez * (4.0 - zz)) / zz3, axis=1)
     return np.exp(z), np.exp(z / 2), q, f1, f2, f3
 
 
@@ -631,27 +630,35 @@ def _leftover_term(shape, consts, scale, k, mask, nx):
     """live -> v -> scale*mask*rfft(shape) for the live members.
 
     consts maps each lifted constant's name to its (n, 1) column of member
-    values and scale is the (n, 1) column of -1/c.
+    values and scale is the (n, 1) column of -1/c.  u and its derivatives
+    come from one inverse transform of the stacked [v, (ik)^o v ...].  A
+    leftover free of u is one term per live set.
     """
     if shape is None:
         return lambda live: np.zeros_like
-    needed = sorted({dv.order for dv in dep_vars_in(shape)} - {0})
-    ikp = {order: (1j * k) ** order for order in needed}
+    orders = {dv.order for dv in dep_vars_in(shape)}
+    needed = sorted(orders - {0})
+    names = ["u"] + ["u_" + "x" * order for order in needed]
+    ikp = np.array([(1j * k) ** order for order in needed],
+                   dtype=complex).reshape(len(needed), 1, k.size)
 
     def for_live(live):
         bound = {name: col[live] for name, col in consts.items()}
-        s = scale[live]
+        # scale*mask*X associates as (scale*mask)*X, so forming it once
+        # keeps the bits
+        sm = scale[live] * mask
+        if not orders:
+            vals = np.broadcast_to(evaluate_array(shape, bound),
+                                   (len(live), nx))
+            term = sm * np.fft.rfft(vals, axis=-1)
+            return lambda v: term
 
         def nonlinear(v):
-            u = np.fft.irfft(v, nx, axis=-1)
-            binding = {"u": u, **bound}
-            for order in needed:
-                binding["u_" + "x" * order] = np.fft.irfft(
-                    ikp[order] * v, nx, axis=-1)
-            vals = np.broadcast_to(
-                np.asarray(evaluate_array(shape, binding), dtype=float),
-                u.shape)
-            return s * mask * np.fft.rfft(vals, axis=-1)
+            fields = np.fft.irfft(np.concatenate((v[None], ikp * v)), nx,
+                                  axis=-1)
+            vals = evaluate_array(shape, {**dict(zip(names, fields)),
+                                          **bound})
+            return sm * np.fft.rfft(vals, axis=-1)
 
         return nonlinear
 

@@ -686,8 +686,12 @@ _SUMMARY_COLUMNS = {"status": str, "success": ("0", "1").index,
 
 def load_runs_csv(path):
     """The rows of a runs.csv; HarnessError if it lacks a column that
-    `summarize_rows` reads, or one of those holds a value it cannot read."""
-    return _read_csv(path, _SUMMARY_COLUMNS)
+    `summarize_rows` reads, holds no rows, or one of those columns holds a
+    value it cannot read."""
+    rows = _read_csv(path, _SUMMARY_COLUMNS)
+    if not rows:
+        raise HarnessError(f"{path} holds no rows")
+    return rows
 
 
 def summarize_rows(rows):

@@ -211,33 +211,43 @@ class CriterionReport:
 def _sample_points(names, dens, samples, seed, den_tol, max_resample, params):
     """Per-point seeded uniform draws on [-2, 2], redrawn while any guard
     denominator is within den_tol of zero.  Deterministic regardless of
-    batch layout."""
-    cols = {n: np.empty(samples) for n in names}
+    batch layout.
+
+    Point idx draws from its own default_rng((seed, idx)).  The guards test
+    every point's first draw at once; a flagged point re-creates its
+    generator, skips that draw and redraws alone, in index order.
+    """
+    params = params or {}
+
+    def flagged(binding, size):
+        bad = np.zeros(size, dtype=bool)
+        for d in dens:
+            bad |= np.abs(evaluate_array(d, binding)) < den_tol
+        return bad
+
+    def draw(rng):
+        return rng.uniform(-2.0, 2.0, len(names))
+
+    first = np.array([draw(np.random.default_rng((int(seed), idx)))
+                      for idx in range(samples)]).reshape(samples, len(names))
+    cols = dict(zip(names, first.T.copy()))
     resampled = 0
-    for idx in range(samples):
-        rng = np.random.default_rng((int(seed), idx))
-        for attempt in range(max_resample + 1):
-            draw = rng.uniform(-2.0, 2.0, len(names))
-            point = dict(zip(names, draw))
-            if params:
-                point.update(params)
-            ok = True
-            for d in dens:
-                if abs(float(evaluate_array(d, point))) < den_tol:
-                    ok = False
-                    break
-            if ok:
-                break
+    for idx in np.flatnonzero(flagged({**cols, **params}, samples)):
+        rng = np.random.default_rng((int(seed), int(idx)))
+        draw(rng)
+        for _ in range(max_resample):
             resampled += 1
+            point = draw(rng)
+            if not flagged({**dict(zip(names, point)), **params}, 1)[0]:
+                break
         else:
             raise SingularSampleError(
                 f"point {idx}: {max_resample} redraws all hit a singular "
                 f"denominator")
-        for n, val in zip(names, draw):
+        for n, val in zip(names, point):
             cols[n][idx] = val
-    if params:
-        for k, v in params.items():
-            cols[k] = float(v)
+    for k, v in params.items():
+        cols[k] = float(v)
     return cols, resampled
 
 

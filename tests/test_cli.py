@@ -218,8 +218,9 @@ _LONGTERM = "step,mean_mse,std_mse,n_series\n0,0.0,0.0,4\n1,1e-6,1e-7,4\n"
     (_RUNS, "step,mean_mse,std_mse,n_series\n", "no rows"),
     ("run,status,success,err_norm\n0,ok,yes,0.5\n", None, "success"),
     ("run,status,success,err_norm\n0,ok,1,big\n", None, "err_norm"),
+    ("run,status,success,err_norm\n", None, "no rows"),
 ], ids=["longterm-no-mean-column", "longterm-nan-mean", "longterm-no-rows",
-        "success-not-a-flag", "err-norm-not-a-number"])
+        "success-not-a-flag", "err-norm-not-a-number", "runs-no-rows"])
 def test_report_on_malformed_csv_is_one_error_line(tmp_path, capsys, runs,
                                                    longterm, needle):
     (tmp_path / "runs.csv").write_text(runs)

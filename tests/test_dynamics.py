@@ -20,7 +20,9 @@ from liesindy.dynamics import (
     save_trajectories, solve_pde,
 )
 from liesindy import LiesindyError
-from liesindy.expr import JetSpace, MissingSymbolError, parse
+from liesindy.expr import (
+    JetSpace, MissingSymbolError, dep_vars_in, evaluate_array, parse,
+)
 from nkdv_oracle import solve_nkdv_direct
 
 SPACE = JetSpace(("t", "x"), ("u",), 4)
@@ -525,6 +527,93 @@ def test_etdrk4_coefficients_are_computed_once_per_grid(monkeypatch):
     again = solve_pde("nkdv", np.array([ic, ic]), cfg)
     assert len(calls) == cfg.nt - 1
     assert all(np.array_equal(tr.u, first.u) for tr in again)
+
+
+def _etdrk4_coeffs_formula(lin, h, m=64):
+    """The Kassam-Trefethen contour means, each term written out in full."""
+    z = h * lin.astype(complex)
+    r = np.exp(2j * math.pi * (np.arange(m) + 0.5) / m)
+    zz = z[:, None] + r[None, :]
+    q = h * np.mean((np.exp(zz / 2) - 1.0) / zz, axis=1)
+    f1 = h * np.mean(
+        (-4.0 - zz + np.exp(zz) * (4.0 - 3.0 * zz + zz ** 2)) / zz ** 3, axis=1)
+    f2 = h * np.mean((2.0 + zz + np.exp(zz) * (-2.0 + zz)) / zz ** 3, axis=1)
+    f3 = h * np.mean(
+        (-4.0 - 3.0 * zz - zz ** 2 + np.exp(zz) * (4.0 - zz)) / zz ** 3, axis=1)
+    return np.exp(z), np.exp(z / 2), q, f1, f2, f3
+
+
+def test_etdrk4_coefficients_match_the_contour_formula(monkeypatch):
+    from liesindy import dynamics
+    calls = []
+    coeffs = dynamics._etdrk4_coeffs
+
+    def recorded(lin, h):
+        calls.append((lin, h))
+        return coeffs(lin, h)
+
+    monkeypatch.setattr(dynamics, "_COEFFS", {})
+    monkeypatch.setattr(dynamics, "_etdrk4_coeffs", recorded)
+    solve_pde("nkdv", np.zeros(256))
+    assert len(calls) == default_config("nkdv").nt - 1
+    for system in ("kdv", "ks"):
+        d = default_config(system).to_dict()
+        d.update(nt=8, transient=0.0)
+        solve_pde(system, np.zeros(256), SolverConfig.from_dict(d))
+        assert calls[-1][1] == d["dt"]
+    for lin, h in calls:
+        for got, want in zip(coeffs(lin, h), _etdrk4_coeffs_formula(lin, h)):
+            assert got.tobytes() == want.tobytes()
+
+
+def _leftover_term_per_order(shape, consts, scale, k, mask, nx):
+    """The rollout's leftover term with one inverse transform per order."""
+    if shape is None:
+        return lambda live: np.zeros_like
+    needed = sorted({dv.order for dv in dep_vars_in(shape)} - {0})
+    ikp = {order: (1j * k) ** order for order in needed}
+
+    def for_live(live):
+        bound = {name: col[live] for name, col in consts.items()}
+        s = scale[live]
+
+        def nonlinear(v):
+            u = np.fft.irfft(v, nx, axis=-1)
+            binding = {"u": u, **bound}
+            for order in needed:
+                binding["u_" + "x" * order] = np.fft.irfft(
+                    ikp[order] * v, nx, axis=-1)
+            vals = np.broadcast_to(
+                np.asarray(evaluate_array(shape, binding), dtype=float),
+                u.shape)
+            return s * mask * np.fft.rfft(vals, axis=-1)
+
+        return nonlinear
+
+    return for_live
+
+
+def test_rollout_matches_the_per_order_transforms(monkeypatch):
+    # a poly2 leftover in u, u_x and u_xxx; two constant-only leftovers of
+    # one structure; u_t = u^2, which blows up on the scaled IC
+    from liesindy import dynamics
+    cfg = SolverConfig("kdv", nx=64, length=2.0 * math.pi, dt=0.05, nt=24)
+    poly2 = truth_model("u_t + u*u_x", ["u*u_xxx", "u_xx", "u_xxx"],
+                        [0.05, 0.1, -1.0])
+    const_a = truth_model("u_t", ["1", "u_xx"], [0.3, 0.1])
+    const_b = truth_model("u_t", ["1", "u_xx"], [-0.7, 0.2])
+    blowup = truth_model("u_t", ["u^2"], [1.0])
+    ics = np.array([scale * sample_initial_condition(cfg.nx, cfg.length, s)
+                    for scale, s in ((0.3, 1), (0.3, 2), (3.0, 3))])
+    models = [poly2, const_a, const_b, poly2, blowup, blowup]
+    members = ics[[0, 1, 2, 1, 2, 0]]
+    got = integrate_model(models, members, cfg)
+    monkeypatch.setattr(dynamics, "_leftover_term", _leftover_term_per_order)
+    want = integrate_model(models, members, cfg)
+    assert isinstance(got[4], BlowUpError) and got[4].step == want[4].step
+    assert got[4].rows.tobytes() == want[4].rows.tobytes()
+    for b in (0, 1, 2, 3, 5):
+        assert got[b].u.tobytes() == want[b].u.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Prolongation and invariance machinery."""
 
+import numpy as np
 import pytest
 
 from liesindy.expr import (
-    Const, DepVar, ExprError, IndepVar, JetSpace, is_zero, parse, simplify,
-    to_string,
+    Const, DepVar, ExprError, IndepVar, JetSpace, denominators_in,
+    evaluate_array, is_zero, parse, simplify, to_string,
 )
 from liesindy.liealg import (
     OrderMismatchError, ProlongationError, SingularSampleError, VectorField,
@@ -195,6 +196,66 @@ def test_singular_sampling_gives_up_loudly():
     with pytest.raises(SingularSampleError):
         check_invariant(pv, P("u_t/(u + x)"), samples=5, seed=0,
                         den_tol=10.0, max_resample=3)
+
+
+def _sample_points_loop(names, dens, samples, seed, den_tol, max_resample,
+                        params):
+    """_sample_points as one point at a time, each guard on its own draw."""
+    cols = {n: np.empty(samples) for n in names}
+    resampled = 0
+    for idx in range(samples):
+        rng = np.random.default_rng((int(seed), idx))
+        for attempt in range(max_resample + 1):
+            draw = rng.uniform(-2.0, 2.0, len(names))
+            point = dict(zip(names, draw))
+            if params:
+                point.update(params)
+            ok = True
+            for d in dens:
+                if abs(float(evaluate_array(d, point))) < den_tol:
+                    ok = False
+                    break
+            if ok:
+                break
+            resampled += 1
+        else:
+            raise SingularSampleError(
+                f"point {idx}: {max_resample} redraws all hit a singular "
+                f"denominator")
+        for n, val in zip(names, draw):
+            cols[n][idx] = val
+    if params:
+        for k, v in params.items():
+            cols[k] = float(v)
+    return cols, resampled
+
+
+# den_tol 1e-3 redraws 2 of 400 points; 0.5, 0.8 and 1.0 redraw 587, 1283
+# and 1889 times; the last two give up at points 45 and 109
+@pytest.mark.parametrize("seed, den_tol, max_resample", [
+    (0, 1e-3, 50), (3, 0.5, 50), (7, 0.8, 50), (2, 1.0, 50), (3, 0.5, 6),
+    (11, 1.2, 50),
+])
+def test_sample_points_match_the_per_point_loop(seed, den_tol, max_resample):
+    from liesindy.liealg import _sample_points
+    sp = JetSpace(order=2)
+    eta = parse("u_t/(u*u_x + x) + u_xx/(exp(a*t) - u^2) + 1/(a + u_x)", sp)
+    names = sp.coordinate_names()
+    dens = denominators_in(eta)
+    assert len(dens) == 3
+    args = (names, dens, 400, seed, den_tol, max_resample, {"a": 0.5})
+    try:
+        want = _sample_points_loop(*args)
+    except SingularSampleError as err:
+        with pytest.raises(SingularSampleError) as got:
+            _sample_points(*args)
+        assert str(got.value) == str(err)
+        return
+    cols, resampled = _sample_points(*args)
+    assert resampled == want[1]
+    assert cols.keys() == want[0].keys()
+    for name, col in want[0].items():
+        assert np.asarray(cols[name]).tobytes() == np.asarray(col).tobytes()
 
 
 def test_symmetry_criterion_on_and_off_manifold():
