@@ -631,13 +631,11 @@ def _leftover_term(shape, consts, scale, k, mask, nx):
 
     consts maps each lifted constant's name to its (n, 1) column of member
     values and scale is the (n, 1) column of -1/c.  u and its derivatives
-    come from one inverse transform of the stacked [v, (ik)^o v ...].  A
-    leftover free of u is one term per live set.
+    come from one inverse transform of the stacked [v, (ik)^o v ...].
     """
     if shape is None:
         return lambda live: np.zeros_like
-    orders = {dv.order for dv in dep_vars_in(shape)}
-    needed = sorted(orders - {0})
+    needed = sorted({dv.order for dv in dep_vars_in(shape)} - {0})
     names = ["u"] + ["u_" + "x" * order for order in needed]
     ikp = np.array([(1j * k) ** order for order in needed],
                    dtype=complex).reshape(len(needed), 1, k.size)
@@ -647,17 +645,13 @@ def _leftover_term(shape, consts, scale, k, mask, nx):
         # scale*mask*X associates as (scale*mask)*X, so forming it once
         # keeps the bits
         sm = scale[live] * mask
-        if not orders:
-            vals = np.broadcast_to(evaluate_array(shape, bound),
-                                   (len(live), nx))
-            term = sm * np.fft.rfft(vals, axis=-1)
-            return lambda v: term
 
         def nonlinear(v):
             fields = np.fft.irfft(np.concatenate((v[None], ikp * v)), nx,
                                   axis=-1)
-            vals = evaluate_array(shape, {**dict(zip(names, fields)),
-                                          **bound})
+            vals = np.broadcast_to(
+                evaluate_array(shape, {**dict(zip(names, fields)), **bound}),
+                fields[0].shape)
             return sm * np.fft.rfft(vals, axis=-1)
 
         return nonlinear

@@ -635,8 +635,6 @@ def load_longterm_csv(path):
     """(mean, std) series back from a longterm.csv; HarnessError if a
     column is missing, holds no rows, or holds a value that is not finite."""
     rows = _read_csv(path, {"mean_mse": _finite, "std_mse": _finite})
-    if not rows:
-        raise HarnessError(f"{path} holds no rows")
     return ([float(r["mean_mse"]) for r in rows],
             [float(r["std_mse"]) for r in rows])
 
@@ -647,15 +645,18 @@ def _finite(text):
 
 
 def _read_csv(path, checks):
-    """The rows of a CSV file, as strings; HarnessError naming the file and
-    the column if a column of `checks` is missing or its check raises
-    ValueError or TypeError (a short row's None) on one of its values."""
+    """The rows of a CSV file, as strings; HarnessError naming the file if
+    it holds no rows, and naming the column too if a column of `checks` is
+    missing or its check raises ValueError or TypeError (a short row's
+    None) on one of its values."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         missing = [c for c in checks if c not in (reader.fieldnames or ())]
         if missing:
             raise HarnessError(f"{path} lacks columns: {', '.join(missing)}")
         rows = list(reader)
+    if not rows:
+        raise HarnessError(f"{path} holds no rows")
     for row in rows:
         for column, check in checks.items():
             try:
@@ -688,15 +689,13 @@ def load_runs_csv(path):
     """The rows of a runs.csv; HarnessError if it lacks a column that
     `summarize_rows` reads, holds no rows, or one of those columns holds a
     value it cannot read."""
-    rows = _read_csv(path, _SUMMARY_COLUMNS)
-    if not rows:
-        raise HarnessError(f"{path} holds no rows")
-    return rows
+    return _read_csv(path, _SUMMARY_COLUMNS)
 
 
 def summarize_rows(rows):
-    """Recompute the summary aggregates from per-run CSV rows."""
-    rate = float(np.mean([int(r["success"]) for r in rows])) if rows else 0.0
+    """Recompute the summary aggregates from per-run CSV rows (at least
+    one, as `load_runs_csv` returns them)."""
+    rate = float(np.mean([int(r["success"]) for r in rows]))
     errs = [(int(r["success"]), float(r["err_norm"]))
             for r in rows if r["status"] == "ok" and r["err_norm"]]
     if not errs:
