@@ -105,6 +105,40 @@ def test_verify_passes_for_catalog_systems(capsys):
     assert "invariance pairs checked" in shown
 
 
+_VERIFY_TRANSLATIONS = (
+    "invariance pairs checked: 15, numeric max |apply| 0.00e+00\n"
+    "independence: min singular value 4.19e-01 at 100.0% of samples\n"
+    "criterion x-shift: ok\n"
+    "criterion t-shift: ok\n"
+    "criterion galilean: ok\n"
+    "PASS\n")
+
+
+# the exact output of the per-point generator loop the sampler replaced
+_VERIFY_OUT = {
+    "kdv": _VERIFY_TRANSLATIONS,
+    "ks": _VERIFY_TRANSLATIONS,
+    "burgers": _VERIFY_TRANSLATIONS,
+    "nkdv": (
+        "invariance pairs checked: 15, numeric max |apply| 0.00e+00\n"
+        "independence: min singular value 8.88e-02 at 100.0% of samples\n"
+        "criterion x-shift: ok\n"
+        "criterion decaying-t-shift: ok\n"
+        "criterion galilean: ok\n"
+        "PASS\n"),
+    "so2-demo": (
+        "invariance pairs checked: 2, numeric max |apply| 2.84e-14\n"
+        "independence: min singular value 4.04e-01 at 100.0% of samples\n"
+        "PASS\n"),
+}
+
+
+@pytest.mark.parametrize("system", _VERIFY_OUT)
+def test_verify_output_is_pinned(system, capsys):
+    assert main(["verify", "--system", system]) == 0
+    assert capsys.readouterr().out == _VERIFY_OUT[system]
+
+
 def test_verify_unknown_system_fails(capsys):
     assert main(["verify", "--system", "euler"]) == 1
     assert "FAIL" in capsys.readouterr().out

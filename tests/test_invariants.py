@@ -2,12 +2,12 @@
 
 import pytest
 
-from liesindy.expr import JetSpace, parse, simplify, to_string
+from liesindy.expr import ExprError, JetSpace, parse, simplify, to_string
 from liesindy.invariants import (
     SYSTEMS, CatalogError, InvariantSet, builtin_set, eliminate_translations,
     truth_equation, verify_set,
 )
-from liesindy.liealg import check_symmetry_criterion, prolong
+from liesindy.liealg import check_invariant, check_symmetry_criterion, prolong
 
 EVOLUTION = ("kdv", "ks", "burgers", "nkdv")
 
@@ -89,6 +89,15 @@ def test_verification_catches_a_broken_invariant():
     assert any("t-shift" in f for f in rep.failures)
     # the run still reports every pair, it does not stop at the first failure
     assert len(rep.pair_reports) == len(base.generators) * len(etas)
+
+
+def test_negative_seed_is_an_expr_error():
+    s = builtin_set("kdv")
+    pv = s.prolonged()[0]
+    with pytest.raises(ExprError, match="^seed must be non-negative$"):
+        check_invariant(pv, s.etas[0], samples=10, seed=-3)
+    with pytest.raises(ExprError, match="^seed must be non-negative$"):
+        verify_set(s, seed=-1)
 
 
 def test_verification_catches_functional_dependence():

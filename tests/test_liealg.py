@@ -274,3 +274,18 @@ def test_symmetry_criterion_evaluates_on_supplied_data():
     rep = check_symmetry_criterion(prolong(galilean(), 4), f, data=data)
     assert rep.points == 40
     assert rep.max_abs_on_data < 1e-12
+
+
+# seeds of one, two, three and four uint32 words; verify_set passes
+# seed * 7919 + ..., two words for its seed 20240501
+@pytest.mark.parametrize("seed", [0, 11, 20240501 * 7919 + 3, 2 ** 64 + 3,
+                                  2 ** 100 + 7])
+@pytest.mark.parametrize("samples", [0, 1, 1000])
+@pytest.mark.parametrize("k", [1, 6, 9])
+def test_first_draws_are_each_points_own_stream(seed, samples, k):
+    from liesindy.liealg import _first_draws
+    want = np.array([np.random.default_rng((seed, idx)).uniform(-2.0, 2.0, k)
+                     for idx in range(samples)]).reshape(samples, k)
+    got = _first_draws(seed, samples, k)
+    assert got.shape == (samples, k) and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
