@@ -34,8 +34,8 @@ import numpy as np
 
 from .expr import (
     Add, Const, DepVar, Div, Exp, IndepVar, LiesindyError, MissingSymbolError,
-    Mul, Param, Pow, dep_vars_in, evaluate_array, is_zero, params_in,
-    partial_derivative, simplify, substitute, to_string, _walk,
+    Mul, Param, Pow, compile_array, dep_vars_in, evaluate_array, is_zero,
+    params_in, partial_derivative, simplify, substitute, to_string, _walk,
 )
 from .regress import model_to_equation
 
@@ -292,11 +292,14 @@ def _linear_symbol(system, k, params):
 
 def _advection(k, mask, nx):
     """live -> the advection term, the same for every member."""
+    # -ik*mask*X associates as (-ik*mask)*X, so forming it once keeps the
+    # bits
     ik = 1j * k
+    ikm = -ik * mask
 
     def nonlinear(v):
         u = np.fft.irfft(v, nx, axis=-1)
-        return -ik * mask * np.fft.rfft(0.5 * u * u, axis=-1)
+        return ikm * np.fft.rfft(0.5 * u * u, axis=-1)
 
     return lambda live: nonlinear
 
@@ -319,7 +322,8 @@ def _etdrk4_coeffs(lin, h, m=64):
     return np.exp(z), np.exp(z / 2), q, f1, f2, f3
 
 
-# _etdrk4_coeffs by (h, bytes of lin), oldest out first past _COEFFS_MAX:
+# _etdrk4_coeffs with f2 doubled, by (h, bytes of lin), oldest out first
+# past _COEFFS_MAX:
 # nKdV's 199 step sizes depend only on the t grid, so every solve on it
 # shares them
 _COEFFS = {}
@@ -332,21 +336,25 @@ def _make_etdrk4(lin, h, nonlinear):
     if key not in _COEFFS:
         if len(_COEFFS) >= _COEFFS_MAX:
             del _COEFFS[next(iter(_COEFFS))]
-        coeffs = _etdrk4_coeffs(lin, h)
+        e1, e2, q, f1, f2, f3 = _etdrk4_coeffs(lin, h)
+        # the step's 2.0*f2*X associates as (2.0*f2)*X: holding 2.0*f2 in
+        # place of f2 keeps the bits and adds no memory
+        coeffs = e1, e2, q, f1, 2.0 * f2, f3
         for a in coeffs:
             a.flags.writeable = False
         _COEFFS[key] = coeffs
-    e1, e2, q, f1, f2, f3 = _COEFFS[key]
+    e1, e2, q, f1, f2x2, f3 = _COEFFS[key]
 
     def step(v):
         nv = nonlinear(v)
-        a = e2 * v + q * nv
+        e2v = e2 * v
+        a = e2v + q * nv
         na = nonlinear(a)
-        b = e2 * v + q * na
+        b = e2v + q * na
         nb = nonlinear(b)
         c = e2 * a + q * (2.0 * nb - nv)
         nc = nonlinear(c)
-        return e1 * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc
+        return e1 * v + f1 * nv + f2x2 * (na + nb) + f3 * nc
 
     return step
 
@@ -354,13 +362,16 @@ def _make_etdrk4(lin, h, nonlinear):
 def _make_ifrk4(lin, h, nonlinear):
     e = np.exp(h * lin.astype(complex) / 2)
     e2 = e * e
+    # 2.0*e*X associates as (2.0*e)*X, so folding it keeps the bits
+    ex2 = 2.0 * e
 
     def step(v):
+        e2v = e2 * v
         a = h * nonlinear(v)
         b = h * nonlinear(e * (v + a / 2))
         c = h * nonlinear(e * v + b / 2)
-        d = h * nonlinear(e2 * v + e * c)
-        return e2 * v + (e2 * a + 2.0 * e * (b + c) + d) / 6.0
+        d = h * nonlinear(e2v + e * c)
+        return e2v + (e2 * a + ex2 * (b + c) + d) / 6.0
 
     return step
 
@@ -630,29 +641,38 @@ def _leftover_term(shape, consts, scale, k, mask, nx):
     """live -> v -> scale*mask*rfft(shape) for the live members.
 
     consts maps each lifted constant's name to its (n, 1) column of member
-    values and scale is the (n, 1) column of -1/c.  u and its derivatives
-    come from one inverse transform of the stacked [v, (ik)^o v ...].
+    values and scale is the (n, 1) column of -1/c.  shape is compiled once;
+    each call evaluates it under _march's error state.  u and its
+    derivatives come from one inverse transform of [v, (ik)^o v ...],
+    stacked in one buffer per live set.
     """
     if shape is None:
         return lambda live: np.zeros_like
-    needed = sorted({dv.order for dv in dep_vars_in(shape)} - {0})
+    dvs = dep_vars_in(shape)
+    needed = sorted({dv.order for dv in dvs} - {0})
     names = ["u"] + ["u_" + "x" * order for order in needed]
     ikp = np.array([(1j * k) ** order for order in needed],
                    dtype=complex).reshape(len(needed), 1, k.size)
+    evaluate = compile_array(shape)
+    if dvs:
+        rhs = evaluate
+    else:
+        def rhs(binding):
+            # constants only: lift the value to u's shape
+            return np.broadcast_to(evaluate(binding), binding["u"].shape)
 
     def for_live(live):
-        bound = {name: col[live] for name, col in consts.items()}
+        binding = {name: col[live] for name, col in consts.items()}
         # scale*mask*X associates as (scale*mask)*X, so forming it once
         # keeps the bits
         sm = scale[live] * mask
+        stacked = np.empty((len(names), live.size, k.size), dtype=complex)
 
         def nonlinear(v):
-            fields = np.fft.irfft(np.concatenate((v[None], ikp * v)), nx,
-                                  axis=-1)
-            vals = np.broadcast_to(
-                evaluate_array(shape, {**dict(zip(names, fields)), **bound}),
-                fields[0].shape)
-            return sm * np.fft.rfft(vals, axis=-1)
+            stacked[0] = v
+            np.multiply(ikp, v, out=stacked[1:])
+            binding.update(zip(names, np.fft.irfft(stacked, nx, axis=-1)))
+            return sm * np.fft.rfft(rhs(binding), axis=-1)
 
         return nonlinear
 

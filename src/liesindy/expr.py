@@ -25,8 +25,9 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "IndepVar", "DepVar", "Param", "Add", "Mul", "Pow",
     "Exp", "Div", "JetSpace", "simplify", "is_zero", "partial_derivative",
-    "total_derivative", "evaluate_array", "substitute", "parse",
-    "to_string", "dep_vars_in", "params_in", "denominators_in", "max_order",
+    "total_derivative", "evaluate_array", "compile_array", "substitute",
+    "parse", "to_string", "dep_vars_in", "params_in", "denominators_in",
+    "max_order",
     "LiesindyError", "ExprError", "MissingSymbolError", "OrderCapError",
     "ParseError",
 ]
@@ -611,32 +612,55 @@ def evaluate_array(e: Expr, binding):
     symbols still raise.
     """
     with np.errstate(all="ignore"):
-        return _eval_arr(e, binding)
+        return compile_array(e)(binding)
 
 
-def _eval_arr(e, binding):
+def compile_array(e: Expr):
+    """e -> a function of a binding that evaluates e over numpy arrays.
+
+    The tree is walked once, here; each call then runs only the numpy
+    operations, depth first and left to right: a sum starts from 0, a
+    product from 1.0, a constant stays a Python float, and every bound
+    value passes through np.asarray(..., dtype=float).  An unbound symbol
+    raises MissingSymbolError when the function is called.  Unlike
+    evaluate_array, the function leaves numpy's error state to the caller.
+    """
     if isinstance(e, Const):
-        return e.value
+        value = e.value
+        return lambda binding: value
     if isinstance(e, (IndepVar, DepVar, Param)):
         name = _leaf_name(e)
-        try:
-            return np.asarray(binding[name], dtype=float)
-        except KeyError:
-            raise MissingSymbolError(f"no binding for symbol '{name}'") from None
+
+        def leaf(binding):
+            try:
+                return np.asarray(binding[name], dtype=float)
+            except KeyError:
+                raise MissingSymbolError(
+                    f"no binding for symbol '{name}'") from None
+
+        return leaf
     if isinstance(e, Add):
-        return sum(_eval_arr(t, binding) for t in e.terms)
+        terms = tuple(compile_array(t) for t in e.terms)
+        return lambda binding: sum(t(binding) for t in terms)
     if isinstance(e, Mul):
-        v = 1.0
-        for f in e.factors:
-            v = v * _eval_arr(f, binding)
-        return v
+        factors = tuple(compile_array(f) for f in e.factors)
+
+        def product(binding):
+            v = 1.0
+            for f in factors:
+                v = v * f(binding)
+            return v
+
+        return product
     if isinstance(e, Pow):
-        base = _eval_arr(e.base, binding)
-        return np.power(base, float(e.exponent))
+        base, exponent = compile_array(e.base), float(e.exponent)
+        return lambda binding: np.power(base(binding), exponent)
     if isinstance(e, Exp):
-        return np.exp(_eval_arr(e.arg, binding))
+        arg = compile_array(e.arg)
+        return lambda binding: np.exp(arg(binding))
     if isinstance(e, Div):
-        return _eval_arr(e.num, binding) / _eval_arr(e.den, binding)
+        num, den = compile_array(e.num), compile_array(e.den)
+        return lambda binding: num(binding) / den(binding)
     raise TypeError(type(e))
 
 

@@ -103,14 +103,25 @@ class ProlongedVectorField:
         return self.base.space
 
 
+# (generator, order) -> prolonged field, filled on first use
+_prolonged: dict = {}
+
+
 def prolong(v: VectorField, n: int) -> ProlongedVectorField:
     """Prolong a point generator to jet order n.
 
     Raises ProlongationError if any resulting coefficient references a
     variable outside the configured jet space (this happens for generators
     whose prolongation genuinely needs mixed derivatives the evolution chart
-    excludes).
+    excludes).  Each (generator, order) is prolonged once per process.
     """
+    key = (v, n)
+    if key not in _prolonged:
+        _prolonged[key] = _prolong(v, n)
+    return _prolonged[key]
+
+
+def _prolong(v, n):
     sp = v.space
     if n < 1 or n > sp.order:
         raise ExprError(f"prolongation order {n} outside space order {sp.order}")

@@ -21,9 +21,10 @@ from liesindy.dynamics import (
 )
 from liesindy import LiesindyError
 from liesindy.expr import (
-    JetSpace, MissingSymbolError, dep_vars_in, evaluate_array, parse,
+    JetSpace, MissingSymbolError, dep_vars_in, parse,
 )
 from nkdv_oracle import solve_nkdv_direct
+from test_expr import _eval_arr
 
 SPACE = JetSpace(("t", "x"), ("u",), 4)
 
@@ -567,7 +568,9 @@ def test_etdrk4_coefficients_match_the_contour_formula(monkeypatch):
 
 
 def _leftover_term_per_order(shape, consts, scale, k, mask, nx):
-    """The rollout's leftover term with one inverse transform per order."""
+    """The rollout's leftover term with one inverse transform per order,
+    each stage walking the leftover's tree (under _march's error state).
+    """
     if shape is None:
         return lambda live: np.zeros_like
     needed = sorted({dv.order for dv in dep_vars_in(shape)} - {0})
@@ -584,8 +587,7 @@ def _leftover_term_per_order(shape, consts, scale, k, mask, nx):
                 binding["u_" + "x" * order] = np.fft.irfft(
                     ikp[order] * v, nx, axis=-1)
             vals = np.broadcast_to(
-                np.asarray(evaluate_array(shape, binding), dtype=float),
-                u.shape)
+                np.asarray(_eval_arr(shape, binding), dtype=float), u.shape)
             return s * mask * np.fft.rfft(vals, axis=-1)
 
         return nonlinear
@@ -595,25 +597,91 @@ def _leftover_term_per_order(shape, consts, scale, k, mask, nx):
 
 def test_rollout_matches_the_per_order_transforms(monkeypatch):
     # a poly2 leftover in u, u_x and u_xxx; two constant-only leftovers of
-    # one structure; u_t = u^2, which blows up on the scaled IC
+    # one structure; u_t = u^2, which blows up on the scaled IC; the nKdV
+    # truth, with its e^{-t/t0} time coefficient; and a leftover with Exp,
+    # Div and Pow whose third member blows up while the other two march on
     from liesindy import dynamics
-    cfg = SolverConfig("kdv", nx=64, length=2.0 * math.pi, dt=0.05, nt=24)
+    cfg = SolverConfig("nkdv", nx=64, length=2.0 * math.pi, dt=0.05, nt=24,
+                       params={"t0": 1.0})
     poly2 = truth_model("u_t + u*u_x", ["u*u_xxx", "u_xx", "u_xxx"],
                         [0.05, 0.1, -1.0])
     const_a = truth_model("u_t", ["1", "u_xx"], [0.3, 0.1])
     const_b = truth_model("u_t", ["1", "u_xx"], [-0.7, 0.2])
     blowup = truth_model("u_t", ["u^2"], [1.0])
+    nkdv = truth_model(*_TRUTH["nkdv"])
+    odd = ["exp(-u^2)", "u_x/(1 + u^2)", "u^3", "u_xx"]
+    odd_a = truth_model("u_t", odd, [0.05, 0.3, 0.2, 0.1])
+    odd_b = truth_model("u_t", odd, [-0.1, 0.2, 0.3, 0.05])
     ics = np.array([scale * sample_initial_condition(cfg.nx, cfg.length, s)
                     for scale, s in ((0.3, 1), (0.3, 2), (3.0, 3))])
-    models = [poly2, const_a, const_b, poly2, blowup, blowup]
-    members = ics[[0, 1, 2, 1, 2, 0]]
+    models = [poly2, const_a, const_b, poly2, blowup, blowup, nkdv, odd_a,
+              odd_b, odd_b, nkdv]
+    members = ics[[0, 1, 2, 1, 2, 0, 0, 1, 0, 2, 1]]
     got = integrate_model(models, members, cfg)
     monkeypatch.setattr(dynamics, "_leftover_term", _leftover_term_per_order)
     want = integrate_model(models, members, cfg)
-    assert isinstance(got[4], BlowUpError) and got[4].step == want[4].step
-    assert got[4].rows.tobytes() == want[4].rows.tobytes()
-    for b in (0, 1, 2, 3, 5):
-        assert got[b].u.tobytes() == want[b].u.tobytes()
+    blown = [isinstance(out, BlowUpError) for out in want]
+    assert [b for b, is_blown in enumerate(blown) if is_blown] == [4, 9]
+    assert 0 < want[9].step < cfg.nt - 1
+    for g, w in zip(got, want):
+        if isinstance(w, BlowUpError):
+            assert isinstance(g, BlowUpError) and g.step == w.step
+            assert g.rows.tobytes() == w.rows.tobytes()
+        else:
+            assert g.u.tobytes() == w.u.tobytes()
+
+
+def _advection_written_out(k, mask, nx):
+    def nonlinear(v):
+        u = np.fft.irfft(v, nx, axis=-1)
+        return -(1j * k) * mask * np.fft.rfft(0.5 * u * u, axis=-1)
+
+    return nonlinear
+
+
+def _fold_check_setup(system):
+    """(h, lin, v, the advection written out, system's own step of size h)
+    on system's short grid, for a batch of three ICs.
+    """
+    from liesindy import dynamics
+    cfg = _short(system)
+    _, _, k, mask = dynamics._grid(cfg)
+    lin = dynamics._linear_symbol(system, k, cfg.params)
+    ics = np.array([sample_initial_condition(cfg.nx, cfg.length, seed=s)
+                    for s in (1, 2, 3)])
+    v = np.fft.rfft(ics, axis=-1)
+    made = dynamics._make_stepper(
+        cfg.scheme, lin, dynamics._advection(k, mask, cfg.nx))
+    return (cfg.dt, lin, v, _advection_written_out(k, mask, cfg.nx),
+            made(cfg.dt, np.arange(len(ics))))
+
+
+def test_folded_etdrk4_step_matches_the_step_written_out(monkeypatch):
+    from liesindy import dynamics
+    monkeypatch.setattr(dynamics, "_COEFFS", {})
+    h, lin, v, nonlinear, step = _fold_check_setup("kdv")
+    e1, e2, q, f1, f2, f3 = _etdrk4_coeffs_formula(lin, h)
+    nv = nonlinear(v)
+    a = e2 * v + q * nv
+    na = nonlinear(a)
+    b = e2 * v + q * na
+    nb = nonlinear(b)
+    c = e2 * a + q * (2.0 * nb - nv)
+    nc = nonlinear(c)
+    want = e1 * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc
+    assert step(v).tobytes() == want.tobytes()
+
+
+def test_folded_ifrk4_step_matches_the_step_written_out():
+    h, lin, v, nonlinear, step = _fold_check_setup("burgers")
+    e = np.exp(h * lin.astype(complex) / 2)
+    e2 = e * e
+    a = h * nonlinear(v)
+    b = h * nonlinear(e * (v + a / 2))
+    c = h * nonlinear(e * v + b / 2)
+    d = h * nonlinear(e2 * v + e * c)
+    want = e2 * v + (e2 * a + 2.0 * e * (b + c) + d) / 6.0
+    assert step(v).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ import pytest
 from liesindy.expr import (
     Add, Const, DepVar, Div, Exp, ExprError, IndepVar, JetSpace,
     MissingSymbolError, Mul, OrderCapError, Param, ParseError, Pow,
-    dep_vars_in, evaluate_array, is_zero, max_order, params_in, parse,
-    partial_derivative, simplify, substitute, to_string, total_derivative,
+    compile_array, dep_vars_in, evaluate_array, is_zero, max_order,
+    params_in, parse, partial_derivative, simplify, substitute, to_string,
+    total_derivative, _walk,
 )
 
 SP = JetSpace()
@@ -180,6 +181,112 @@ def test_missing_symbol_is_named():
 def test_array_evaluation_lets_non_finite_propagate():
     out = evaluate_array(P("1/u"), {"u": np.array([1.0, 0.0, 2.0])})
     assert np.isinf(out[1]) and np.isfinite(out[[0, 2]]).all()
+
+
+def _eval_arr(e, binding):
+    """The tree walk evaluate_array ran before expressions were compiled."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, (IndepVar, DepVar, Param)):
+        name = e.display() if isinstance(e, DepVar) else e.name
+        try:
+            return np.asarray(binding[name], dtype=float)
+        except KeyError:
+            raise MissingSymbolError(f"no binding for symbol '{name}'") from None
+    if isinstance(e, Add):
+        return sum(_eval_arr(t, binding) for t in e.terms)
+    if isinstance(e, Mul):
+        v = 1.0
+        for f in e.factors:
+            v = v * _eval_arr(f, binding)
+        return v
+    if isinstance(e, Pow):
+        base = _eval_arr(e.base, binding)
+        return np.power(base, float(e.exponent))
+    if isinstance(e, Exp):
+        return np.exp(_eval_arr(e.arg, binding))
+    if isinstance(e, Div):
+        return _eval_arr(e.num, binding) / _eval_arr(e.den, binding)
+    raise TypeError(type(e))
+
+
+def _pinned_expressions():
+    """Every catalog invariant, every built-in library's features and
+    target, and the prolonged actions of each system's generators on them.
+    """
+    from liesindy.harness import METHODS, ExperimentConfig
+    from liesindy.invariants import SYSTEMS, builtin_set
+    from liesindy.liealg import apply, prolong
+    out = []
+    for system in SYSTEMS:
+        s = builtin_set(system)
+        out += [eta for eta in s.etas]
+        out += [apply(pv, eta) for pv in s.prolonged() for eta in s.etas]
+    for system in ("kdv", "ks", "burgers", "nkdv"):
+        gens = builtin_set(system).generators
+        for method in METHODS:
+            cfg = ExperimentConfig(system=system, method=method)
+            exprs = [cfg.target] + list(cfg.features)
+            need = max(1, *(max_order(e) for e in exprs))
+            out += exprs
+            out += [apply(prolong(g, need), e) for g in gens for e in exprs]
+    return list(dict.fromkeys(out))
+
+
+def _bindings():
+    """One binding of arrays and one of Python floats over every name the
+    pinned expressions use, with signed zeros, infinities and NaN mixed in.
+    """
+    names = SP.coordinate_names() + ["t0", "nu"]
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    rng = np.random.default_rng(20240501)
+    arrays = {}
+    for name in names:
+        col = np.concatenate((special * 4, rng.uniform(-2.0, 2.0, 44)))
+        arrays[name] = rng.permutation(col)
+    floats = {name: float(rng.choice(special + [0.5, -1.25, 3.0]))
+              for name in names}
+    return [arrays, floats]
+
+
+def test_compiled_evaluation_matches_the_tree_walk():
+    exprs = _pinned_expressions()
+    nodes = set()
+    for e in exprs:
+        _walk(e, lambda n: nodes.add(type(n)))
+    assert nodes == {Const, IndepVar, DepVar, Param, Add, Mul, Pow, Exp, Div}
+    kinds = set()
+    for binding in _bindings():
+        for e in exprs:
+            with np.errstate(all="ignore"):
+                want = _eval_arr(e, binding)
+            got = evaluate_array(e, binding)
+            assert type(got) is type(want), to_string(e)
+            assert np.shape(got) == np.shape(want), to_string(e)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), \
+                to_string(e)
+            kinds.add(type(got))
+    # Python floats (constants), numpy scalars and arrays all occur
+    assert {float, np.float64, np.ndarray} <= kinds
+
+
+@pytest.mark.parametrize("bound", [(), ("u",), ("u", "nu"), ("u", "u_xx")])
+def test_compiled_function_raises_for_an_unbound_name_when_called(bound):
+    e = P("u_xx*exp(nu*u) + 1/(1 + u^2)")
+    fn = compile_array(e)
+    binding = {name: np.ones(3) for name in bound}
+    with pytest.raises(MissingSymbolError) as walked:
+        _eval_arr(e, binding)
+    with pytest.raises(MissingSymbolError) as compiled:
+        fn(binding)
+    assert str(compiled.value) == str(walked.value)
+
+
+def test_compiled_function_evaluates_each_binding_it_is_given():
+    fn = compile_array(P("u_xx*exp(nu*u) + 1/(1 + u^2)"))
+    assert fn({"u": np.zeros(2), "u_xx": np.zeros(2), "nu": 1.0}).tolist() \
+        == [1.0, 1.0]
+    assert fn({"u": 1.0, "u_xx": 2.0, "nu": 0.0}) == 2.5
 
 
 # --- serialization ----------------------------------------------------------
