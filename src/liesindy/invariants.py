@@ -136,10 +136,15 @@ _TRUTH = {
 }
 
 
+def _system_key(system):
+    """The catalog key a system name stands for: case and padding dropped."""
+    return system.strip().lower()
+
+
 def truth_equation(system: str) -> Expr:
     """Governing equation F with F = 0, in jet coordinates."""
     try:
-        return parse(_TRUTH[system], _evolution_space())
+        return parse(_TRUTH[_system_key(system)], _evolution_space())
     except KeyError:
         raise CatalogError(f"no governing equation on file for '{system}'") from None
 
@@ -149,7 +154,7 @@ _cache: dict = {}
 
 def builtin_set(system: str) -> InvariantSet:
     """Catalog entry for a built-in system, verified at first load."""
-    key = system.strip().lower()
+    key = _system_key(system)
     if key not in _cache:
         s = _build(key)
         report = verify_set(s, samples=256, seed=20240501)

@@ -78,10 +78,6 @@ class JetGrid:
     derivs: dict = field(default_factory=dict)  # multi-index tuple -> array
     valid_t: tuple = (1, -1)
 
-    def binding(self):
-        """Flattened name -> 1-D array map over the valid window."""
-        return _flat_binding([self.base], [self])
-
 
 def _flat_binding(trajs, jets):
     """name -> one 1-D array over every jet's valid window, in jet order.

@@ -190,12 +190,26 @@ def apply_pieces(pv: ProlongedVectorField, e: Expr):
     return pieces
 
 
+# (prolonged field, expression) -> (pieces of the action, their simplified
+# sum), filled on first use
+_actions: dict = {}
+
+
+def _action(pv, e):
+    key = (pv, e)
+    if key not in _actions:
+        pieces = tuple(apply_pieces(pv, e))
+        _actions[key] = (pieces,
+                         simplify(Add(pieces)) if pieces else Const(0.0))
+    return _actions[key]
+
+
 def apply(pv: ProlongedVectorField, e: Expr) -> Expr:
-    """Directional derivative of e along the prolonged generator."""
-    pieces = apply_pieces(pv, e)
-    if not pieces:
-        return Const(0.0)
-    return simplify(Add(tuple(pieces)))
+    """Directional derivative of e along the prolonged generator.
+
+    Each (field, expression) is applied once per process.
+    """
+    return _action(pv, e)[1]
 
 
 @dataclass(frozen=True)
@@ -215,120 +229,22 @@ class InvarianceReport:
 class CriterionReport:
     symbolic_zero: bool
     residual: Expr
-    max_abs_on_data: float | None
-    points: int
-
-
-# numpy's SeedSequence (pool size 4) and PCG64 constants; PCG64's 128-bit
-# multiplier as its high and low 64-bit words
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-
-
-def _hasher(init, mult):
-    """SeedSequence's hashmix on uint32 arrays; the running constant lives
-    in the closure, as numpy's lives in its hash_const."""
-    hc = init
-
-    def hashmix(v):
-        nonlocal hc
-        v = v ^ np.uint32(hc)
-        hc = hc * mult & _M32
-        v = v * np.uint32(hc)
-        return v ^ (v >> np.uint32(16))
-    return hashmix
-
-
-def _mix(x, y):
-    """SeedSequence's mix on uint32 arrays."""
-    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-    return r ^ (r >> np.uint32(16))
-
-
-def _mul_hi64(a, b):
-    """High 64 bits of a * b for a uint64 array and a 64-bit constant."""
-    m, s = np.uint64(_M32), np.uint64(32)
-    a0, a1 = a & m, a >> s
-    b0, b1 = np.uint64(b & _M32), np.uint64(b >> 32)
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> s) + (p01 & m) + (p10 & m)
-    return a1 * b1 + (p01 >> s) + (p10 >> s) + (mid >> s)
-
-
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 LCG step, state * mult + inc mod 2**128, on (hi, lo) words."""
-    m_hi, m_lo = np.uint64(_PCG_MULT_HI), np.uint64(_PCG_MULT_LO)
-    hi = _mul_hi64(lo, _PCG_MULT_LO) + lo * m_hi + hi * m_lo
-    lo = lo * m_lo
-    return _add128(hi, lo, inc_hi, inc_lo)
-
-
-def _add128(hi, lo, b_hi, b_lo):
-    """(hi, lo) + (b_hi, b_lo) mod 2**128."""
-    s = lo + b_lo
-    return hi + b_hi + (s < lo).astype(np.uint64), s
-
-
-def _first_draws(seed, samples, k):
-    """Row idx is default_rng((seed, idx)).uniform(-2, 2, k), bit for bit,
-    for all samples points at once.
-
-    numpy seeds each point's PCG64 (O'Neill 2014) from
-    SeedSequence((seed, idx)), whose entropy is seed's little-endian uint32
-    words followed by idx.  Both stages are fixed-width integer arithmetic,
-    so they run here on uint32 and uint64 arrays with one element per point.
-    """
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    idx = np.arange(samples, dtype=np.uint32)
-    entropy = [np.full(samples, w, dtype=np.uint32) for w in words] + [idx]
-    # SeedSequence.mix_entropy
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(idx))
-            for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    # SeedSequence.generate_state(4, np.uint64): little-endian word pairs
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    state = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    w = [state[2 * j] | (state[2 * j + 1] << np.uint64(32)) for j in range(4)]
-    # PCG64 seeding: state 0, inc = (w2:w3 << 1) | 1, step, add w0:w1, step
-    one = np.uint64(1)
-    inc_hi = (w[2] << one) | (w[3] >> np.uint64(63))
-    inc_lo = (w[3] << one) | one
-    hi, lo = _add128(inc_hi, inc_lo, w[0], w[1])
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    out = np.empty((samples, k))
-    for j in range(k):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        # XSL-RR output, then next_double and uniform's low + range * u
-        x, rot = hi ^ lo, hi >> np.uint64(58)
-        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-        u = (x >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-        out[:, j] = -2.0 + 4.0 * u
-    return out
 
 
 def _sample_points(names, dens, samples, seed, den_tol, max_resample, params):
-    """Per-point seeded uniform draws on [-2, 2], redrawn while any guard
-    denominator is within den_tol of zero.
+    """Uniform draws on [-2, 2] from one default_rng(seed), redrawn while any
+    guard denominator is within den_tol of zero.
 
-    Point idx's draws are default_rng((seed, idx))'s stream, whatever the
-    number of points.  Every point's first draw is computed at once; the
-    guards test them all together, and a flagged point re-creates its
-    generator, skips that draw and redraws alone, in index order.
+    Every point's first draw comes from one (samples, k) call and the guards
+    test them all together; each flagged point then redraws from the same
+    generator, in index order.
     """
     seed = int(seed)
     if seed < 0:
         raise ExprError("seed must be non-negative")
     params = params or {}
+    rng = np.random.default_rng(seed)
+    k = len(names)
 
     def flagged(binding, size):
         bad = np.zeros(size, dtype=bool)
@@ -336,18 +252,12 @@ def _sample_points(names, dens, samples, seed, den_tol, max_resample, params):
             bad |= np.abs(evaluate_array(d, binding)) < den_tol
         return bad
 
-    def draw(rng):
-        return rng.uniform(-2.0, 2.0, len(names))
-
-    first = _first_draws(seed, samples, len(names))
-    cols = dict(zip(names, first.T.copy()))
+    cols = dict(zip(names, rng.uniform(-2.0, 2.0, (samples, k)).T.copy()))
     resampled = 0
     for idx in np.flatnonzero(flagged({**cols, **params}, samples)):
-        rng = np.random.default_rng((seed, int(idx)))
-        draw(rng)
         for _ in range(max_resample):
             resampled += 1
-            point = draw(rng)
+            point = rng.uniform(-2.0, 2.0, k)
             if not flagged({**dict(zip(names, point)), **params}, 1)[0]:
                 break
         else:
@@ -356,8 +266,8 @@ def _sample_points(names, dens, samples, seed, den_tol, max_resample, params):
                 f"denominator")
         for n, val in zip(names, point):
             cols[n][idx] = val
-    for k, v in params.items():
-        cols[k] = float(v)
+    for n, v in params.items():
+        cols[n] = float(v)
     return cols, resampled
 
 
@@ -371,11 +281,10 @@ def check_invariant(pv: ProlongedVectorField, eta: Expr, samples: int = 1000,
     cancellation at random jet points instead of evaluating a pre-cancelled
     zero.
     """
-    pieces = apply_pieces(pv, eta)
-    residual = simplify(Add(tuple(pieces))) if pieces else Const(0.0)
+    pieces, residual = _action(pv, eta)
     names = pv.space.coordinate_names()
     dens = []
-    for p in [eta] + pieces:
+    for p in (eta, *pieces):
         dens.extend(denominators_in(p))
     cols, resampled = _sample_points(names, dens, samples, seed, den_tol,
                                      max_resample, params)
@@ -388,28 +297,9 @@ def check_invariant(pv: ProlongedVectorField, eta: Expr, samples: int = 1000,
                             residual=residual)
 
 
-def check_symmetry_criterion(pv: ProlongedVectorField, f: Expr, data=None,
-                             params=None) -> CriterionReport:
-    """Infinitesimal symmetry criterion for a candidate equation F = 0.
-
-    Reports whether the prolonged action annihilates F symbolically; when
-    `data` provides jet-coordinate arrays (a JetGrid binding or a plain dict)
-    the max |residual| over those on-manifold points is reported as well.
-    """
-    pieces = apply_pieces(pv, f)
-    residual = simplify(Add(tuple(pieces))) if pieces else Const(0.0)
-    max_abs = None
-    points = 0
-    if data is not None:
-        binding = data.binding() if hasattr(data, "binding") else dict(data)
-        if params:
-            binding = {**binding, **params}
-        sizes = [np.asarray(v).size for v in binding.values()
-                 if np.asarray(v).ndim > 0]
-        points = max(sizes) if sizes else 1
-        total = np.zeros(points)
-        for p in pieces:
-            total = total + evaluate_array(p, binding)
-        max_abs = float(np.max(np.abs(total))) if points else 0.0
-    return CriterionReport(symbolic_zero=is_zero(residual), residual=residual,
-                           max_abs_on_data=max_abs, points=points)
+def check_symmetry_criterion(pv: ProlongedVectorField,
+                             f: Expr) -> CriterionReport:
+    """Infinitesimal symmetry criterion for a candidate equation F = 0:
+    whether the prolonged action annihilates F symbolically."""
+    residual = _action(pv, f)[1]
+    return CriterionReport(symbolic_zero=is_zero(residual), residual=residual)

@@ -98,17 +98,6 @@ class SparseModel:
 # at _CHUNK_ROWS x (features + 1) floats whatever the number of data points.
 _CHUNK_ROWS = 65536
 
-# (prolonged field, expression) -> prolonged action, filled on first use
-_actions: dict = {}
-
-
-def _action(pv, e):
-    key = (pv, e)
-    if key not in _actions:
-        _actions[key] = lie_apply(pv, e)
-    return _actions[key]
-
-
 def _solve_round(gram, rhs, active):
     """Ridge-stabilized normal equations on the active block of the Gram.
 
@@ -195,8 +184,8 @@ def _add_penalty(gram, rhs, fm, pv, lam):
     a time; a generator that annihilates the target and every feature adds
     nothing and is skipped.
     """
-    exprs = [_action(pv, f) for f in fm.columns]
-    exprs.append(_action(pv, fm.target_label))
+    exprs = [lie_apply(pv, f) for f in fm.columns]
+    exprs.append(lie_apply(pv, fm.target_label))
     if all(is_zero(e) for e in exprs):
         return
     npts = fm.target.size

@@ -140,7 +140,7 @@ def test_truth_equations_satisfy_the_symmetry_criterion():
         assert to_string(f) == expected[system]
         s = builtin_set(system)
         for v in s.generators:
-            rep = check_symmetry_criterion(prolong(v, 4), f, params=s.params)
+            rep = check_symmetry_criterion(prolong(v, 4), f)
             assert rep.symbolic_zero, (system, v.name)
 
 

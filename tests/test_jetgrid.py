@@ -13,14 +13,13 @@ from liesindy.dynamics import (
     solve_pde,
 )
 from liesindy.expr import (
-    Const, JetSpace, MissingSymbolError, evaluate_array, parse, to_string,
+    JetSpace, MissingSymbolError, evaluate_array, parse, to_string,
 )
 from liesindy.invariants import builtin_set
 from liesindy.jetgrid import (
     GridTooSmallError, _dx, _dxx, _dxxx, _dxxxx, evaluate_features,
     finite_differences, spectral_jets,
 )
-from liesindy.liealg import VectorField, check_symmetry_criterion, prolong
 
 SPACE = JetSpace(("t", "x"), ("u",), 4)
 
@@ -266,9 +265,20 @@ def three_trajectories(poison=False):
     return grids
 
 
+def jet_columns(jet):
+    """name -> the jet's valid window, raveled in (t index, x index) order."""
+    lo, hi = jet.valid_t
+    shape = (hi - lo, jet.base.x.size)
+    cols = {"t": np.broadcast_to(jet.base.t[lo:hi, None], shape).ravel(),
+            "x": np.broadcast_to(jet.base.x, shape).ravel()}
+    for j, arr in jet.derivs.items():
+        cols["u_" + "".join(j) if j else "u"] = arr.ravel()
+    return cols
+
+
 def column_reference(jets, feats, target):
     """(values, target) assembled one strided column at a time."""
-    parts = [jet.binding() for jet in jets]
+    parts = [jet_columns(jet) for jet in jets]
     binding = {name: np.concatenate([b[name] for b in parts])
                for name in parts[0]}
     values = np.empty((binding["u"].size, len(feats)))
@@ -380,16 +390,3 @@ def test_feature_matrix_holds_the_jets_of_one_trajectory_at_a_time(sigma):
     # do not fit
     assert len(trains) == 4 and fm.dropped == 0
     assert peak < fm.values.nbytes + binding + row + one_jet + 3 * row
-
-
-def test_binding_feeds_the_symmetry_criterion(kdv_jet):
-    tr, jet = kdv_jet
-    binding = jet.binding()
-    assert binding["u"].size == (tr.t.size - 2) * tr.x.size
-    galilean = VectorField(SPACE, xi=(Const(0.0), P("t")),
-                           phi=(Const(1.0),))
-    rep = check_symmetry_criterion(prolong(galilean, 4),
-                                   P("u_t + u*u_x + u_xxx"), data=jet)
-    assert rep.symbolic_zero
-    assert rep.points == binding["u"].size
-    assert np.isfinite(rep.max_abs_on_data)

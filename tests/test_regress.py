@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from liesindy import regress
+from liesindy import liealg, regress
 from liesindy.dynamics import SolverConfig, sample_initial_condition, solve_pde
 from liesindy.expr import Const, JetSpace, parse, to_string
 from liesindy.invariants import builtin_set
@@ -307,11 +307,11 @@ def test_second_fit_reuses_prolonged_actions(monkeypatch):
 
     def counted(pv, e):
         calls.append(e)
-        return lie_apply(pv, e)
+        return apply_pieces(pv, e)
 
-    lie_apply = regress.lie_apply
-    monkeypatch.setattr(regress, "lie_apply", counted)
-    monkeypatch.setattr(regress, "_actions", {})
+    apply_pieces = liealg.apply_pieces
+    monkeypatch.setattr(liealg, "apply_pieces", counted)
+    monkeypatch.setattr(liealg, "_actions", {})
     fm = poly2_fm(500, seed=23)
     first = stlsq_regularized(fm, [galilean(), x_scaling()], lam=0.1,
                               threshold=0.05)
