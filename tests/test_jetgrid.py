@@ -20,6 +20,7 @@ from liesindy.jetgrid import (
     GridTooSmallError, _dx, _dxx, _dxxx, _dxxxx, evaluate_features,
     finite_differences, spectral_jets,
 )
+from liesindy.liealg import VectorField, check_symmetry_criterion, prolong
 
 SPACE = JetSpace(("t", "x"), ("u",), 4)
 
@@ -390,3 +391,20 @@ def test_feature_matrix_holds_the_jets_of_one_trajectory_at_a_time(sigma):
     # do not fit
     assert len(trains) == 4 and fm.dropped == 0
     assert peak < fm.values.nbytes + binding + row + one_jet + 3 * row
+
+
+def test_binding_feeds_the_symmetry_criterion(kdv_jet):
+    tr, jet = kdv_jet
+    binding = jet_columns(jet)
+    assert binding["u"].size == (tr.t.size - 2) * tr.x.size
+    f = P("u_t + u*u_x + u_xxx")
+    scaling = VectorField(SPACE, xi=(P("3*t"), P("x")), phi=(P("-2*u"),))
+    rep = check_symmetry_criterion(prolong(scaling, 4), f)
+    assert not rep.symbolic_zero
+    on_jet = evaluate_array(rep.residual, binding)
+    assert on_jet.shape == binding["u"].shape
+    # the residual is -5 F, which a KdV solution's jets zero up to their
+    # truncation error: about 1% of the size of its 5 u_t term
+    assert np.allclose(on_jet, -5.0 * evaluate_array(f, binding),
+                       rtol=1e-12, atol=1e-12)
+    assert np.abs(on_jet).max() < 0.05 * np.abs(5.0 * binding["u_t"]).max()

@@ -296,6 +296,20 @@ def test_first_draws_are_one_generators_stream(seed, samples, k):
     assert got.tobytes() == want.tobytes()
 
 
+
+def test_symmetry_criterion_evaluates_on_supplied_data():
+    f = P("u_t + u*u_x + u_xxx")
+    rng = np.random.default_rng(0)
+    data = {n: rng.normal(size=40) for n in SP.coordinate_names()}
+    good = check_symmetry_criterion(prolong(galilean(), 4), f)
+    assert np.all(np.broadcast_to(evaluate_array(good.residual, data),
+                                  (40,)) == 0.0)
+    # off the symmetry, the residual is an expression of the jet
+    bad = check_symmetry_criterion(prolong(galilean(), 4), P("u_t + u_xx"))
+    on_data = evaluate_array(bad.residual, data)
+    assert on_data.shape == (40,)
+    assert on_data.tobytes() == (-data["u_x"]).tobytes()
+
 def test_apply_check_and_criterion_share_one_action(monkeypatch):
     calls = []
     pieces = liealg.apply_pieces
