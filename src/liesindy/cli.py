@@ -7,19 +7,19 @@ test data, and re-render reports from their CSVs.
 
 import argparse
 import glob
-import json
 import os
 import sys
 
-from .dynamics import load_trajectories
+from .dynamics import load_trajectories, read_json
 from .expr import LiesindyError, max_order, to_string
 from .harness import (
-    SPACE, ExperimentConfig, HarnessError, long_term_mse, load_longterm_csv,
-    load_runs_csv, render_longterm_svg, run_experiment, generate_dataset,
-    summarize_rows, write_summary_csv, _aggregate_longterm,
-    _write_longterm_csv,
+    SPACE, ExperimentConfig, HarnessError, aggregate_longterm, long_term_mse,
+    load_longterm_csv, load_runs_csv, render_longterm_svg, run_experiment,
+    generate_dataset, summarize_rows, write_longterm, write_summary_csv,
 )
-from .invariants import CatalogError, builtin_set, truth_equation, verify_set
+from .invariants import (
+    SYSTEMS, CatalogError, builtin_set, truth_equation, verify_set,
+)
 from .liealg import check_symmetry_criterion, prolong
 from .regress import RegressionError, model_from_dict
 
@@ -82,8 +82,7 @@ def _cmd_verify(args):
 
 def _saved_model(path):
     """The model a run_<k>.json holds, or None for a run without one."""
-    with open(path) as f:
-        blob = json.load(f)
+    blob = read_json(path, HarnessError)
     if not isinstance(blob, dict):
         raise HarnessError(f"{path} is not a JSON object")
     if blob.get("model") is None:
@@ -126,14 +125,10 @@ def _cmd_evaluate(args):
     for score in scores:
         if isinstance(score, Exception):
             raise score
-    series = [mean for mean, _, _ in scores]
     blown = sum(bad for _, _, bad in scores)
-    mean, std, counts = _aggregate_longterm(series)
-    _write_longterm_csv(os.path.join(args.out, "longterm.csv"), mean, std,
-                        counts)
-    render_longterm_svg(os.path.join(args.out, "longterm.svg"), mean, std,
-                        title="long-term MSE over saved models")
-    print(f"evaluated {len(series)} models over {len(test_trajs)} test "
+    write_longterm(args.out, *aggregate_longterm([m for m, _, _ in scores]),
+                   "long-term MSE over saved models")
+    print(f"evaluated {len(scores)} models over {len(test_trajs)} test "
           f"trajectories ({blown} blew up); wrote {args.out}/longterm.csv")
     return 0
 
@@ -182,7 +177,7 @@ def main(argv=None):
     p = sub.add_parser("verify",
                        help="verify an invariant catalog entry")
     p.add_argument("--system", required=True,
-                   help="catalog key (kdv, ks, burgers, nkdv, so2-demo)")
+                   help=f"catalog key ({', '.join(SYSTEMS)})")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("evaluate",
@@ -202,7 +197,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LiesindyError, OSError, json.JSONDecodeError) as err:
+    except (LiesindyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

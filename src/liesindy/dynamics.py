@@ -206,6 +206,9 @@ class TrajectoryGrid:
         self.x = np.asarray(self.x, dtype=float)
         self.t = np.asarray(self.t, dtype=float)
         self.u = np.asarray(self.u, dtype=float)
+        if self.x.ndim != 1 or self.t.ndim != 1:
+            raise ConfigError(f"x and t must be 1-D, got shapes "
+                              f"{self.x.shape} and {self.t.shape}")
         nx, nt = self.x.size, self.t.size
         if nx < 16 or nx & (nx - 1):
             raise ConfigError("nx must be a power of two, at least 16")
@@ -789,6 +792,18 @@ def save_trajectories(path, trajs, config: SolverConfig | None = None):
     np.savez(os.path.join(path, "trajs.npz"), **arrays)
 
 
+def read_json(path, error=DynamicsError):
+    """The value of the JSON file at `path`; `error` naming the file if it
+    is not UTF-8 text or not JSON."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except UnicodeDecodeError as err:
+        raise error(f"{path} is not UTF-8 text (byte {err.start})") from None
+    except json.JSONDecodeError as err:
+        raise error(f"{path}: {err}") from None
+
+
 def load_trajectories(path):
     """Returns (list of TrajectoryGrid, SolverConfig or None).
 
@@ -796,14 +811,15 @@ def load_trajectories(path):
     directory without `trajs.npz`, such as a dataset in the former CSV
     layout, or a manifest naming members the npz lacks, raises
     DynamicsError; such datasets are regenerated with `liesindy generate`.
-    So does a `trajs.npz` that is not an npz or holds object arrays.
+    So does a `trajs.npz` that is not an npz, holds object arrays or an
+    invalid grid, and a manifest whose `count` or whose npz's `u_<i>`
+    members do not match its list.
     """
     npz = os.path.join(path, "trajs.npz")
     if not os.path.isfile(npz):
         raise DynamicsError(f"no trajs.npz in {path}; regenerate the "
                             f"dataset with `liesindy generate`")
-    with open(os.path.join(path, "manifest")) as f:
-        manifest = json.load(f)
+    manifest = read_json(os.path.join(path, "manifest"))
     if not isinstance(manifest, dict):
         raise DynamicsError(f"{path}/manifest is not a JSON object")
     entries = manifest.get("trajs")
@@ -820,13 +836,21 @@ def load_trajectories(path):
             trajs = [TrajectoryGrid(x, data[f"t_{i}"], data[f"u_{i}"],
                                     dict(entry["meta"]))
                      for i, entry in enumerate(entries)]
+            held = sum(name.startswith("u_") for name in data.files)
     except KeyError as err:
         raise DynamicsError(
             f"incomplete trajectory set {path}: {err}") from None
+    except ConfigError as err:
+        raise DynamicsError(f"invalid trajectory set {npz}: {err}") from None
     except (OSError, EOFError, ValueError, zipfile.BadZipFile) as err:
         # not an npz, or members only unpickling could read; the reason
         # keeps numpy's first sentence, not its advice to unpickle
         reason = str(err).partition(". ")[0].replace("\n", " ")
         raise DynamicsError(
             f"unreadable trajectory set {npz}: {reason}") from None
+    count = manifest.get("count")
+    if count != len(trajs) or held != len(trajs):
+        raise DynamicsError(
+            f"{path}/manifest lists {len(trajs)} members, but its count is "
+            f"{count!r} and {npz} holds {held}")
     return trajs, cfg

@@ -16,16 +16,14 @@ import hashlib
 import json
 import math
 import os
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
 from .dynamics import (
     NUMBER, BlowUpError, ConfigError, SolverConfig, add_noise,
     check_config_dict, default_config, integrate_model, load_trajectories,
-    sample_initial_condition, save_trajectories, solve_pde,
+    read_json, sample_initial_condition, save_trajectories, solve_pde,
 )
 from .expr import (
     Add, Const, JetSpace, LiesindyError, is_zero, parse, simplify,
@@ -40,9 +38,10 @@ from .regress import (
 
 __all__ = [
     "ExperimentConfig", "DiscoveryReport", "HarnessError", "ground_truth",
-    "success", "rmse", "long_term_mse", "run_experiment", "generate_dataset",
-    "write_report", "load_runs_csv", "load_longterm_csv", "summarize_rows",
-    "write_summary_csv", "render_longterm_svg", "METHODS",
+    "success", "long_term_mse", "run_experiment", "generate_dataset",
+    "write_report", "write_longterm", "aggregate_longterm", "load_runs_csv",
+    "load_longterm_csv", "summarize_rows", "write_summary_csv",
+    "render_longterm_svg", "METHODS",
 ]
 
 METHODS = ("sindy", "equiv-r", "di-sindy")
@@ -165,8 +164,7 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path):
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(read_json(path, HarnessError))
 
     def save(self, path):
         d = self.to_dict()
@@ -253,20 +251,7 @@ def success(m: SparseModel, truth: SparseModel) -> bool:
     return bool(np.array_equal(m.mask, truth.mask))
 
 
-def rmse(models, truth: SparseModel):
-    """(rmse over successful runs or None, rmse over all runs or None)."""
-    if not models:
-        return None, None
-    errs = np.array([float(np.linalg.norm(m.weights - truth.weights))
-                     for m in models])
-    ok = np.array([success(m, truth) for m in models])
-    rmse_all = float(np.sqrt(np.mean(errs ** 2)))
-    if ok.any():
-        return float(np.sqrt(np.mean(errs[ok] ** 2))), rmse_all
-    return None, rmse_all
-
-
-def long_term_mse(model, test_trajs, solver: SolverConfig):
+def long_term_mse(models, test_trajs, solver: SolverConfig):
     """Per-step spatial MSE vs ground truth, averaged over the test ICs.
 
     Every model is rolled out from every test IC in one batched call.  Each
@@ -275,11 +260,9 @@ def long_term_mse(model, test_trajs, solver: SolverConfig):
     flags the result.  The averaged series stops at the shortest surviving
     length.
 
-    One model returns (mean, per_ic, blown) and raises what stops its
-    rollout (UnsupportedModelError, MissingSymbolError).  A list of models
-    returns, per model, that tuple or that error.
+    Returns, per model, (mean, per_ic, blown) or the error that stops its
+    rollout (UnsupportedModelError, MissingSymbolError).
     """
-    models = model if isinstance(model, list) else [model]
     n = len(test_trajs)
     ics = np.array([tr.u[0] for tr in test_trajs])
     rollouts = integrate_model([m for m in models for _ in range(n)],
@@ -304,11 +287,7 @@ def long_term_mse(model, test_trajs, solver: SolverConfig):
         n_common = min(s.size for s in per_ic)
         mean = np.mean([s[:n_common] for s in per_ic], axis=0)
         results.append((mean, per_ic, blown))
-    if isinstance(model, list):
-        return results
-    if isinstance(results[0], Exception):
-        raise results[0]
-    return results[0]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +385,8 @@ def _fit(cfg: ExperimentConfig, fm):
 def _fit_run(cfg: ExperimentConfig, run, trains, truth):
     """One run's regression on its solved or loaded training set.
 
-    Returns (plain-data result dict, fitted SparseModel or None).  A
-    LiesindyError, such as a blown training member, makes the row an error
-    row.
+    Returns (runs.csv row, fitted SparseModel or None).  A LiesindyError,
+    such as a blown training member, makes the row an error row.
     """
     seeds = _run_seeds(cfg.seed, run)
     row = {"run": run, "status": "ok", "success": 0, "err_norm": "",
@@ -417,26 +395,23 @@ def _fit_run(cfg: ExperimentConfig, run, trains, truth):
            "min_singular_value": "", "active": "", "message": "",
            "train_seeds": "|".join(map(str, seeds["train_ic"])),
            "noise_seeds": "|".join(map(str, seeds["noise"]))}
-    out = {"row": row, "model": None, "longterm": None}
     try:
         fm = build_feature_matrix(cfg, _trajectories(trains))
         model = _fit(cfg, fm)
-        row["n_rows"] = int(fm.target.size)
-        row["dropped"] = int(fm.dropped)
-        row["iterations"] = int(model.diagnostics["iterations"])
-        row["rank_warning"] = int(model.diagnostics["rank_warning"])
-        for key in ("condition_number", "min_singular_value"):
-            row[key] = repr(float(model.diagnostics[key]))
-        row["success"] = int(success(model, truth))
-        row["err_norm"] = repr(
-            float(np.linalg.norm(model.weights - truth.weights)))
-        row["active"] = "|".join(to_string(f)
-                                 for f in model.active_features())
-        out["model"] = model_to_dict(model)
     except LiesindyError as err:
         _error_row(row, err)
-        return out, None
-    return out, model
+        return row, None
+    row["n_rows"] = int(fm.target.size)
+    row["dropped"] = int(fm.dropped)
+    row["iterations"] = int(model.diagnostics["iterations"])
+    row["rank_warning"] = int(model.diagnostics["rank_warning"])
+    for key in ("condition_number", "min_singular_value"):
+        row[key] = repr(float(model.diagnostics[key]))
+    row["success"] = int(success(model, truth))
+    row["err_norm"] = repr(
+        float(np.linalg.norm(model.weights - truth.weights)))
+    row["active"] = "|".join(to_string(f) for f in model.active_features())
+    return row, model
 
 
 def _error_row(row, err):
@@ -446,20 +421,30 @@ def _error_row(row, err):
 
 @dataclass
 class DiscoveryReport:
-    config: dict
-    rows: list
+    """One experiment's results.  The summary comes from the rows, as
+    `summarize_rows` computes it from runs.csv, and the long-term series
+    from the scores."""
+
+    config: ExperimentConfig
+    rows: list                   # runs.csv rows
     models: list                 # model dict or None per run
-    success_rate: float
-    rmse_successful: float | None
-    rmse_all: float | None
-    longterm_mean: list | None   # averaged over runs and test ICs
-    longterm_std: list | None
-    longterm_counts: list | None
-    blown_runs: int
-    provenance: dict
+    scores: list                 # long_term_mse's (mean, per_ic, blown)
+                                 # or None per run
+    success_rate: float = field(init=False)
+    rmse_successful: float | None = field(init=False)
+    rmse_all: float | None = field(init=False)
+    longterm_mean: list | None = field(init=False)  # over runs and test ICs
+    longterm_std: list | None = field(init=False)
+    longterm_counts: list | None = field(init=False)
+
+    def __post_init__(self):
+        self.success_rate, self.rmse_successful, self.rmse_all = \
+            summarize_rows(self.rows)
+        self.longterm_mean, self.longterm_std, self.longterm_counts = \
+            aggregate_longterm([s[0] for s in self.scores if s is not None])
 
 
-def _aggregate_longterm(series):
+def aggregate_longterm(series):
     """Mean/std/count per step over float series of any lengths."""
     if not series:
         return None, None, None
@@ -481,12 +466,12 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None,
     data_digest must match the config), each run's set loaded on its turn;
     otherwise the test set and every run's set are solved in memory in one
     call from the same seeds, which yields byte-identical reports.  A blown
-    training member makes its run an error row; a blown test member ends
-    the experiment.
+    training member makes its run an error row, and so does a model whose
+    rollout raises; a blown test member ends the experiment.
     """
+    test_trajs = None
     if data_dir is not None:
-        with open(os.path.join(data_dir, "dataset.json")) as f:
-            blob = json.load(f)
+        blob = read_json(os.path.join(data_dir, "dataset.json"), HarnessError)
         if not isinstance(blob, dict) or "data_digest" not in blob:
             raise HarnessError(f"{data_dir}/dataset.json has no data_digest")
         tag = blob["data_digest"]
@@ -494,71 +479,40 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None,
             raise HarnessError(
                 f"dataset digest {tag} does not match the config's "
                 f"{cfg.data_digest()}")
-    test_trajs = None
-    if cfg.long_term and data_dir is not None and os.path.isdir(
-            os.path.join(data_dir, "test")):
-        test_trajs, _ = load_trajectories(os.path.join(data_dir, "test"))
-    solve_test = cfg.long_term and test_trajs is None
-    if data_dir is None:
-        train_sets = _solve_sets(cfg, range(cfg.runs), test=solve_test)
-        if solve_test:
+        if cfg.long_term:
+            test_trajs, _ = load_trajectories(os.path.join(data_dir, "test"))
+    else:
+        train_sets = _solve_sets(cfg, range(cfg.runs), test=cfg.long_term)
+        if cfg.long_term:
             test_trajs = _trajectories(train_sets.pop(0))
-    elif solve_test:
-        test_trajs = make_test_set(cfg)
 
     truth = ground_truth(cfg.system, cfg.target, cfg.features,
                          cfg.solver.params)
-    results, fitted = [], []
+    rows, fitted = [], []
     for r in range(cfg.runs):
         if data_dir is None:
             trains, train_sets[r] = train_sets[r], None
         else:
             # an unreadable dataset ends the experiment instead of one run
             trains = load_trajectories(os.path.join(data_dir, f"run_{r}"))[0]
-        res, model = _fit_run(cfg, r, trains, truth)
-        results.append(res)
+        row, model = _fit_run(cfg, r, trains, truth)
+        rows.append(row)
         fitted.append(model)
+    scores = [None] * cfg.runs
     scored = [r for r, model in enumerate(fitted) if model is not None]
     if test_trajs is not None and scored:
-        scores = long_term_mse([fitted[r] for r in scored], test_trajs,
-                               cfg.solver)
-        for r, score in zip(scored, scores):
+        for r, score in zip(scored, long_term_mse(
+                [fitted[r] for r in scored], test_trajs, cfg.solver)):
             if isinstance(score, LiesindyError):
-                _error_row(results[r]["row"], score)
-                continue
-            mean, per_ic, blown = score
-            results[r]["longterm"] = {
-                "mean": [repr(float(v)) for v in mean],
-                "per_ic": [[repr(float(v)) for v in s] for s in per_ic],
-                "blown": bool(blown)}
+                _error_row(rows[r], score)
+            else:
+                scores[r] = score
 
-    rows = [res["row"] for res in results]
-    models = [res["model"] for res in results]
-    rate = float(np.mean([r["success"] for r in rows])) if rows else 0.0
-    rmse_ok, rmse_all = rmse([fitted[r] for r in scored], truth) \
-        if scored else (None, None)
-    lt_mean, lt_std, lt_count = _aggregate_longterm(
-        [[float(v) for v in res["longterm"]["mean"]]
-         for res in results if res["longterm"] is not None])
     report = DiscoveryReport(
-        config=cfg.to_dict(),
-        rows=rows,
-        models=models,
-        success_rate=rate,
-        rmse_successful=rmse_ok,
-        rmse_all=rmse_all,
-        longterm_mean=lt_mean,
-        longterm_std=lt_std,
-        longterm_counts=lt_count,
-        blown_runs=sum(1 for res in results
-                       if res["longterm"] and res["longterm"]["blown"]),
-        provenance={"digest": cfg.digest(),
-                    "data_digest": cfg.data_digest(),
-                    "package": __version__,
-                    "numpy": np.__version__,
-                    "python": sys.version.split()[0]})
+        cfg, rows, [None if m is None else model_to_dict(m) for m in fitted],
+        scores)
     if out_dir is not None:
-        write_report(report, out_dir, results)
+        write_report(report, out_dir)
     return report
 
 
@@ -592,43 +546,45 @@ RUN_COLUMNS = ["run", "status", "success", "err_norm", "n_rows", "dropped",
                "noise_seeds"]
 
 
-def write_report(report: DiscoveryReport, out_dir, results):
+def write_report(report: DiscoveryReport, out_dir):
+    cfg = report.config
     os.makedirs(out_dir, exist_ok=True)
-    cfg = ExperimentConfig.from_dict(report.config)
     cfg.save(os.path.join(out_dir, "config.json"))
     with open(os.path.join(out_dir, "runs.csv"), "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=RUN_COLUMNS)
         w.writeheader()
-        for row in report.rows:
-            w.writerow(row)
+        w.writerows(report.rows)
     write_summary_csv(os.path.join(out_dir, "summary.csv"),
                       [(cfg.system, cfg.method_label(), report.success_rate,
                         report.rmse_successful, report.rmse_all)])
     mdir = os.path.join(out_dir, "models")
     os.makedirs(mdir, exist_ok=True)
-    for r, model in enumerate(report.models):
+    for r, (model, score) in enumerate(zip(report.models, report.scores)):
         blob = {"run": r, "model": model}
-        if results[r]["longterm"] is not None:
-            blob["longterm"] = results[r]["longterm"]
+        if score is not None:
+            mean, per_ic, blown = score
+            blob["longterm"] = {
+                "mean": [repr(float(v)) for v in mean],
+                "per_ic": [[repr(float(v)) for v in s] for s in per_ic],
+                "blown": bool(blown)}
         with open(os.path.join(mdir, f"run_{r}.json"), "w") as f:
             json.dump(blob, f, indent=1, sort_keys=True)
             f.write("\n")
     if report.longterm_mean is not None:
-        _write_longterm_csv(os.path.join(out_dir, "longterm.csv"),
-                            report.longterm_mean, report.longterm_std,
-                            report.longterm_counts)
-        render_longterm_svg(
-            os.path.join(out_dir, "longterm.svg"),
-            report.longterm_mean, report.longterm_std,
-            title=f"{cfg.system} {cfg.method_label()} long-term MSE")
+        write_longterm(out_dir, report.longterm_mean, report.longterm_std,
+                       report.longterm_counts,
+                       f"{cfg.system} {cfg.method_label()} long-term MSE")
 
 
-def _write_longterm_csv(path, mean, std, counts):
-    with open(path, "w", newline="") as f:
+def write_longterm(out_dir, mean, std, counts, title):
+    """longterm.csv (one row per step) and its plot longterm.svg."""
+    with open(os.path.join(out_dir, "longterm.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["step", "mean_mse", "std_mse", "n_series"])
         for j, (m, s, n) in enumerate(zip(mean, std, counts)):
             w.writerow([j, repr(m), repr(s), n])
+    render_longterm_svg(os.path.join(out_dir, "longterm.svg"), mean, std,
+                        title=title)
 
 
 def load_longterm_csv(path):
@@ -649,12 +605,17 @@ def _read_csv(path, checks):
     it holds no rows, and naming the column too if a column of `checks` is
     missing or its check raises ValueError or TypeError (a short row's
     None) on one of its values."""
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        missing = [c for c in checks if c not in (reader.fieldnames or ())]
-        if missing:
-            raise HarnessError(f"{path} lacks columns: {', '.join(missing)}")
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.DictReader(f)
+            fields = reader.fieldnames or ()
+            rows = list(reader)
+    except UnicodeDecodeError as err:
+        raise HarnessError(f"{path} is not UTF-8 text (byte {err.start})"
+                           ) from None
+    missing = [c for c in checks if c not in fields]
+    if missing:
+        raise HarnessError(f"{path} lacks columns: {', '.join(missing)}")
     if not rows:
         raise HarnessError(f"{path} holds no rows")
     for row in rows:

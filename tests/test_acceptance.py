@@ -307,7 +307,7 @@ def test_criterion_10_longterm_prediction(crit7):
     t0 = time.monotonic()
     cfg, rep = reports["kdv"]
     truth = ground_truth("kdv", cfg.target, cfg.features, cfg.solver.params)
-    ref, _, _ = long_term_mse(truth, make_test_set(cfg), cfg.solver)
+    [(ref, _, _)] = long_term_mse([truth], make_test_set(cfg), cfg.solver)
     disc = np.array(rep.longterm_mean[1:51])
     ref = np.array(ref[1:51])
     ratio = float(np.max(disc / np.maximum(ref, 1e-300)))

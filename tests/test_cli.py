@@ -65,6 +65,50 @@ def test_report_rewrites_summary_identically(pipeline, capsys):
     assert "success rate" in shown and "kdv" in shown
 
 
+def _report_files(out):
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+
+
+# the x library's models have explicit x dependence, so every rollout
+# raises and every row is an error row, fitted but without an RMSE
+@pytest.mark.parametrize("edit", [
+    {},
+    {"method": "sindy", "threshold": 1e-12,
+     "library": {"inputs": ["u*u_x", "u_xxx", "x"]}},
+], ids=["di-sindy", "sindy-x-library"])
+def test_report_after_discover_changes_no_byte(tmp_path, capsys, pipeline,
+                                               config_path, edit):
+    data, _ = pipeline
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**json.loads(config_path.read_text()),
+                               **edit}))
+    out = tmp_path / "out"
+    assert main(["discover", "--config", str(cfg), "--data", str(data),
+                 "--out", str(out)]) == 0
+    written = _report_files(out)
+    assert main(["report", "--in", str(out)]) == 0
+    assert _report_files(out) == written
+    assert ("longterm.svg" in written) == (not edit)
+    if edit:
+        rows = (out / "runs.csv").read_text().splitlines()[1:]
+        assert all(",error,0," in row and "UnsupportedModelError" in row
+                   for row in rows)
+        assert written["summary.csv"].endswith(b"kdv,sindy,0.0,N/A,N/A\r\n")
+
+
+def test_long_term_discover_needs_the_test_set(tmp_path, capsys, pipeline,
+                                               config_path):
+    data, _ = pipeline
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    shutil.rmtree(bad / "test")
+    assert main(["discover", "--config", str(config_path), "--data",
+                 str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "test" in err and "liesindy generate" in err
+
+
 def test_evaluate_reproduces_longterm(pipeline, tmp_path, capsys):
     data, out = pipeline
     evald = tmp_path / "eval"
@@ -165,7 +209,7 @@ def _solver_edit(**over):
 
 @pytest.mark.parametrize("edit, needle", [
     (lambda d: json.dumps({**d, "runz": 3}), "runz"),
-    (lambda d: json.dumps(d)[:-10], ""),
+    (lambda d: json.dumps(d)[:-10], "bad.json: Unterminated string"),
     (_solver_edit(nx=100), "nx must be a power of two"),
     (_solver_edit(nxx=64), "nxx"),
     (lambda d: "[1,2]", "JSON object"),
@@ -178,13 +222,17 @@ def _solver_edit(**over):
     (lambda d: json.dumps({**d, "method": "sindy",
                            "library": {"inputs": ["u", "u/0"]}}),
      "division by symbolic zero"),
+    (lambda d: "\xff" + json.dumps(d), "bad.json is not UTF-8 text"),
 ], ids=["unknown-key", "truncated-json", "bad-nx", "unknown-solver-key",
         "not-an-object", "no-system", "runs-not-integer", "nx-not-integer",
-        "dt-nan", "seed-negative", "library-divides-by-zero"])
+        "dt-nan", "seed-negative", "library-divides-by-zero", "not-utf8"])
 def test_bad_config_is_one_error_line(tmp_path, capsys, config_path, edit,
                                       needle):
     bad = tmp_path / "bad.json"
-    bad.write_text(edit(json.loads(config_path.read_text())))
+    # latin-1 writes each character below 256 as its one byte, so "\xff"
+    # stays the byte 0xff, which is not UTF-8
+    bad.write_text(edit(json.loads(config_path.read_text())),
+                   encoding="latin-1")
     assert main(["generate", "--config", str(bad),
                  "--out", str(tmp_path / "d")]) == 1
     err = capsys.readouterr().err
@@ -197,7 +245,12 @@ def test_bad_config_is_one_error_line(tmp_path, capsys, config_path, edit,
     ("dataset.json", "{}", "data_digest"),
     ("run_0/manifest", "[]", "not a JSON object"),
     ("run_0/manifest", '{"trajs": [1]}', "meta object"),
-], ids=["no-data-digest", "manifest-not-an-object", "trajs-not-objects"])
+    ("run_0/manifest", '{"count": 4, "trajs": [{"meta": {}}]}',
+     "lists 1 members, but its count is 4 and"),
+    ("run_0/manifest", '{"count": 1, "trajs": [{"meta": {}}]}',
+     "trajs.npz holds 4"),
+], ids=["no-data-digest", "manifest-not-an-object", "trajs-not-objects",
+        "trajs-truncated", "trajs-and-count-truncated"])
 def test_bad_dataset_is_one_error_line(tmp_path, capsys, config_path,
                                        pipeline, part, text, needle):
     data, _ = pipeline
@@ -211,17 +264,22 @@ def test_bad_dataset_is_one_error_line(tmp_path, capsys, config_path,
     assert needle in err
 
 
-def _object_member(path):
-    with np.load(path) as data:
-        arrays = {name: data[name] for name in data.files}
-    arrays["u_0"] = np.array([None, 1.0], dtype=object)
-    np.savez(path, **arrays)
+def _edit_member(name, edit):
+    """Rewrite a trajs.npz with its member `name` replaced by edit(member)."""
+    def corrupt(path):
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays[name] = edit(arrays[name])
+        np.savez(path, **arrays)
+    return corrupt
 
 
 @pytest.mark.parametrize("corrupt, needle", [
     (lambda p: p.write_bytes(b"garbage"), "pickled"),
-    (_object_member, "Object arrays"),
-], ids=["not-an-npz", "object-member"])
+    (_edit_member("u_0", lambda u: np.array([None, 1.0], dtype=object)),
+     "Object arrays"),
+    (_edit_member("x", lambda x: x.reshape(2, -1)), "must be 1-D"),
+], ids=["not-an-npz", "object-member", "x-not-1d"])
 def test_bad_trajs_npz_is_one_error_line(tmp_path, capsys, config_path,
                                          pipeline, corrupt, needle):
     data, _ = pipeline
@@ -255,11 +313,15 @@ _LONGTERM = "step,mean_mse,std_mse,n_series\n0,0.0,0.0,4\n1,1e-6,1e-7,4\n"
     ("run,status,success,err_norm\n0,ok,yes,0.5\n", None, "success"),
     ("run,status,success,err_norm\n0,ok,1,big\n", None, "err_norm"),
     ("run,status,success,err_norm\n", None, "no rows"),
+    ("run,status,success,err_norm\n0,ok,1,0.5\xff\n", None,
+     "runs.csv is not UTF-8 text"),
 ], ids=["longterm-no-mean-column", "longterm-nan-mean", "longterm-no-rows",
-        "success-not-a-flag", "err-norm-not-a-number", "runs-no-rows"])
+        "success-not-a-flag", "err-norm-not-a-number", "runs-no-rows",
+        "runs-not-utf8"])
 def test_report_on_malformed_csv_is_one_error_line(tmp_path, capsys, runs,
                                                    longterm, needle):
-    (tmp_path / "runs.csv").write_text(runs)
+    # "\xff" stays the one byte 0xff, which is not UTF-8
+    (tmp_path / "runs.csv").write_text(runs, encoding="latin-1")
     if longterm is not None:
         (tmp_path / "longterm.csv").write_text(longterm)
     assert main(["report", "--in", str(tmp_path)]) == 1

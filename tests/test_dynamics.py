@@ -126,6 +126,10 @@ def test_trajectory_grid_validation():
     t = np.arange(10) * 0.1
     with pytest.raises(ConfigError):
         TrajectoryGrid(x, t, np.zeros((32, 10)))   # transposed
+    with pytest.raises(ConfigError, match="1-D"):
+        TrajectoryGrid(x.reshape(2, 16), t, np.zeros((10, 32)))
+    with pytest.raises(ConfigError, match="1-D"):
+        TrajectoryGrid(x, t.reshape(10, 1), np.zeros((10, 32)))
     bad = np.zeros((10, 32))
     bad[3, 4] = np.nan
     with pytest.raises(ConfigError):

@@ -17,7 +17,7 @@ from liesindy.dynamics import (
 from liesindy.expr import ExprError, parse, to_string
 from liesindy.harness import (
     DiscoveryReport, ExperimentConfig, HarnessError, ground_truth,
-    long_term_mse, make_test_set, rmse, run_experiment, success,
+    long_term_mse, make_test_set, run_experiment, success,
     generate_dataset, load_runs_csv, summarize_rows,
 )
 from liesindy.invariants import CatalogError
@@ -235,13 +235,25 @@ def test_rmse_aggregates():
     good.coef = np.array([0.0, 0.0, -1.0 + 3e-3, 0.0])
     bad = _model(truth, [True, False, True, False])
     bad.coef = np.array([0.4, 0.0, -1.0, 0.0])
-    ok, allv = rmse([good, bad], truth)
+
+    def row(m, status="ok"):
+        # a runs.csv row as the harness writes it for a fitted model
+        return {"status": status, "success": int(success(m, truth)),
+                "err_norm": repr(float(np.linalg.norm(m.weights -
+                                                      truth.weights)))}
+
+    rate, ok, allv = summarize_rows([row(good), row(bad)])
+    assert rate == 0.5
     assert ok == pytest.approx(3e-3)
     assert allv == pytest.approx(np.sqrt((9e-6 + 0.16) / 2))
-    ok, allv = rmse([bad], truth)
-    assert ok is None
+    rate, ok, allv = summarize_rows([row(bad)])
+    assert (rate, ok) == (0.0, None)
     assert allv == pytest.approx(0.4)
-    assert rmse([], truth) == (None, None)
+    # a fitted model whose rollout raised counts toward the success rate,
+    # not toward the RMSE
+    assert summarize_rows([row(good, "error")]) == (1.0, None, None)
+    assert summarize_rows([row(good, "error"), row(bad)])[1:] == \
+        (None, pytest.approx(0.4))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +346,7 @@ def kdv_longterm():
 
 def test_longterm_truth_floor(kdv_longterm):
     cfg, truth, tests = kdv_longterm
-    mean, per_ic, blown = long_term_mse(truth, tests, cfg.solver)
+    [(mean, per_ic, blown)] = long_term_mse([truth], tests, cfg.solver)
     assert not blown
     assert len(mean) == cfg.solver.nt
     assert len(per_ic) == 4
@@ -348,8 +360,8 @@ def test_longterm_wrong_model_grows(kdv_longterm):
                         coef=np.array([0.0, 0.0, 1.0, 0.0]),
                         mask=np.array([False, False, True, False]),
                         threshold=0.5)
-    mean, _, blown = long_term_mse(wrong, tests, cfg.solver)
-    tmean, _, _ = long_term_mse(truth, tests, cfg.solver)
+    (mean, _, blown), (tmean, _, _) = long_term_mse([wrong, truth], tests,
+                                                    cfg.solver)
     assert not blown
     assert np.isfinite(mean).all()
     assert mean[10] > 1e6 * tmean[10]
@@ -379,7 +391,7 @@ def test_blown_rollout_keeps_its_finite_rows(monkeypatch):
         return out
 
     monkeypatch.setattr(hz, "integrate_model", spy)
-    mean, per_ic, blown = long_term_mse(model, tests, solver)
+    [(mean, per_ic, blown)] = long_term_mse([model], tests, solver)
     assert blown
     assert calls == [(solver.nt, (len(tests), solver.nx))]
     assert len(steps) == len(tests)
@@ -407,7 +419,7 @@ def test_small_experiment_aggregates(small_report):
     assert rep.rmse_all == rep.rmse_successful
     assert [r["status"] for r in rep.rows] == ["ok", "ok"]
     assert rep.longterm_mean is None
-    assert rep.provenance["digest"] == small_cfg().digest()
+    assert rep.config.digest() == small_cfg().digest()
     for blob in rep.models:
         m = model_from_dict(blob, space=hz.SPACE)
         assert to_string(m.features[2]) == "u_xxx"
@@ -551,8 +563,8 @@ def test_experiment_solves_once_and_rolls_out_once(tmp_path, monkeypatch):
     for r, blob in enumerate(rep.models):
         saved = json.loads(
             (tmp_path / "rep" / "models" / f"run_{r}.json").read_text())
-        mean, _, _ = long_term_mse(model_from_dict(blob, space=hz.SPACE),
-                                   tests, cfg.solver)
+        [(mean, _, _)] = long_term_mse(
+            [model_from_dict(blob, space=hz.SPACE)], tests, cfg.solver)
         assert saved["longterm"]["mean"] == [repr(float(v)) for v in mean]
     calls.update(solve_pde=0)
     generate_dataset(cfg, tmp_path / "data")
@@ -598,9 +610,9 @@ def test_longterm_report_outputs(tmp_path):
     rep = run_experiment(cfg, out_dir=out)
     assert len(rep.longterm_mean) == cfg.solver.nt
     assert rep.longterm_counts == [1] * cfg.solver.nt
-    assert rep.blown_runs == 0
     assert (out / "longterm.csv").exists()
     svg = (out / "longterm.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
     blob = json.loads((out / "models" / "run_0.json").read_text())
     assert len(blob["longterm"]["mean"]) == cfg.solver.nt
+    assert blob["longterm"]["blown"] is False
