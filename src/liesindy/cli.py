@@ -142,7 +142,7 @@ def _cmd_report(args):
         cfg = ExperimentConfig.load(cfg_path)
         system, method = cfg.system, cfg.method_label()
     write_summary_csv(os.path.join(args.indir, "summary.csv"),
-                      [(system, method, rate, rmse_ok, rmse_all)])
+                      (system, method, rate, rmse_ok, rmse_all))
     lt_path = os.path.join(args.indir, "longterm.csv")
     if os.path.exists(lt_path):
         render_longterm_svg(os.path.join(args.indir, "longterm.svg"),

@@ -50,6 +50,11 @@ SYSTEMS = ("kdv", "ks", "burgers", "nkdv")
 
 BLOWUP_LIMIT = 1e6
 
+# bumped whenever solve_pde writes other bits for some config;
+# ExperimentConfig.data_digest hashes it, so a dataset written by an older
+# generator is refused.  2: closed-form ETDRK4 coefficients away from z = 0
+GENERATOR_VERSION = 2
+
 
 class DynamicsError(LiesindyError):
     pass
@@ -307,46 +312,56 @@ def _advection(k, mask, nx):
     return lambda live: nonlinear
 
 
-def _etdrk4_coeffs(lin, h, m=64):
-    """Contour-integral phi coefficients, stable near lin*h = 0.
+# |z| below which _etdrk4_coeffs takes the contour mean
+_CONTOUR_CUT = 1.0
 
-    The mean runs over a full circle of complex contour points and is kept
-    complex, which stays correct for the purely imaginary dispersive symbol
-    (a half circle plus real part only works for real lin).
+
+def _etdrk4_coeffs(lin, h, m=64):
+    """ETDRK4 coefficients (e^z, e^{z/2}, q, f1, f2, f3) at z = lin*h.
+
+    The phi-functions take the closed forms of Cox & Matthews (J. Comput.
+    Phys. 2002) where |z| >= _CONTOUR_CUT.  Nearer z = 0 those cancel, so
+    such rows take Kassam & Trefethen's mean over m points of the unit
+    circle about z (SIAM J. Sci. Comput. 2005).  Against the functions'
+    Taylor series, the closed form is within 3e-14 relative for
+    0.75 <= |z| <= 2 in every direction, and loses digits below 0.5
+    (6e-12 at 0.1).
+    The contour is within 2e-14 up to 0.75 but reads 1e-12 on the real
+    and imaginary axes near |z| = 1, where its circle passes close to 0.
+    The cut at 1 leaves the closed form a margin above 0.75 and takes the
+    contour's worst band, 1 <= |z| < 1.5, off it.  The mean is kept
+    complex, which stays correct for the purely imaginary dispersive
+    symbol (a half circle plus real part only works for real lin).
     """
     z = h * lin.astype(complex)
+    e1, e2 = np.exp(z), np.exp(z / 2)
+    q, f1, f2, f3 = (np.empty_like(z) for _ in range(4))
+    near = np.abs(z) < _CONTOUR_CUT
+    far = ~near
+    zf, ef = z[far], e1[far]
+    zf2 = zf * zf
+    hz3 = h / (zf2 * zf)
+    q[far] = h * (e2[far] - 1.0) / zf
+    f1[far] = hz3 * (-4.0 - zf + ef * (4.0 - 3.0 * zf + zf2))
+    f2[far] = hz3 * (2.0 + zf + ef * (-2.0 + zf))
+    f3[far] = hz3 * (-4.0 - 3.0 * zf - zf2 + ef * (4.0 - zf))
     r = np.exp(2j * math.pi * (np.arange(m) + 0.5) / m)
-    zz = z[:, None] + r[None, :]
+    zz = z[near, None] + r[None, :]
     ez, zz2, zz3 = np.exp(zz), zz ** 2, zz ** 3
-    q = h * np.mean((np.exp(zz / 2) - 1.0) / zz, axis=1)
-    f1 = h * np.mean((-4.0 - zz + ez * (4.0 - 3.0 * zz + zz2)) / zz3, axis=1)
-    f2 = h * np.mean((2.0 + zz + ez * (-2.0 + zz)) / zz3, axis=1)
-    f3 = h * np.mean((-4.0 - 3.0 * zz - zz2 + ez * (4.0 - zz)) / zz3, axis=1)
-    return np.exp(z), np.exp(z / 2), q, f1, f2, f3
-
-
-# _etdrk4_coeffs with f2 doubled, by (h, bytes of lin), oldest out first
-# past _COEFFS_MAX:
-# nKdV's 199 step sizes depend only on the t grid, so every solve on it
-# shares them
-_COEFFS = {}
-_COEFFS_MAX = 512
+    q[near] = h * np.mean((np.exp(zz / 2) - 1.0) / zz, axis=1)
+    f1[near] = h * np.mean(
+        (-4.0 - zz + ez * (4.0 - 3.0 * zz + zz2)) / zz3, axis=1)
+    f2[near] = h * np.mean((2.0 + zz + ez * (-2.0 + zz)) / zz3, axis=1)
+    f3[near] = h * np.mean(
+        (-4.0 - 3.0 * zz - zz2 + ez * (4.0 - zz)) / zz3, axis=1)
+    return e1, e2, q, f1, f2, f3
 
 
 def _make_etdrk4(lin, h, nonlinear):
-    lin = lin.astype(complex)
-    key = (h, lin.tobytes())
-    if key not in _COEFFS:
-        if len(_COEFFS) >= _COEFFS_MAX:
-            del _COEFFS[next(iter(_COEFFS))]
-        e1, e2, q, f1, f2, f3 = _etdrk4_coeffs(lin, h)
-        # the step's 2.0*f2*X associates as (2.0*f2)*X: holding 2.0*f2 in
-        # place of f2 keeps the bits and adds no memory
-        coeffs = e1, e2, q, f1, 2.0 * f2, f3
-        for a in coeffs:
-            a.flags.writeable = False
-        _COEFFS[key] = coeffs
-    e1, e2, q, f1, f2x2, f3 = _COEFFS[key]
+    e1, e2, q, f1, f2, f3 = _etdrk4_coeffs(lin, h)
+    # the step's 2.0*f2*X associates as (2.0*f2)*X, so folding it keeps the
+    # bits
+    f2x2 = 2.0 * f2
 
     def step(v):
         nv = nonlinear(v)

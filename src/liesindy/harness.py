@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
-    NUMBER, BlowUpError, ConfigError, SolverConfig, add_noise,
-    check_config_dict, default_config, integrate_model, load_trajectories,
-    read_json, sample_initial_condition, save_trajectories, solve_pde,
+    GENERATOR_VERSION, NUMBER, BlowUpError, ConfigError, SolverConfig,
+    add_noise, check_config_dict, default_config, integrate_model,
+    load_trajectories, read_json, sample_initial_condition,
+    save_trajectories, solve_pde,
 )
 from .expr import (
     Add, Const, JetSpace, LiesindyError, is_zero, parse, simplify,
@@ -178,8 +179,10 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     def data_digest(self):
-        """Hash of only the data-defining fields, shared across methods."""
-        blob = json.dumps({"system": self.system,
+        """Hash of only the data-defining fields, shared across methods,
+        and of the generator version that wrote the data."""
+        blob = json.dumps({"generator": GENERATOR_VERSION,
+                           "system": self.system,
                            "solver": self.solver.to_dict(),
                            "runs": self.runs,
                            "noise_sigma": self.noise_sigma,
@@ -555,8 +558,8 @@ def write_report(report: DiscoveryReport, out_dir):
         w.writeheader()
         w.writerows(report.rows)
     write_summary_csv(os.path.join(out_dir, "summary.csv"),
-                      [(cfg.system, cfg.method_label(), report.success_rate,
-                        report.rmse_successful, report.rmse_all)])
+                      (cfg.system, cfg.method_label(), report.success_rate,
+                       report.rmse_successful, report.rmse_all))
     mdir = os.path.join(out_dir, "models")
     os.makedirs(mdir, exist_ok=True)
     for r, (model, score) in enumerate(zip(report.models, report.scores)):
@@ -628,16 +631,17 @@ def _read_csv(path, checks):
     return rows
 
 
-def write_summary_csv(path, entries):
-    """entries: (system, method, success_rate, rmse_ok or None, rmse_all)."""
+def write_summary_csv(path, summary):
+    """summary: (system, method, success_rate, rmse_ok or None, rmse_all or
+    None)."""
+    system, method, rate, ok, allv = summary
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["system", "method", "success_rate", "rmse_successful",
                     "rmse_all"])
-        for system, method, rate, ok, allv in entries:
-            w.writerow([system, method, repr(float(rate)),
-                        "N/A" if ok is None else repr(float(ok)),
-                        "N/A" if allv is None else repr(float(allv))])
+        w.writerow([system, method, repr(float(rate)),
+                    "N/A" if ok is None else repr(float(ok)),
+                    "N/A" if allv is None else repr(float(allv))])
 
 
 # the runs.csv columns `summarize_rows` reads, with a check of each value;

@@ -1,5 +1,6 @@
 """CLI subcommands drive the same library paths the tests exercise."""
 
+import hashlib
 import json
 import shutil
 
@@ -262,6 +263,28 @@ def test_bad_dataset_is_one_error_line(tmp_path, capsys, config_path,
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert needle in err
+
+
+def test_dataset_of_an_older_generator_is_refused(tmp_path, capsys,
+                                                  config_path, pipeline):
+    # the same config's digest as it was before data_digest hashed the
+    # generator version, which a dataset of the older generator carries
+    cfg = ExperimentConfig.load(config_path)
+    blob = json.dumps({"system": cfg.system, "solver": cfg.solver.to_dict(),
+                       "runs": cfg.runs, "noise_sigma": cfg.noise_sigma,
+                       "seed": cfg.seed}, sort_keys=True)
+    old = hashlib.sha256(blob.encode()).hexdigest()[:12]
+    data, _ = pipeline
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    dataset = json.loads((bad / "dataset.json").read_text())
+    dataset["data_digest"] = old
+    (bad / "dataset.json").write_text(json.dumps(dataset))
+    assert main(["discover", "--config", str(config_path), "--data",
+                 str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: dataset digest {old} does not match the config's "
+        f"{cfg.data_digest()}\n")
 
 
 def _edit_member(name, edit):

@@ -512,7 +512,7 @@ def test_batch_shapes_are_checked(ic, meta):
         solve_pde("kdv", ic, cfg, meta=meta)
 
 
-def test_etdrk4_coefficients_are_computed_once_per_grid(monkeypatch):
+def test_etdrk4_coefficients_are_computed_once_per_step_size(monkeypatch):
     from liesindy import dynamics
     calls = []
     coeffs = dynamics._etdrk4_coeffs
@@ -521,7 +521,6 @@ def test_etdrk4_coefficients_are_computed_once_per_grid(monkeypatch):
         calls.append(h)
         return coeffs(lin, h)
 
-    monkeypatch.setattr(dynamics, "_COEFFS", {})
     monkeypatch.setattr(dynamics, "_etdrk4_coeffs", counted)
     cfg = SolverConfig("nkdv", nx=64, length=20.0, dt=0.01, nt=20,
                        params={"t0": 1.0})
@@ -530,8 +529,12 @@ def test_etdrk4_coefficients_are_computed_once_per_grid(monkeypatch):
     # one step size per output span (each shorter than KdV's dt of 0.01)
     assert len(calls) == len(set(calls)) == cfg.nt - 1
     again = solve_pde("nkdv", np.array([ic, ic]), cfg)
-    assert len(calls) == cfg.nt - 1
+    assert calls[cfg.nt - 1:] == calls[:cfg.nt - 1]
     assert all(np.array_equal(tr.u, first.u) for tr in again)
+    del calls[:]
+    solve_pde("kdv", np.array([ic, ic]), SolverConfig(
+        "kdv", nx=64, length=20.0, dt=0.01, nt=20))
+    assert calls == [0.01]
 
 
 def _etdrk4_coeffs_formula(lin, h, m=64):
@@ -548,7 +551,25 @@ def _etdrk4_coeffs_formula(lin, h, m=64):
     return np.exp(z), np.exp(z / 2), q, f1, f2, f3
 
 
-def test_etdrk4_coefficients_match_the_contour_formula(monkeypatch):
+def _phi_series(z, h, terms=40):
+    """(q, f1, f2, f3) at z from their Taylor series about z = 0."""
+    q = f1 = f2 = f3 = 0.0
+    zn = np.ones_like(z)
+    for n in range(terms):
+        q = q + zn / (2.0 ** (n + 1) * math.factorial(n + 1))
+        f1 = f1 + (n + 1) ** 2 * zn / math.factorial(n + 3)
+        f2 = f2 + (n + 1) * zn / math.factorial(n + 3)
+        f3 = f3 + (1 - n) * zn / math.factorial(n + 3)
+        zn = zn * z
+    return h * q, h * f1, h * f2, h * f3
+
+
+def test_etdrk4_coefficients_match_the_series_and_the_contour(monkeypatch):
+    # every coefficient set of the default nKdV solve and of the kdv and ks
+    # steps.  Against the series, on 0.5 <= |z| <= 2 where it converges
+    # in double precision: closed-form rows (|z| >= 1) within 2e-14
+    # relative, contour rows within 2e-12 (they read 5e-15 and 1.3e-12).
+    # Contour rows keep the bits of the contour formula.
     from liesindy import dynamics
     calls = []
     coeffs = dynamics._etdrk4_coeffs
@@ -557,7 +578,6 @@ def test_etdrk4_coefficients_match_the_contour_formula(monkeypatch):
         calls.append((lin, h))
         return coeffs(lin, h)
 
-    monkeypatch.setattr(dynamics, "_COEFFS", {})
     monkeypatch.setattr(dynamics, "_etdrk4_coeffs", recorded)
     solve_pde("nkdv", np.zeros(256))
     assert len(calls) == default_config("nkdv").nt - 1
@@ -566,9 +586,20 @@ def test_etdrk4_coefficients_match_the_contour_formula(monkeypatch):
         d.update(nt=8, transient=0.0)
         solve_pde(system, np.zeros(256), SolverConfig.from_dict(d))
         assert calls[-1][1] == d["dt"]
+    sides = set()
     for lin, h in calls:
-        for got, want in zip(coeffs(lin, h), _etdrk4_coeffs_formula(lin, h)):
-            assert got.tobytes() == want.tobytes()
+        z = h * lin.astype(complex)
+        near = np.abs(z) < dynamics._CONTOUR_CUT
+        got = coeffs(lin, h)
+        for g, w in zip(got, _etdrk4_coeffs_formula(lin, h)):
+            assert g[near].tobytes() == w[near].tobytes()
+        band = (np.abs(z) >= 0.5) & (np.abs(z) <= 2.0)
+        want = _phi_series(z[band], h)
+        tol = np.where(near[band], 2e-12, 2e-14)
+        for g, w in zip(got[2:], want):
+            assert (np.abs(g[band] - w) <= tol * np.abs(w)).all()
+        sides.update(near[band].tolist())
+    assert sides == {True, False}
 
 
 def _leftover_term_per_order(shape, consts, scale, k, mask, nx):
@@ -660,11 +691,10 @@ def _fold_check_setup(system):
             made(cfg.dt, np.arange(len(ics))))
 
 
-def test_folded_etdrk4_step_matches_the_step_written_out(monkeypatch):
+def test_folded_etdrk4_step_matches_the_step_written_out():
     from liesindy import dynamics
-    monkeypatch.setattr(dynamics, "_COEFFS", {})
     h, lin, v, nonlinear, step = _fold_check_setup("kdv")
-    e1, e2, q, f1, f2, f3 = _etdrk4_coeffs_formula(lin, h)
+    e1, e2, q, f1, f2, f3 = dynamics._etdrk4_coeffs(lin, h)
     nv = nonlinear(v)
     a = e2 * v + q * nv
     na = nonlinear(a)
