@@ -11,7 +11,8 @@ cfg = default_config("kdv")
 print("kdv solver:", cfg.to_dict())
 
 ic = sample_initial_condition(cfg.nx, cfg.length, seed=42)
-tr = solve_pde("kdv", ic, cfg)
+# solve_pde takes a batch of ICs and returns one outcome per member
+[tr] = solve_pde(cfg, ic[None])
 print("trajectory:", tr.u.shape, "u range",
       float(tr.u.min()), float(tr.u.max()))
 
@@ -29,5 +30,5 @@ print("noise level:", float(np.std(noisy.u - tr.u) / np.std(tr.u)))
 
 # the KS attractor needs a transient before the statistics settle
 ks = default_config("ks")
-kt = solve_pde("ks", sample_initial_condition(ks.nx, ks.length, seed=3), ks)
+[kt] = solve_pde(ks, sample_initial_condition(ks.nx, ks.length, seed=3)[None])
 print("ks trajectory:", kt.u.shape, "std", float(kt.u.std()))

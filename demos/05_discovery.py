@@ -12,7 +12,7 @@ from liesindy.regress import model_to_equation, stlsq
 
 cfg = default_config("kdv")
 ic = sample_initial_condition(cfg.nx, cfg.length, seed=2024)
-tr = solve_pde("kdv", ic, cfg)
+[tr] = solve_pde(cfg, ic[None])
 
 # library of symmetry-invariant features; target is the invariant that
 # carries u_t

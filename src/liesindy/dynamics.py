@@ -13,13 +13,13 @@ own constant-coefficient linear part is absorbed into an integrating factor
 and the remainder is evaluated pointwise.  Models that share one equation
 structure march as one batch, each member with its own coefficients.
 
-Every solve and rollout steps through one loop, `_march`, which cuts each
-output span into sub-steps, writes every sample and guards it against
-blow-up.  An (nx,) initial condition is a batch of one; an (n, nx) batch is
-stepped as one state, with every FFT along the last axis, so each member
-gets the same bits as on its own.  The guard is per member: a member that
-blows up leaves the state at its first bad sample, keeping its finite rows,
-and the others march on.
+Every solve and rollout takes an (n, nx) batch of initial conditions,
+steps it as one state through one loop, `_march`, and returns one outcome
+per member.  The loop cuts each output span into sub-steps, writes every
+sample and guards it against blow-up.  Every operation on the state acts on
+each row alone, so each member gets the same bits as on its own; a member
+that blows up stays in the state, unsampled, and its outcome is a
+BlowUpError with its finite rows.
 """
 
 from __future__ import annotations
@@ -299,7 +299,7 @@ def _linear_symbol(system, k, params):
 
 
 def _advection(k, mask, nx):
-    """live -> the advection term, the same for every member."""
+    """v -> the dealiased advection term -ik*mask*rfft(u^2/2)."""
     # -ik*mask*X associates as (-ik*mask)*X, so forming it once keeps the
     # bits
     ik = 1j * k
@@ -309,7 +309,7 @@ def _advection(k, mask, nx):
         u = np.fft.irfft(v, nx, axis=-1)
         return ikm * np.fft.rfft(0.5 * u * u, axis=-1)
 
-    return lambda live: nonlinear
+    return nonlinear
 
 
 # |z| below which _etdrk4_coeffs takes the contour mean
@@ -395,18 +395,13 @@ def _make_ifrk4(lin, h, nonlinear):
 
 
 def _make_stepper(scheme, lin, nonlinear):
-    """(h, live) -> `scheme`'s step of size h for v' = lin*v + N(v).
+    """h -> `scheme`'s step of size h for v' = lin*v + nonlinear(v).
 
-    The step advances the rows of the `live` members only.  lin is one
-    (nk,) symbol shared by every member or an (n, nk) array of one row per
-    member, cut to the live rows; nonlinear(live) is N for the live members.
+    lin is one (nk,) symbol shared by every member or an (n, nk) array of
+    one row per member.
     """
     make = _make_etdrk4 if scheme == "etdrk4" else _make_ifrk4
-
-    def build(h, live):
-        return make(lin if lin.ndim == 1 else lin[live], h, nonlinear(live))
-
-    return build
+    return lambda h: make(lin, h, nonlinear)
 
 
 def _blown(u):
@@ -415,76 +410,64 @@ def _blown(u):
         np.abs(u).max(axis=-1) > BLOWUP_LIMIT)
 
 
-def _batch(ic, nx):
-    """(ic as an (n, nx) float batch, whether ic was a batch already)."""
-    ic = np.asarray(ic, dtype=float)
-    if ic.ndim not in (1, 2) or ic.shape[-1] != nx:
+def _batch(ics, nx):
+    """ics as an (n, nx) float array."""
+    ics = np.asarray(ics, dtype=float)
+    if ics.ndim != 2 or ics.shape[1] != nx:
         raise ConfigError(
-            f"ic must have shape (nx,) or (n, nx) with nx = {nx}, "
-            f"not {ic.shape}")
-    return (ic, True) if ic.ndim == 2 else (ic[None], False)
+            f"ics must have shape (n, nx) with nx = {nx}, not {ics.shape}")
+    return ics
 
 
-def _march(make_step, ic, spans, sub, min_steps=1, skip=0):
-    """Step the (n, nx) batch rfft(ic) across `spans` as one state.
+def _march(make_step, ics, spans, sub, min_steps=1, skip=0):
+    """Step the (n, nx) batch rfft(ics) across `spans` as one state.
 
-    Each span is cut into max(min_steps, ceil(span/sub)) equal sub-steps.
-    make_step(h, live) builds the step for the live members; it is rebuilt
-    when the sub-step size changes and when a member leaves, then with the
-    size the current step was built with, so the survivors keep the bits
-    of their own march.  Row 0 is ic and row j the state after the j-th
-    span.  With `skip`, the first skip spans are a discarded transient:
-    guarded at steps -skip..-1, not stored, and the state after them
-    becomes row 0.
+    Each span is cut into max(min_steps, ceil(span/sub)) equal sub-steps;
+    make_step(h) builds the step of size h, once per run of equal sizes.
+    Row 0 is ics and row j the state after the j-th span.  With `skip`, the
+    first skip spans are a discarded transient: guarded at steps -skip..-1,
+    not stored, and the state after them becomes row 0.
 
     Returns one outcome per member: its (samples, nx) array u, or, if a
     sample is non-finite or beyond BLOWUP_LIMIT, a BlowUpError whose .step
     is the first bad one and whose .rows are the finite u[:step] before it.
-    A blown member leaves the state; the others march on unchanged.
+    A blown member is no longer sampled but stays in the state; every
+    operation on the state acts on each row alone, so the others keep their
+    bits.  The march stops once no member is left.
     """
-    n, nx = ic.shape
+    n, nx = ics.shape
     # one array per member, so each is freed with its own trajectory
     u = [np.empty((len(spans) + 1 - skip, nx)) for _ in range(n)]
-    for ub, row in zip(u, ic):
-        ub[0] = row
     out = list(u)
-    live = np.arange(n)
+    live = np.ones(n, dtype=bool)
 
-    def keep(rows, j, step):
-        """Mask of the live members whose row of `rows` is fine.
-
-        Each other one gets its BlowUpError at `step`, with rows u[b, :j].
-        """
-        bad = _blown(rows)
-        for b in live[bad]:
+    def sample(rows, j, step):
+        """Store row j of the live members, guarded as `step`."""
+        bad = live & _blown(rows)
+        for b in np.flatnonzero(bad):
             out[b] = BlowUpError(f"solution blew up at step {step}",
                                  step=step, rows=u[b][:j])
-        return ~bad
+        live[bad] = False
+        for b in np.flatnonzero(live):
+            u[b][j] = rows[b]
 
     with np.errstate(all="ignore"):
         if not skip:
-            live = live[keep(ic, 0, 0)]
-        state = np.fft.rfft(ic[live], axis=-1)
-        advance = step_h = None
+            sample(ics, 0, 0)
+        state = np.fft.rfft(ics, axis=-1)
+        step_h = None
         for i, span in enumerate(spans, -skip):
-            if not live.size:
+            if not live.any():
                 break
             m = max(min_steps, math.ceil(span / sub - 1e-12))
             h = span / m
             if step_h is None or abs(h - step_h) > 1e-15 * abs(h):
-                advance, step_h = None, h
-            if advance is None:
-                advance = make_step(step_h, live)
+                advance, step_h = make_step(h), h
             for _ in range(m):
                 state = advance(state)
             # transient samples pass through row 0 as steps -skip..-1
             j = max(i + 1, 0)
-            rows = np.fft.irfft(state, nx, axis=-1)
-            for b, row in zip(live, rows):
-                u[b][j] = row
-            ok = keep(rows, j, j if i >= 0 else i)
-            if not ok.all():
-                live, state, advance = live[ok], state[ok], None
+            sample(np.fft.irfft(state, nx, axis=-1), j, j if i >= 0 else i)
     return out
 
 
@@ -496,34 +479,26 @@ def _tau_of_t(t, t0):
     return t0 * np.expm1(t / t0)
 
 
-def solve_pde(system, ic, cfg: SolverConfig | None = None, meta=None):
-    """Solve one built-in system from ic on the configured grid.
+def solve_pde(cfg: SolverConfig, ics, metas=None):
+    """Solve cfg's system from each row of the (n, nx) batch ics.
 
-    An (nx,) ic returns one TrajectoryGrid or raises BlowUpError with the
-    bad step and the finite rows before it.  An (n, nx) batch is stepped as
-    one state and raises nothing for a blow-up: it returns, per member, its
-    TrajectoryGrid or its BlowUpError, each bit-identical to its own solve;
-    `meta` is then a sequence of one dict (or None) per member.
+    Returns, per member, its TrajectoryGrid or its BlowUpError (.step and
+    the finite .rows), bit-identical to a batch of that member alone.
+    `metas` holds one dict (or None) per member, merged into its meta.
 
     The time-rescaled KdV runs as KdV in the substituted time tau(t) =
     t0*(e^{t/t0} - 1), stepped in sub-intervals of at most KdV's dt that
     land exactly on every tau(t_j), so no temporal interpolation is involved.
     """
-    cfg = default_config(system) if cfg is None else cfg
-    if cfg.system != system:
-        raise ConfigError(f"config is for '{cfg.system}', not '{system}'")
-    ics, batched = _batch(ic, cfg.nx)
-    if not batched:
-        metas = [meta]
-    else:
-        metas = [None] * len(ics) if meta is None else list(meta)
+    ics = _batch(ics, cfg.nx)
+    metas = [None] * len(ics) if metas is None else list(metas)
     if len(metas) != len(ics):
         raise ConfigError(f"{len(metas)} metas for {len(ics)} ics")
     x, t, k, mask = _grid(cfg)
-    lin = _linear_symbol(system, k, cfg.params)
+    lin = _linear_symbol(cfg.system, k, cfg.params)
     make_step = _make_stepper(cfg.scheme, lin, _advection(k, mask, cfg.nx))
     skip = round(cfg.transient / cfg.dt)
-    if system == "nkdv":
+    if cfg.system == "nkdv":
         spans = np.diff(_tau_of_t(t, cfg.params["t0"]))
         sub = default_config("kdv").dt
     else:
@@ -532,13 +507,13 @@ def solve_pde(system, ic, cfg: SolverConfig | None = None, meta=None):
     outcomes = _march(make_step, ics, spans, sub, skip=skip)
     trajs = []
     for u, m in zip(outcomes, metas):
-        out_meta = {"system": system, "params": dict(cfg.params),
+        out_meta = {"system": cfg.system, "params": dict(cfg.params),
                     "noise_sigma": 0.0, **(m or {})}
         if skip:
             out_meta["transient"] = cfg.transient
         trajs.append(u if isinstance(u, BlowUpError) else
                      TrajectoryGrid(x, t, u, out_meta))
-    return _unbatch(trajs, batched)
+    return trajs
 
 
 # ---------------------------------------------------------------------------
@@ -656,16 +631,16 @@ def _rollout_form(model, cfg):
 
 
 def _leftover_term(shape, consts, scale, k, mask, nx):
-    """live -> v -> scale*mask*rfft(shape) for the live members.
+    """v -> scale*mask*rfft(shape), each member with its own constants.
 
     consts maps each lifted constant's name to its (n, 1) column of member
     values and scale is the (n, 1) column of -1/c.  shape is compiled once;
     each call evaluates it under _march's error state.  u and its
     derivatives come from one inverse transform of [v, (ik)^o v ...],
-    stacked in one buffer per live set.
+    stacked in one buffer.
     """
     if shape is None:
-        return lambda live: np.zeros_like
+        return np.zeros_like
     dvs = dep_vars_in(shape)
     needed = sorted({dv.order for dv in dvs} - {0})
     names = ["u"] + ["u_" + "x" * order for order in needed]
@@ -679,57 +654,38 @@ def _leftover_term(shape, consts, scale, k, mask, nx):
             # constants only: lift the value to u's shape
             return np.broadcast_to(evaluate(binding), binding["u"].shape)
 
-    def for_live(live):
-        binding = {name: col[live] for name, col in consts.items()}
-        # scale*mask*X associates as (scale*mask)*X, so forming it once
-        # keeps the bits
-        sm = scale[live] * mask
-        stacked = np.empty((len(names), live.size, k.size), dtype=complex)
+    binding = dict(consts)
+    # scale*mask*X associates as (scale*mask)*X, so forming it once keeps
+    # the bits
+    sm = scale * mask
+    stacked = np.empty((len(names), scale.shape[0], k.size), dtype=complex)
 
-        def nonlinear(v):
-            stacked[0] = v
-            np.multiply(ikp, v, out=stacked[1:])
-            binding.update(zip(names, np.fft.irfft(stacked, nx, axis=-1)))
-            return sm * np.fft.rfft(rhs(binding), axis=-1)
+    def nonlinear(v):
+        stacked[0] = v
+        np.multiply(ikp, v, out=stacked[1:])
+        binding.update(zip(names, np.fft.irfft(stacked, nx, axis=-1)))
+        return sm * np.fft.rfft(rhs(binding), axis=-1)
 
-        return nonlinear
-
-    return for_live
+    return nonlinear
 
 
-def _unbatch(outcomes, batched):
-    """The outcome list of a batch; alone, the one outcome or its error."""
-    if batched:
-        return outcomes
-    if isinstance(outcomes[0], Exception):
-        raise outcomes[0]
-    return outcomes[0]
+def integrate_model(models, ics, cfg: SolverConfig):
+    """Integrate discovered models LHS = W*Theta on cfg's grid.
 
+    Member b integrates models[b] from row b of the (n, nx) batch ics.  The
+    equation is rearranged to u_t = g(...); a u_t coefficient of the form
+    c*e^{g t} is removed by the exact change of time variable, the model's
+    own constant-coefficient linear terms go into an integrating factor,
+    and the remainder steps with RK4 at dt/4 substeps, sampling every 4th
+    step.  Members whose models share one structure (see _rollout_form)
+    march as one state, each with its own coefficients.
 
-def integrate_model(model, ic, cfg: SolverConfig):
-    """Integrate discovered models LHS = W*Theta from ic on cfg's grid.
-
-    The equation is rearranged to u_t = g(...); a u_t coefficient of the
-    form c*e^{g t} is removed by the exact change of time variable, the
-    model's own constant-coefficient linear terms go into an integrating
-    factor, and the remainder steps with RK4 at dt/4 substeps, sampling
-    every 4th step.
-
-    `model` is one model for every member or a list of one per member of
-    an (n, nx) batch.  Members whose models share one structure (see
-    _rollout_form) march as one state, each with its own coefficients, so
-    each gets the bits of its own call.
-
-    One model and an (nx,) ic return one TrajectoryGrid or raise
-    BlowUpError; a model that cannot be rolled out raises
-    UnsupportedModelError or MissingSymbolError.  A batch raises nothing
-    for a blow-up: it returns, per member, its TrajectoryGrid or its
-    BlowUpError (.step and the finite .rows).  In the list form a member
-    whose model cannot be rolled out gets that error as its outcome too.
+    Returns, per member, its TrajectoryGrid, its BlowUpError (.step and the
+    finite .rows), or the UnsupportedModelError or MissingSymbolError of a
+    model that cannot be rolled out; each is the outcome of a batch of that
+    member alone, bit for bit.
     """
-    ics, batched = _batch(ic, cfg.nx)
-    listed = isinstance(model, list)
-    models = model if listed else [model] * len(ics)
+    ics = _batch(ics, cfg.nx)
     if len(models) != len(ics):
         raise ConfigError(f"{len(models)} models for {len(ics)} ics")
     forms = {}
@@ -740,8 +696,6 @@ def integrate_model(model, ic, cfg: SolverConfig):
             try:
                 forms[id(m)] = _rollout_form(m, cfg)
             except LiesindyError as err:
-                if not listed:
-                    raise
                 forms[id(m)] = err
         if isinstance(forms[id(m)], LiesindyError):
             out[b] = forms[id(m)]
@@ -769,7 +723,7 @@ def integrate_model(model, ic, cfg: SolverConfig):
             out[b] = u if isinstance(u, BlowUpError) else TrajectoryGrid(
                 x, t, u, {"system": cfg.system, "kind": "model-integration",
                           "params": dict(cfg.params), "noise_sigma": 0.0})
-    return _unbatch(out, batched or listed)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .dynamics import (
     GENERATOR_VERSION, NUMBER, BlowUpError, ConfigError, SolverConfig,
     add_noise, check_config_dict, default_config, integrate_model,
     load_trajectories, read_json, sample_initial_condition,
-    save_trajectories, solve_pde,
+    save_trajectories, solve_pde, _grid,
 )
 from .expr import (
     Add, Const, JetSpace, LiesindyError, is_zero, parse, simplify,
@@ -198,15 +198,17 @@ class ExperimentConfig:
 def _problem(cfg: ExperimentConfig):
     """Resolve (features, target, generators) for the config's method."""
     inv = builtin_set(cfg.system)
+    # checked for every method, so no config is saved with a bad library,
+    # though di-sindy honours only include_constant
+    spec = LibrarySpec(cfg.library["mode"],
+                       tuple(parse(s, SPACE) for s in cfg.library["inputs"]),
+                       include_constant=bool(cfg.library["include_constant"]))
     if cfg.method == "di-sindy":
         feats = list(inv.rhs_features())
-        if cfg.library.get("include_constant"):
+        if spec.include_constant:
             feats = [Const(1.0)] + feats
         return feats, inv.lhs, list(inv.generators)
-    inputs = tuple(parse(s, SPACE) for s in cfg.library["inputs"])
-    feats = build_library(LibrarySpec(
-        cfg.library["mode"], inputs,
-        include_constant=bool(cfg.library["include_constant"])))
+    feats = build_library(spec)
     if cfg.system == "nkdv":
         target = parse("exp(-t/t0)*u_t", SPACE)
     else:
@@ -264,8 +266,17 @@ def long_term_mse(models, test_trajs, solver: SolverConfig):
     length.
 
     Returns, per model, (mean, per_ic, blown) or the error that stops its
-    rollout (UnsupportedModelError, MissingSymbolError).
+    rollout (UnsupportedModelError, MissingSymbolError).  A test trajectory
+    whose x or t is not exactly the solver's grid raises HarnessError.
     """
+    x, t = _grid(solver)[:2]
+    for i, tr in enumerate(test_trajs):
+        for name, got, want in (("x", tr.x, x), ("t", tr.t, t)):
+            if not np.array_equal(got, want):
+                raise HarnessError(
+                    f"test trajectory {i} is off the solver grid: its {name} "
+                    f"has {got.size} samples spaced {got[1] - got[0]:.6g}, "
+                    f"the solver's {want.size} spaced {want[1] - want[0]:.6g}")
     n = len(test_trajs)
     ics = np.array([tr.u[0] for tr in test_trajs])
     rollouts = integrate_model([m for m in models for _ in range(n)],
@@ -327,8 +338,7 @@ def _solve_sets(cfg: ExperimentConfig, runs, test=False):
     flat = [member for members in sets for member in members]
     ics = np.array([sample_initial_condition(cfg.solver.nx, cfg.solver.length,
                                              s) for s, _, _ in flat])
-    outs = solve_pde(cfg.system, ics, cfg.solver,
-                     meta=[meta for _, meta, _ in flat])
+    outs = solve_pde(cfg.solver, ics, [meta for _, meta, _ in flat])
     if cfg.noise_sigma > 0:
         outs = [tr if noise is None or isinstance(tr, BlowUpError) else
                 add_noise(tr, cfg.noise_sigma, noise)
@@ -346,11 +356,6 @@ def _trajectories(outcomes):
         if isinstance(tr, BlowUpError):
             raise BlowUpError(f"member {b}: {tr}", step=tr.step, rows=tr.rows)
     return outcomes
-
-
-def make_test_set(cfg: ExperimentConfig):
-    """The four clean test trajectories shared by every run."""
-    return _trajectories(_solve_sets(cfg, (), test=True)[0])
 
 
 def _jet_estimator(cfg: ExperimentConfig):

@@ -25,8 +25,8 @@ from liesindy.dynamics import (
 )
 from liesindy.expr import DepVar, IndepVar, JetSpace, is_zero, parse, simplify
 from liesindy.harness import (
-    SPACE, ExperimentConfig, ground_truth, long_term_mse, make_test_set,
-    run_experiment,
+    SPACE, ExperimentConfig, _solve_sets, _trajectories, ground_truth,
+    long_term_mse, run_experiment,
 )
 from liesindy.invariants import (
     builtin_set, eliminate_translations, truth_equation, verify_set,
@@ -222,8 +222,8 @@ def test_criterion_06_solver_sanity():
     details = {}
 
     cfg = default_config("kdv")
-    tr = solve_pde("kdv", sample_initial_condition(cfg.nx, cfg.length, 3),
-                   cfg)
+    [tr] = solve_pde(
+        cfg, sample_initial_condition(cfg.nx, cfg.length, 3)[None])
     mass = tr.u.sum(axis=1) * tr.h
     details["kdv_mass_rel"] = float(np.max(np.abs(mass - mass[0]))
                                     / max(abs(mass[0]), tr.h))
@@ -232,14 +232,14 @@ def test_criterion_06_solver_sanity():
     ncfg = SolverConfig("nkdv", nx=256, length=20.0, dt=0.01, nt=50,
                         params={"t0": 1.0})
     ic = sample_initial_condition(ncfg.nx, ncfg.length, 5)
-    sub = solve_pde("nkdv", ic, ncfg)
+    [sub] = solve_pde(ncfg, ic[None])
     direct = solve_nkdv_direct(ic, ncfg)
     details["nkdv_linf"] = float(np.max(np.abs(sub.u - direct.u)))
     nkdv_ok = details["nkdv_linf"] < 1e-6
 
     bcfg = default_config("burgers")
-    btr = solve_pde("burgers",
-                    sample_initial_condition(bcfg.nx, bcfg.length, 9), bcfg)
+    [btr] = solve_pde(
+        bcfg, sample_initial_condition(bcfg.nx, bcfg.length, 9)[None])
     l2 = np.sqrt((btr.u ** 2).sum(axis=1) * btr.h)
     details["burgers_l2_max_rise"] = float(np.max(np.diff(l2)))
     burgers_ok = details["burgers_l2_max_rise"] <= 1e-12
@@ -307,7 +307,8 @@ def test_criterion_10_longterm_prediction(crit7):
     t0 = time.monotonic()
     cfg, rep = reports["kdv"]
     truth = ground_truth("kdv", cfg.target, cfg.features, cfg.solver.params)
-    [(ref, _, _)] = long_term_mse([truth], make_test_set(cfg), cfg.solver)
+    tests = _trajectories(_solve_sets(cfg, (), test=True)[0])
+    [(ref, _, _)] = long_term_mse([truth], tests, cfg.solver)
     disc = np.array(rep.longterm_mean[1:51])
     ref = np.array(ref[1:51])
     ratio = float(np.max(disc / np.maximum(ref, 1e-300)))

@@ -121,6 +121,29 @@ def test_evaluate_reproduces_longterm(pipeline, tmp_path, capsys):
     assert (evald / "longterm.svg").exists()
 
 
+@pytest.mark.parametrize("key, value, needle", [
+    ("nt", 80, "its t has 60 samples spaced 0.01, the solver's 80 spaced "
+               "0.01"),
+    ("dt", 0.02, "its t has 60 samples spaced 0.01, the solver's 60 spaced "
+                 "0.02"),
+], ids=["nt", "dt"])
+def test_evaluate_off_the_test_grid_is_one_error_line(tmp_path, capsys,
+                                                      pipeline, key, value,
+                                                      needle):
+    # evaluate rolls out on the grid of the test manifest's solver config
+    data, out = pipeline
+    bad = tmp_path / "data"
+    shutil.copytree(data / "test", bad / "test")
+    manifest = bad / "test" / "manifest"
+    blob = json.loads(manifest.read_text())
+    blob["config"][key] = value
+    manifest.write_text(json.dumps(blob))
+    assert main(["evaluate", "--models", str(out), "--data", str(bad),
+                 "--out", str(tmp_path / "eval")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: test trajectory 0 is off the solver grid: {needle}\n")
+
+
 @pytest.mark.parametrize("name, text, needle", [
     ("run_0.json", "[1,2]", "not a JSON object"),
     ("run_0.json", '{"model": {"target": "u_t"}}', "'features'"),
@@ -224,9 +247,16 @@ def _solver_edit(**over):
                            "library": {"inputs": ["u", "u/0"]}}),
      "division by symbolic zero"),
     (lambda d: "\xff" + json.dumps(d), "bad.json is not UTF-8 text"),
+    # di-sindy discards the library, but a config holds only a valid one
+    (lambda d: json.dumps({**d, "library": {"mode": "cubic",
+                                            "inputs": ["u)"]}}),
+     "trailing input ')' in 'u)'"),
+    (lambda d: json.dumps({**d, "library": {"mode": "cubic"}}),
+     "unknown library mode 'cubic'"),
 ], ids=["unknown-key", "truncated-json", "bad-nx", "unknown-solver-key",
         "not-an-object", "no-system", "runs-not-integer", "nx-not-integer",
-        "dt-nan", "seed-negative", "library-divides-by-zero", "not-utf8"])
+        "dt-nan", "seed-negative", "library-divides-by-zero", "not-utf8",
+        "di-sindy-library", "di-sindy-library-mode"])
 def test_bad_config_is_one_error_line(tmp_path, capsys, config_path, edit,
                                       needle):
     bad = tmp_path / "bad.json"
@@ -315,6 +345,20 @@ def test_bad_trajs_npz_is_one_error_line(tmp_path, capsys, config_path,
     assert err.startswith("error:") and err.count("\n") == 1
     assert needle in err and "trajs.npz" in err
     assert "Traceback" not in err
+
+
+def test_discover_off_the_test_grid_is_one_error_line(tmp_path, capsys,
+                                                      config_path, pipeline):
+    # a test set solved at twice the config's dt
+    data, _ = pipeline
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    _edit_member("t_2", lambda t: 2.0 * t)(bad / "test" / "trajs.npz")
+    assert main(["discover", "--config", str(config_path), "--data",
+                 str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: test trajectory 2 is off the solver grid: its t has 60 "
+        "samples spaced 0.02, the solver's 60 spaced 0.01\n")
 
 
 def test_report_on_runs_csv_without_run_columns(tmp_path, capsys):

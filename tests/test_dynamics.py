@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from liesindy.dynamics import (
-    SYSTEMS, BlowUpError, ConfigError, DynamicsError, SolverConfig,
-    TrajectoryGrid, UnsupportedModelError, add_noise, default_config,
-    integrate_model, load_trajectories, sample_initial_condition,
-    save_trajectories, solve_pde,
+    BLOWUP_LIMIT, SYSTEMS, BlowUpError, ConfigError, DynamicsError,
+    SolverConfig, TrajectoryGrid, UnsupportedModelError, add_noise,
+    default_config, integrate_model, load_trajectories,
+    sample_initial_condition, save_trajectories, solve_pde,
 )
 from liesindy import LiesindyError
 from liesindy.expr import (
@@ -43,7 +43,7 @@ def truth_model(target, features, weights):
 def kdv_run():
     cfg = default_config("kdv")
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=7)
-    return cfg, ic, solve_pde("kdv", ic, cfg)
+    return cfg, ic, solve_pde(cfg, ic[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -109,16 +109,10 @@ def test_config_values_are_type_checked(edit, msg):
         SolverConfig.from_dict(edit(default_config("nkdv").to_dict()))
 
 
-def test_solve_rejects_mismatched_config():
-    cfg = default_config("kdv")
-    with pytest.raises(ConfigError):
-        solve_pde("ks", sample_initial_condition(cfg.nx, cfg.length, 0), cfg)
-
-
 def test_solve_rejects_wrong_ic_length():
     cfg = default_config("kdv")
     with pytest.raises(ConfigError):
-        solve_pde("kdv", np.zeros(64), cfg)
+        solve_pde(cfg, np.zeros((1, 64)))
 
 
 def test_trajectory_grid_validation():
@@ -202,7 +196,7 @@ def test_kdv_conserves_shifted_mass():
     # nonzero mean: the zero mode is stationary for the spectral stepper
     cfg = default_config("kdv")
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=11) + 2.0
-    tr = solve_pde("kdv", ic, cfg)
+    tr = solve_pde(cfg, ic[None])[0]
     mass = tr.u.sum(axis=1) * tr.h
     assert np.max(np.abs(mass - mass[0])) / max(1.0, abs(mass[0])) < 1e-12
 
@@ -211,7 +205,7 @@ def test_kdv_time_refinement(kdv_run):
     cfg, ic, tr = kdv_run
     half = SolverConfig("kdv", nx=cfg.nx, length=cfg.length, dt=cfg.dt / 2,
                         nt=2 * cfg.nt)
-    tr_half = solve_pde("kdv", ic, half)
+    tr_half = solve_pde(half, ic[None])[0]
     # t = 4.99 is the last row of tr and the second-to-last of tr_half
     assert tr_half.t[-2] == pytest.approx(tr.t[-1])
     assert np.max(np.abs(tr_half.u[-2] - tr.u[-1])) < 1e-6
@@ -222,19 +216,19 @@ def test_kdv_space_refinement(kdv_run):
     big = SolverConfig("kdv", nx=2 * cfg.nx, length=cfg.length, dt=cfg.dt,
                        nt=cfg.nt)
     ic_big = sample_initial_condition(big.nx, big.length, seed=7)
-    tr_big = solve_pde("kdv", ic_big, big)
+    tr_big = solve_pde(big, ic_big[None])[0]
     assert np.max(np.abs(tr_big.u[-1][::2] - tr.u[-1])) < 1e-8
 
 
 def test_solve_is_bit_deterministic(kdv_run):
     cfg, ic, tr = kdv_run
-    again = solve_pde("kdv", ic, cfg)
+    again = solve_pde(cfg, ic[None])[0]
     assert np.array_equal(again.u, tr.u)
 
 
 def test_solve_meta_merging(kdv_run):
     cfg, ic, _ = kdv_run
-    tr = solve_pde("kdv", ic, cfg, meta={"run": 3})
+    [tr] = solve_pde(cfg, ic[None], [{"run": 3}])
     assert tr.meta["run"] == 3
     assert tr.meta["system"] == "kdv"
     assert tr.meta["noise_sigma"] == 0.0
@@ -243,7 +237,7 @@ def test_solve_meta_merging(kdv_run):
 def test_burgers_dissipates():
     cfg = default_config("burgers")
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=5)
-    tr = solve_pde("burgers", ic, cfg)
+    tr = solve_pde(cfg, ic[None])[0]
     l2 = np.sqrt((tr.u ** 2).sum(axis=1) * tr.h)
     assert np.all(np.diff(l2) <= 0.0)
     assert l2[0] - l2[-1] > 1.0
@@ -252,19 +246,19 @@ def test_burgers_dissipates():
 def test_burgers_space_refinement():
     cfg = default_config("burgers")
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=5)
-    tr = solve_pde("burgers", ic, cfg)
+    tr = solve_pde(cfg, ic[None])[0]
     big = SolverConfig("burgers", nx=2 * cfg.nx, length=cfg.length,
                        dt=cfg.dt, nt=cfg.nt, scheme=cfg.scheme,
                        params=dict(cfg.params))
-    tr_big = solve_pde("burgers", sample_initial_condition(
-        big.nx, big.length, seed=5), big)
+    [tr_big] = solve_pde(
+        big, sample_initial_condition(big.nx, big.length, seed=5)[None])
     assert np.max(np.abs(tr_big.u[-1][::2] - tr.u[-1])) < 1e-5
 
 
 def test_ks_reaches_steady_turbulence():
     cfg = default_config("ks")
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=13)
-    tr = solve_pde("ks", ic, cfg)
+    tr = solve_pde(cfg, ic[None])[0]
     assert tr.u.shape == (cfg.nt, cfg.nx)
     assert np.all(np.isfinite(tr.u))
     assert tr.meta["transient"] == pytest.approx(25.0)
@@ -278,7 +272,7 @@ def test_nkdv_substitution_matches_direct_integration():
     cfg = SolverConfig("nkdv", nx=256, length=20.0, dt=0.01, nt=50,
                        params={"t0": 1.0})
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=17)
-    fast = solve_pde("nkdv", ic, cfg)
+    fast = solve_pde(cfg, ic[None])[0]
     slow = solve_nkdv_direct(ic, cfg)
     assert np.max(np.abs(fast.u - slow.u)) < 1e-6
 
@@ -287,9 +281,9 @@ def test_nkdv_honours_the_scheme():
     cfg = SolverConfig("nkdv", nx=256, length=20.0, dt=0.01, nt=50,
                        params={"t0": 1.0})
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=17)
-    etd = solve_pde("nkdv", ic, cfg)
+    etd = solve_pde(cfg, ic[None])[0]
     cfg.scheme = "rk4-spectral"
-    rk4 = solve_pde("nkdv", ic, cfg)
+    rk4 = solve_pde(cfg, ic[None])[0]
     assert not np.array_equal(rk4.u, etd.u)
     assert np.max(np.abs(rk4.u - etd.u)) < 1e-6
 
@@ -300,11 +294,11 @@ def test_blow_up_in_the_transient_has_a_negative_step():
                        scheme="rk4-spectral", transient=1.0,
                        params={"nu": 0.01})
     ic = 10.0 * sample_initial_condition(cfg.nx, cfg.length, seed=3)
-    with pytest.raises(BlowUpError) as err:
-        solve_pde("burgers", ic, cfg)
+    [err] = solve_pde(cfg, ic[None])
+    assert isinstance(err, BlowUpError)
     # transient step j (from 0) is guarded as step j - 10: the fourth blew up
-    assert err.value.step == -7
-    assert err.value.rows.shape == (0, cfg.nx)
+    assert err.step == -7
+    assert err.rows.shape == (0, cfg.nx)
 
 
 def test_nkdv_direct_requires_nkdv_config():
@@ -319,7 +313,7 @@ def test_nkdv_direct_requires_nkdv_config():
 def test_integrate_kdv_truth_matches_solver(kdv_run):
     cfg, ic, tr = kdv_run
     model = truth_model("u_t + u*u_x", ["u_xxx"], [-1.0])
-    mtr = integrate_model(model, ic, cfg)
+    [mtr] = integrate_model([model], ic[None], cfg)
     assert np.array_equal(mtr.u[0], ic)
     assert float(np.mean((mtr.u[-1] - tr.u[-1]) ** 2)) < 1e-10
 
@@ -327,9 +321,9 @@ def test_integrate_kdv_truth_matches_solver(kdv_run):
 def test_integrate_burgers_truth_matches_solver():
     cfg = default_config("burgers")
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=5)
-    tr = solve_pde("burgers", ic, cfg)
+    tr = solve_pde(cfg, ic[None])[0]
     model = truth_model("u_t + u*u_x", ["u_xx"], [0.1])
-    mtr = integrate_model(model, ic, cfg)
+    [mtr] = integrate_model([model], ic[None], cfg)
     assert float(np.mean((mtr.u[-1] - tr.u[-1]) ** 2)) < 1e-12
 
 
@@ -337,9 +331,9 @@ def test_integrate_nkdv_truth_matches_solver():
     cfg = SolverConfig("nkdv", nx=256, length=20.0, dt=0.01, nt=100,
                        params={"t0": 1.0})
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=17)
-    tr = solve_pde("nkdv", ic, cfg)
+    tr = solve_pde(cfg, ic[None])[0]
     model = truth_model("exp(-t/t0)*u_t + u*u_x", ["u_xxx"], [-1.0])
-    mtr = integrate_model(model, ic, cfg)
+    [mtr] = integrate_model([model], ic[None], cfg)
     assert float(np.mean((mtr.u[-1] - tr.u[-1]) ** 2)) < 1e-12
 
 
@@ -348,7 +342,7 @@ def test_integrate_pure_transport_runs_to_horizon():
     model = truth_model("u_t + u*u_x", ["u_xx", "u_xxx"], [0.0, 0.0])
     cfg = SolverConfig("kdv", nx=128, length=20.0, dt=0.01, nt=100)
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=3)
-    tr = integrate_model(model, ic, cfg)
+    [tr] = integrate_model([model], ic[None], cfg)
     assert tr.u.shape == (100, 128)
     assert np.max(np.abs(tr.u)) < 10.0
 
@@ -358,9 +352,9 @@ def test_integrate_detects_blow_up():
     model = truth_model("u_t", ["u_xx"], [-1.0])
     cfg = SolverConfig("kdv", nx=64, length=2.0 * math.pi, dt=0.01, nt=16)
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=2)
-    with pytest.raises(BlowUpError) as err:
-        integrate_model(model, ic, cfg)
-    assert 0 < err.value.step < 16
+    [err] = integrate_model([model], ic[None], cfg)
+    assert isinstance(err, BlowUpError)
+    assert 0 < err.step < 16
 
 
 @pytest.mark.parametrize("target,msg", [
@@ -371,29 +365,29 @@ def test_integrate_detects_blow_up():
 def test_integrate_rejects_bad_time_terms(target, msg):
     model = truth_model(target, ["u_x"], [0.0])
     cfg = SolverConfig("kdv", nx=64, length=20.0, dt=0.01, nt=8)
-    with pytest.raises(UnsupportedModelError, match=msg):
-        integrate_model(model, np.zeros(64), cfg)
+    [err] = integrate_model([model], np.zeros((1, 64)), cfg)
+    assert isinstance(err, UnsupportedModelError) and msg in str(err)
 
 
 def test_integrate_rejects_explicit_coordinates():
     model = truth_model("u_t", ["x*u_x"], [1.0])
     cfg = SolverConfig("kdv", nx=64, length=20.0, dt=0.01, nt=8)
-    with pytest.raises(UnsupportedModelError):
-        integrate_model(model, np.zeros(64), cfg)
+    [err] = integrate_model([model], np.zeros((1, 64)), cfg)
+    assert isinstance(err, UnsupportedModelError)
 
 
 def test_integrate_names_unbound_constants():
     model = truth_model("u_t", ["alpha*u_xx"], [1.0])
     cfg = SolverConfig("kdv", nx=64, length=20.0, dt=0.01, nt=8)
-    with pytest.raises(MissingSymbolError, match="alpha"):
-        integrate_model(model, np.zeros(64), cfg)
+    [err] = integrate_model([model], np.zeros((1, 64)), cfg)
+    assert isinstance(err, MissingSymbolError) and "alpha" in str(err)
 
 
 def test_integrate_names_an_unbound_time_coefficient():
     model = truth_model("beta*u_t", ["u_xx"], [1.0])
     cfg = SolverConfig("kdv", nx=64, length=20.0, dt=0.01, nt=8)
-    with pytest.raises(MissingSymbolError, match="beta"):
-        integrate_model(model, np.zeros(64), cfg)
+    [err] = integrate_model([model], np.zeros((1, 64)), cfg)
+    assert isinstance(err, MissingSymbolError) and "beta" in str(err)
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +417,15 @@ def test_batch_matches_one_at_a_time(system, n):
                     for s in range(n)])
     metas = [{"ic_seed": s} for s in range(n)]
     model = truth_model(*_TRUTH[system])
-    solved = solve_pde(system, ics, cfg, meta=metas)
-    rolled = integrate_model(model, ics, cfg)
+    solved = solve_pde(cfg, ics, metas)
+    rolled = integrate_model([model] * n, ics, cfg)
     assert len(solved) == len(rolled) == n
     for ic, meta, tr, mtr in zip(ics, metas, solved, rolled):
-        solo = solve_pde(system, ic, cfg, meta=meta)
+        [solo] = solve_pde(cfg, ic[None], [meta])
         assert np.array_equal(tr.u, solo.u)
         assert tr.meta == solo.meta
-        assert np.array_equal(mtr.u, integrate_model(model, ic, cfg).u)
+        [mine] = integrate_model([model], ic[None], cfg)
+        assert np.array_equal(mtr.u, mine.u)
 
 
 def test_one_member_blow_up_leaves_the_others():
@@ -440,15 +435,16 @@ def test_one_member_blow_up_leaves_the_others():
     cfg = SolverConfig("kdv", nx=64, length=2.0 * math.pi, dt=0.1, nt=16)
     ics = np.array([scale * sample_initial_condition(cfg.nx, cfg.length, s)
                     for scale, s in ((0.2, 1), (0.2, 2), (3.0, 3), (0.2, 4))])
-    out = integrate_model(model, ics, cfg)
-    with pytest.raises(BlowUpError) as solo:
-        integrate_model(model, ics[2], cfg)
-    assert 0 < solo.value.step < cfg.nt
+    out = integrate_model([model] * 4, ics, cfg)
+    [solo] = integrate_model([model], ics[2:3], cfg)
+    assert isinstance(solo, BlowUpError)
+    assert 0 < solo.step < cfg.nt
     assert isinstance(out[2], BlowUpError)
-    assert out[2].step == solo.value.step
-    assert np.array_equal(out[2].rows, solo.value.rows)
+    assert out[2].step == solo.step
+    assert np.array_equal(out[2].rows, solo.rows)
     for b in (0, 1, 3):
-        assert np.array_equal(out[b].u, integrate_model(model, ics[b], cfg).u)
+        [mine] = integrate_model([model], ics[b:b + 1], cfg)
+        assert np.array_equal(out[b].u, mine.u)
 
 
 def test_solve_names_the_blown_member():
@@ -456,14 +452,60 @@ def test_solve_names_the_blown_member():
                        scheme="rk4-spectral", params={"nu": 0.01})
     ics = np.array([scale * sample_initial_condition(cfg.nx, cfg.length, s)
                     for scale, s in ((0.5, 1), (10.0, 3), (0.5, 4))])
-    with pytest.raises(BlowUpError) as solo:
-        solve_pde("burgers", ics[1], cfg)
-    out = solve_pde("burgers", ics, cfg)
+    [solo] = solve_pde(cfg, ics[1:2])
+    assert isinstance(solo, BlowUpError)
+    out = solve_pde(cfg, ics)
     assert isinstance(out[1], BlowUpError)
-    assert out[1].step == solo.value.step > 0
-    assert np.array_equal(out[1].rows, solo.value.rows)
+    assert out[1].step == solo.step > 0
+    assert np.array_equal(out[1].rows, solo.rows)
     for b in (0, 2):
-        assert np.array_equal(out[b].u, solve_pde("burgers", ics[b], cfg).u)
+        assert np.array_equal(out[b].u, solve_pde(cfg, ics[b:b + 1])[0].u)
+
+
+def _rollout(*model):
+    """batch -> the outcomes of one model's rollout from every member."""
+    model = truth_model(*model)
+    return lambda cfg, ics: integrate_model([model] * len(ics), ics, cfg)
+
+
+_COARSE_BURGERS = SolverConfig("burgers", nx=64, length=2.0 * math.pi,
+                               dt=0.1, nt=16, scheme="rk4-spectral",
+                               params={"nu": 0.01})
+_COARSE_KDV = SolverConfig("kdv", nx=64, length=2.0 * math.pi, dt=0.01,
+                           nt=16)
+
+
+@pytest.mark.parametrize("cfg, run, scales, blown, when", [
+    # 20 discarded steps; KS at 100x blows up among them
+    (_short("ks"), solve_pde, (1.0, 100.0, 1.0), [1], "transient"),
+    (_short("kdv"), solve_pde, (1.0, 2 * BLOWUP_LIMIT, 1.0), [1], "ic"),
+    (_short("kdv"), _rollout(*_TRUTH["kdv"]), (1.0, 2 * BLOWUP_LIMIT, 1.0),
+     [1], "ic"),
+    (_COARSE_BURGERS, solve_pde, (10.0, 10.0, 10.0), [0, 1, 2], "horizon"),
+    # backward heat, as in test_integrate_detects_blow_up
+    (_COARSE_KDV, _rollout("u_t", ["u_xx"], [-1.0]), (1.0, 1.0, 1.0),
+     [0, 1, 2], "horizon"),
+], ids=["ks-in-the-transient", "ic-past-the-limit",
+        "rollout-ic-past-the-limit", "every-member", "every-rollout"])
+def test_blown_members_match_each_alone(cfg, run, scales, blown, when):
+    # a blown member stays in the state unsampled; every outcome, blown or
+    # not, is that of a batch of its member alone, bit for bit
+    ics = np.array([scale * sample_initial_condition(cfg.nx, cfg.length, s)
+                    for s, scale in enumerate(scales, 1)])
+    out = run(cfg, ics)
+    assert [b for b, o in enumerate(out) if isinstance(o, BlowUpError)] \
+        == blown
+    for b, o in enumerate(out):
+        [alone] = run(cfg, ics[b:b + 1])
+        assert type(o) is type(alone)
+        if b not in blown:
+            assert o.u.tobytes() == alone.u.tobytes()
+            continue
+        assert o.step == alone.step
+        assert o.rows.tobytes() == alone.rows.tobytes()
+        assert o.rows.shape == (max(o.step, 0), cfg.nx)
+        assert {"transient": o.step < 0, "ic": o.step == 0,
+                "horizon": 0 < o.step < cfg.nt}[when]
 
 
 def test_grouped_rollout_matches_each_model_alone():
@@ -482,21 +524,15 @@ def test_grouped_rollout_matches_each_model_alone():
     members = ics[[0, 1, 2, 3, 2, 0, 3, 1]]
     out = integrate_model(models, members, cfg)
     assert len(out) == len(models)
-    with pytest.raises(UnsupportedModelError) as unsupported:
-        integrate_model(explicit, members[3], cfg)
+    alone = [integrate_model([m], ic[None], cfg)[0]
+             for m, ic in zip(models, members)]
     assert isinstance(out[3], UnsupportedModelError)
-    assert str(out[3]) == str(unsupported.value)
-    with pytest.raises(BlowUpError) as solo:
-        integrate_model(blowup, members[4], cfg)
+    assert str(out[3]) == str(alone[3])
     assert isinstance(out[4], BlowUpError)
-    assert 0 < out[4].step == solo.value.step < cfg.nt
-    assert np.array_equal(out[4].rows, solo.value.rows)
+    assert 0 < out[4].step == alone[4].step < cfg.nt
+    assert np.array_equal(out[4].rows, alone[4].rows)
     for b in (0, 1, 2, 5, 6, 7):
-        assert np.array_equal(out[b].u,
-                              integrate_model(models[b], members[b], cfg).u)
-    # one model alone still raises what it cannot roll out
-    with pytest.raises(UnsupportedModelError):
-        integrate_model(explicit, members, cfg)
+        assert np.array_equal(out[b].u, alone[b].u)
     with pytest.raises(ConfigError, match="2 models for 8 ics"):
         integrate_model(models[:2], members, cfg)
 
@@ -505,11 +541,12 @@ def test_grouped_rollout_matches_each_model_alone():
     (np.zeros((2, 3, 64)), None),
     (np.zeros((2, 32)), None),
     (np.zeros((2, 64)), [{}]),
+    (np.zeros(64), None),                  # one IC, not a batch of one
 ])
 def test_batch_shapes_are_checked(ic, meta):
     cfg = SolverConfig("kdv", nx=64, length=20.0, dt=0.01, nt=8)
     with pytest.raises(ConfigError):
-        solve_pde("kdv", ic, cfg, meta=meta)
+        solve_pde(cfg, ic, meta)
 
 
 def test_etdrk4_coefficients_are_computed_once_per_step_size(monkeypatch):
@@ -525,15 +562,15 @@ def test_etdrk4_coefficients_are_computed_once_per_step_size(monkeypatch):
     cfg = SolverConfig("nkdv", nx=64, length=20.0, dt=0.01, nt=20,
                        params={"t0": 1.0})
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=5)
-    first = solve_pde("nkdv", ic, cfg)
+    first = solve_pde(cfg, ic[None])[0]
     # one step size per output span (each shorter than KdV's dt of 0.01)
     assert len(calls) == len(set(calls)) == cfg.nt - 1
-    again = solve_pde("nkdv", np.array([ic, ic]), cfg)
+    again = solve_pde(cfg, np.array([ic, ic]))
     assert calls[cfg.nt - 1:] == calls[:cfg.nt - 1]
     assert all(np.array_equal(tr.u, first.u) for tr in again)
     del calls[:]
-    solve_pde("kdv", np.array([ic, ic]), SolverConfig(
-        "kdv", nx=64, length=20.0, dt=0.01, nt=20))
+    solve_pde(SolverConfig("kdv", nx=64, length=20.0, dt=0.01, nt=20),
+              np.array([ic, ic]))
     assert calls == [0.01]
 
 
@@ -579,12 +616,12 @@ def test_etdrk4_coefficients_match_the_series_and_the_contour(monkeypatch):
         return coeffs(lin, h)
 
     monkeypatch.setattr(dynamics, "_etdrk4_coeffs", recorded)
-    solve_pde("nkdv", np.zeros(256))
+    solve_pde(default_config("nkdv"), np.zeros((1, 256)))
     assert len(calls) == default_config("nkdv").nt - 1
     for system in ("kdv", "ks"):
         d = default_config(system).to_dict()
         d.update(nt=8, transient=0.0)
-        solve_pde(system, np.zeros(256), SolverConfig.from_dict(d))
+        solve_pde(SolverConfig.from_dict(d), np.zeros((1, 256)))
         assert calls[-1][1] == d["dt"]
     sides = set()
     for lin, h in calls:
@@ -607,27 +644,21 @@ def _leftover_term_per_order(shape, consts, scale, k, mask, nx):
     each stage walking the leftover's tree (under _march's error state).
     """
     if shape is None:
-        return lambda live: np.zeros_like
+        return np.zeros_like
     needed = sorted({dv.order for dv in dep_vars_in(shape)} - {0})
     ikp = {order: (1j * k) ** order for order in needed}
 
-    def for_live(live):
-        bound = {name: col[live] for name, col in consts.items()}
-        s = scale[live]
+    def nonlinear(v):
+        u = np.fft.irfft(v, nx, axis=-1)
+        binding = {"u": u, **consts}
+        for order in needed:
+            binding["u_" + "x" * order] = np.fft.irfft(
+                ikp[order] * v, nx, axis=-1)
+        vals = np.broadcast_to(
+            np.asarray(_eval_arr(shape, binding), dtype=float), u.shape)
+        return scale * mask * np.fft.rfft(vals, axis=-1)
 
-        def nonlinear(v):
-            u = np.fft.irfft(v, nx, axis=-1)
-            binding = {"u": u, **bound}
-            for order in needed:
-                binding["u_" + "x" * order] = np.fft.irfft(
-                    ikp[order] * v, nx, axis=-1)
-            vals = np.broadcast_to(
-                np.asarray(_eval_arr(shape, binding), dtype=float), u.shape)
-            return s * mask * np.fft.rfft(vals, axis=-1)
-
-        return nonlinear
-
-    return for_live
+    return nonlinear
 
 
 def test_rollout_matches_the_per_order_transforms(monkeypatch):
@@ -688,7 +719,7 @@ def _fold_check_setup(system):
     made = dynamics._make_stepper(
         cfg.scheme, lin, dynamics._advection(k, mask, cfg.nx))
     return (cfg.dt, lin, v, _advection_written_out(k, mask, cfg.nx),
-            made(cfg.dt, np.arange(len(ics))))
+            made(cfg.dt))
 
 
 def test_folded_etdrk4_step_matches_the_step_written_out():
@@ -748,9 +779,8 @@ def test_save_rejects_empty_and_mismatched(tmp_path, kdv_run):
     cfg, _, tr = kdv_run
     with pytest.raises(DynamicsError):
         save_trajectories(tmp_path / "none", [])
-    other = solve_pde("burgers",
-                      sample_initial_condition(128, 2 * math.pi, seed=1),
-                      default_config("burgers"))
+    [other] = solve_pde(default_config("burgers"), sample_initial_condition(
+        128, 2 * math.pi, seed=1)[None])
     with pytest.raises(DynamicsError):
         save_trajectories(tmp_path / "mixed", [tr, other])
 

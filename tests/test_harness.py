@@ -17,7 +17,7 @@ from liesindy.dynamics import (
 from liesindy.expr import ExprError, parse, to_string
 from liesindy.harness import (
     DiscoveryReport, ExperimentConfig, HarnessError, ground_truth,
-    long_term_mse, make_test_set, run_experiment, success,
+    long_term_mse, run_experiment, success,
     generate_dataset, load_runs_csv, summarize_rows,
 )
 from liesindy.invariants import CatalogError
@@ -280,9 +280,14 @@ def train_set(cfg):
     return hz._trajectories(hz._solve_sets(cfg, (0,))[0])
 
 
+def held_out_set(cfg):
+    """The four clean test trajectories shared by every run."""
+    return hz._trajectories(hz._solve_sets(cfg, (), test=True)[0])
+
+
 def test_train_and_test_sets():
     cfg = small_cfg(noise_sigma=1e-3)
-    tests = make_test_set(cfg)
+    tests = held_out_set(cfg)
     trains = train_set(cfg)
     assert len(tests) == len(trains) == 4
     assert all(tr.meta["role"] == "test" for tr in tests)
@@ -340,7 +345,7 @@ def test_no_trajectories_is_a_grid_error():
 def kdv_longterm():
     cfg = small_cfg()
     truth = ground_truth("kdv", cfg.target, cfg.features, {})
-    tests = make_test_set(cfg)
+    tests = held_out_set(cfg)
     return cfg, truth, tests
 
 
@@ -559,7 +564,7 @@ def test_experiment_solves_once_and_rolls_out_once(tmp_path, monkeypatch):
     assert [r["status"] for r in rep.rows] == ["ok"] * 3
     assert rep.longterm_counts == [3] * cfg.solver.nt
     # each run's series is its model's own rollout over the test set
-    tests = make_test_set(cfg)
+    tests = held_out_set(cfg)
     for r, blob in enumerate(rep.models):
         saved = json.loads(
             (tmp_path / "rep" / "models" / f"run_{r}.json").read_text())

@@ -60,7 +60,7 @@ def jet_errors(nx, nt, jets=finite_differences):
 def kdv_jet():
     cfg = SolverConfig("kdv", nx=256, length=20.0, dt=0.01, nt=200)
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=7)
-    tr = solve_pde("kdv", ic, cfg)
+    [tr] = solve_pde(cfg, ic[None])
     return tr, finite_differences(tr, n=4)
 
 
@@ -154,7 +154,7 @@ def test_kdv_residual_is_small_and_second_order(kdv_jet):
 
     fine_cfg = SolverConfig("kdv", nx=512, length=20.0, dt=0.005, nt=400)
     fine_ic = sample_initial_condition(512, 20.0, seed=7)
-    fine_tr = solve_pde("kdv", fine_ic, fine_cfg)
+    [fine_tr] = solve_pde(fine_cfg, fine_ic[None])
     fine = evaluate_features([fine_tr], finite_differences, [P("u")], resid)
     fine_rms = float(np.sqrt(np.mean(fine.target ** 2)))
     assert 3.0 < rms / fine_rms < 5.0

@@ -41,7 +41,7 @@ def make_fm(values, target, labels, target_label="u_t", binding=None):
 def kdv_fm():
     cfg = SolverConfig("kdv", nx=256, length=20.0, dt=0.01, nt=200)
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=7)
-    tr = solve_pde("kdv", ic, cfg)
+    [tr] = solve_pde(cfg, ic[None])
     inv = builtin_set("kdv")
     return evaluate_features([tr], finite_differences, inv.rhs_features(),
                              inv.lhs), inv
