@@ -21,21 +21,24 @@ target, feats = inv.lhs, list(inv.rhs_features())
 print("target  :", to_string(target))
 print("features:", [to_string(f) for f in feats])
 
-# jets are estimated to the highest order the target and features need
+# jets are estimated to the highest order the target and features need,
+# one window of rows at a time, and summed into the normal equations
 fm = evaluate_features([tr], finite_differences, feats, target,
                        constants=cfg.params)
-print("matrix  :", fm.values.shape, f"({fm.dropped} rows dropped)")
+print("rows    :", fm.n_rows, f"({fm.dropped} dropped)")
 
 model = stlsq(fm, threshold=0.5)
 print("mask    :", model.mask.astype(int), "after",
       len(model.history), "rounds")
 print("model   :", to_string(model_to_equation(model)), "= 0")
 
-resid = fm.values @ model.weights - fm.target
-print("residual:", float(np.sqrt(np.mean(resid ** 2))))
+# ||Aw - y||^2 from the sums alone: y^T y - 2 w^T r + w^T G w
+w = model.weights
+sq = fm.yty - 2.0 * w @ fm.rhs + w @ fm.gram @ w
+print("residual:", float(np.sqrt(max(sq, 0.0) / fm.n_rows)))
 
-# the harness wraps the same pipeline: one feature evaluation over the jets
-# of all of a run's training trajectories, plus seeds, metrics and reports
+# the harness wraps the same pipeline: one pass over the jets of all of a
+# run's training trajectories, plus seeds, metrics and reports
 exp = ExperimentConfig(system="kdv", method="di-sindy", runs=10, seed=2024)
 print("harness would regress", to_string(exp.target), "on",
       len(exp.features), "features over", exp.runs, "runs")

@@ -48,6 +48,9 @@ __all__ = [
 
 SYSTEMS = ("kdv", "ks", "burgers", "nkdv")
 
+# system -> the solver params its equation reads
+_PARAMS = {"kdv": (), "ks": (), "burgers": ("nu",), "nkdv": ("t0",)}
+
 BLOWUP_LIMIT = 1e6
 
 # bumped whenever solve_pde writes other bits for some config;
@@ -131,6 +134,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.system not in SYSTEMS:
             raise ConfigError(f"unknown system '{self.system}'")
+        stray = sorted(set(self.params) - set(_PARAMS[self.system]))
+        if stray:
+            raise ConfigError(f"{self.system} reads no solver params {stray}")
         for name, val in (("dt", self.dt), ("length", self.length),
                           ("transient", self.transient),
                           *self.params.items()):

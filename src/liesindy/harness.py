@@ -165,7 +165,12 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path):
-        return cls.from_dict(read_json(path, HarnessError))
+        """The config in the JSON file at `path`; every error names it."""
+        d = read_json(path, HarnessError)
+        try:
+            return cls.from_dict(d)
+        except LiesindyError as err:
+            raise HarnessError(f"{path}: {err}") from None
 
     def save(self, path):
         d = self.to_dict()
@@ -200,8 +205,13 @@ def _problem(cfg: ExperimentConfig):
     inv = builtin_set(cfg.system)
     # checked for every method, so no config is saved with a bad library,
     # though di-sindy honours only include_constant
-    spec = LibrarySpec(cfg.library["mode"],
-                       tuple(parse(s, SPACE) for s in cfg.library["inputs"]),
+    inputs = []
+    for i, text in enumerate(cfg.library["inputs"]):
+        try:
+            inputs.append(parse(text, SPACE))
+        except LiesindyError as err:
+            raise HarnessError(f"library.inputs[{i}]: {err}") from None
+    spec = LibrarySpec(cfg.library["mode"], tuple(inputs),
                        include_constant=bool(cfg.library["include_constant"]))
     if cfg.method == "di-sindy":
         feats = list(inv.rhs_features())
@@ -371,16 +381,14 @@ def _jet_estimator(cfg: ExperimentConfig):
 
 
 def build_feature_matrix(cfg: ExperimentConfig, trains):
-    """One feature matrix over all the training trajectories, in order.
-
-    Jets come from the estimator `_jet_estimator` picks, to the order the
-    library needs, one trajectory at a time, each released once copied into
-    the flat arrays; the features are evaluated once over the rows of every
-    trajectory.
-    """
+    """The sums of one run's fit over all its training trajectories, in
+    one windowed pass with the estimator `_jet_estimator` picks; for
+    equiv-r with lam > 0 the pass also sums each generator's penalty."""
     _, estimate = _jet_estimator(cfg)
+    penalised = cfg.method == "equiv-r" and cfg.lam > 0
     return evaluate_features(trains, estimate, cfg.features, cfg.target,
-                             constants=cfg.solver.params)
+                             constants=cfg.solver.params,
+                             generators=cfg.generators if penalised else ())
 
 
 def _fit(cfg: ExperimentConfig, fm):
@@ -409,8 +417,8 @@ def _fit_run(cfg: ExperimentConfig, run, trains, truth):
     except LiesindyError as err:
         _error_row(row, err)
         return row, None
-    row["n_rows"] = int(fm.target.size)
-    row["dropped"] = int(fm.dropped)
+    row["n_rows"] = fm.n_rows
+    row["dropped"] = fm.dropped
     row["iterations"] = int(model.diagnostics["iterations"])
     row["rank_warning"] = int(model.diagnostics["rank_warning"])
     for key in ("condition_number", "min_singular_value"):

@@ -1,15 +1,17 @@
 """Sparse regression: STLSQ, its symmetry-regularized variant, libraries.
 
 One least-squares engine serves every method, and it works on the normal
-equations: G = A^T A and r = A^T y are accumulated once per fit and every
-thresholding round solves the active p x p block of G (p is the library
-size), never the tall data matrix.  Each round is an exact quadratic
-subproblem with a ridge of 1e-10 scaled to the block's trace, so results
-are deterministic and the mask can only shrink.  The regularized variant
-adds lam * B^T B and lam * B^T b to the same G and r: the prolonged action
-of each generator on the residual equation is affine in the coefficients,
-so the symmetry penalty is exactly quadratic and needs no iterative
-optimizer.  Its B blocks are evaluated a fixed number of rows at a time.
+equations: it reads G = A^T A and r = A^T y from the sums the feature pass
+accumulated (jetgrid.FeatureMatrix) and every thresholding round solves the
+active p x p block of G (p is the library size), never the tall data
+matrix, which is never built.  Each round is an exact quadratic subproblem
+with a ridge of 1e-10 scaled to the block's trace, so results are
+deterministic and the mask can only shrink.  The regularized variant adds
+lam * B^T B and lam * B^T b to the same G and r: the prolonged action of
+each generator on the residual equation is affine in the coefficients, so
+the symmetry penalty is exactly quadratic and needs no iterative optimizer.
+A `SymmetryPenalty` sums its B^T B and B^T b in the feature pass, over the
+same rows as G.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import (
-    Const, Expr, JetSpace, LiesindyError, evaluate_array, is_zero, max_order,
-    parse, simplify, to_string,
+    Const, Expr, JetSpace, LiesindyError, evaluate_array, is_zero, parse,
+    simplify, to_string,
 )
 from .liealg import ProlongedVectorField, apply as lie_apply, prolong
 
 __all__ = [
-    "LibrarySpec", "SparseModel", "build_library", "stlsq",
-    "stlsq_regularized", "model_to_equation", "model_to_dict",
+    "LibrarySpec", "SparseModel", "SymmetryPenalty", "build_library",
+    "stlsq", "stlsq_regularized", "model_to_equation", "model_to_dict",
     "model_from_dict", "RegressionError",
 ]
 
@@ -87,16 +89,11 @@ class SparseModel:
 
     @property
     def weights(self):
-        w = np.where(self.mask, self.coef, 0.0)
-        return w
+        return np.where(self.mask, self.coef, 0.0)
 
     def active_features(self):
         return [f for f, m in zip(self.features, self.mask) if m]
 
-
-# Rows of each symmetry block evaluated at a time; bounds the block's memory
-# at _CHUNK_ROWS x (features + 1) floats whatever the number of data points.
-_CHUNK_ROWS = 65536
 
 def _solve_round(gram, rhs, active):
     """Ridge-stabilized normal equations on the active block of the Gram.
@@ -127,7 +124,9 @@ def _solve_round(gram, rhs, active):
     return coef, min_sv, cond
 
 
-def _stlsq_loop(gram, rhs, n_rows, features, target, threshold):
+def _stlsq_loop(fm, sums, n_rows, threshold):
+    """STLSQ rounds on the normal equations [G | r] in sums' first rows."""
+    gram, rhs = sums[:-1, :-1], sums[:-1, -1]
     n_feats = gram.shape[0]
     if n_rows <= n_feats:
         raise RegressionError(
@@ -136,12 +135,7 @@ def _stlsq_loop(gram, rhs, n_rows, features, target, threshold):
         raise RegressionError("threshold must be positive")
     active = np.ones(n_feats, dtype=bool)
     history = []
-    coef = np.zeros(n_feats)
-    min_sv = np.inf
-    cond = 0.0
-    iterations = 0
-    for _ in range(20):
-        iterations += 1
+    for iterations in range(1, 21):
         coef, min_sv, cond = _solve_round(gram, rhs, active)
         history.append(tuple(bool(m) for m in active))
         small = active & (np.abs(coef) < threshold)
@@ -155,79 +149,71 @@ def _stlsq_loop(gram, rhs, n_rows, features, target, threshold):
         "rank_warning": bool(min_sv < 1e-10 and active.any()),
     }
     coef = np.where(active, coef, 0.0)
-    return SparseModel(target=target, features=list(features), coef=coef,
-                       mask=active, threshold=threshold, history=history,
-                       diagnostics=diagnostics)
-
-
-def _normal_equations(fm):
-    """(A^T A, A^T y) of the feature matrix."""
-    a = fm.values
-    return a.T @ a, a.T @ fm.target
+    return SparseModel(target=fm.target_label, features=list(fm.columns),
+                       coef=coef, mask=active, threshold=threshold,
+                       history=history, diagnostics=diagnostics)
 
 
 def stlsq(fm, threshold: float) -> SparseModel:
-    """Sequential thresholded least squares on a FeatureMatrix, at most 20
-    thresholding rounds."""
-    gram, rhs = _normal_equations(fm)
-    return _stlsq_loop(gram, rhs, fm.target.size, fm.columns,
-                       fm.target_label, threshold)
+    """Sequential thresholded least squares on a FeatureMatrix's sums, at
+    most 20 thresholding rounds."""
+    return _stlsq_loop(fm, fm.sums, fm.n_rows, threshold)
 
 
-def _add_penalty(gram, rhs, fm, pv, lam):
-    """Add lam * (B^T B, B^T b) of one generator to the normal equations.
+class SymmetryPenalty:
+    """One generator's penalty sums over the rows of a fit.
 
     For the residual equation F = target - sum_j w_j feat_j the prolonged
     action is pr v[F] = pr v[target] - sum_j w_j pr v[feat_j], affine in w,
     so the generator's penalty ||b - B w||^2 has B[:, j] = pr v[feat_j] and
-    b = pr v[target] on the data points.  B is evaluated _CHUNK_ROWS rows at
-    a time; a generator that annihilates the target and every feature adds
-    nothing and is skipped.
+    b = pr v[target] on the data points.  `add` adds the Gram of [B | b]
+    over a block of rows to `sums`, so B^T B and B^T b are its blocks.  A
+    generator that annihilates the target and every feature (`exprs`) is
+    never evaluated; a plain one is prolonged to `order`.
     """
-    exprs = [lie_apply(pv, f) for f in fm.columns]
-    exprs.append(lie_apply(pv, fm.target_label))
-    if all(is_zero(e) for e in exprs):
-        return
-    npts = fm.target.size
-    # transposed, so each expression fills one contiguous row
-    block = np.empty((len(exprs), min(npts, _CHUNK_ROWS)))
-    for lo in range(0, npts, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, npts)
-        rows = {name: arr[lo:hi] if np.ndim(arr) else arr
-                for name, arr in fm.row_binding.items()}
-        bt = block[:, :hi - lo]
-        for j, e in enumerate(exprs):
-            bt[j] = evaluate_array(e, rows)
-        b_cols, b_vec = bt[:-1], bt[-1]
-        gram += lam * (b_cols @ b_cols.T)
-        rhs += lam * (b_cols @ b_vec)
+
+    def __init__(self, generator, exprs, order: int):
+        self.generator = generator
+        pv = generator if isinstance(generator, ProlongedVectorField) \
+            else prolong(generator, order)
+        actions = [lie_apply(pv, e) for e in exprs]
+        self.actions = None if all(is_zero(a) for a in actions) else actions
+        self.sums = np.zeros((len(exprs), len(exprs)))
+
+    def add(self, binding, block):
+        """Add the rows of `binding`, evaluated into the buffer `block`."""
+        if self.actions is None:
+            return
+        for j, a in enumerate(self.actions):
+            block[j] = evaluate_array(a, binding)
+        self.sums += block @ block.T
 
 
 def stlsq_regularized(fm, generators, lam: float,
                       threshold: float) -> SparseModel:
     """STLSQ on the objective ||y - Aw||^2 + lam * sum_v ||b_v - B_v w||^2.
 
-    `generators` may be plain or prolonged vector fields; plain ones are
-    prolonged to the library's order.  The objective's normal equations are
-    (A^T A + lam sum_v B_v^T B_v) w = A^T y + lam sum_v B_v^T b_v, a
-    p x p system accumulated once, so each thresholding round is still one
-    exact linear solve and no stacked (A; B_v) matrix is ever built.
+    The objective's normal equations are
+    (A^T A + lam sum_v B_v^T B_v) w = A^T y + lam sum_v B_v^T b_v, a p x p
+    system, so each thresholding round is still one exact linear solve and
+    no stacked (A; B_v) matrix is ever built.  A generator whose penalty
+    sums `fm` lacks (see evaluate_features) raises RegressionError.
     """
     if lam < 0:
         raise RegressionError("lam must be non-negative")
     if lam == 0.0:
         return stlsq(fm, threshold)
-    need = max(1, max_order(fm.target_label),
-               *(max_order(f) for f in fm.columns))
-    pvs = [g if isinstance(g, ProlongedVectorField) else prolong(g, need)
-           for g in generators]
-    gram, rhs = _normal_equations(fm)
-    for pv in pvs:
-        _add_penalty(gram, rhs, fm, pv, lam)
+    sums = fm.sums.copy()
+    for g in generators:
+        penalty = next((p for p in fm.penalties if p.generator == g), None)
+        if penalty is None:
+            name = getattr(g, "base", g).name
+            raise RegressionError(
+                f"the feature pass summed no penalty for generator '{name}'")
+        sums += lam * penalty.sums
     # rows of the equivalent stacked least-squares system
-    n_rows = fm.target.size * (1 + len(pvs))
-    model = _stlsq_loop(gram, rhs, n_rows, fm.columns, fm.target_label,
-                        threshold)
+    n_rows = fm.n_rows * (1 + len(generators))
+    model = _stlsq_loop(fm, sums, n_rows, threshold)
     model.diagnostics["lambda"] = lam
     return model
 

@@ -323,14 +323,12 @@ def test_criterion_10_longterm_prediction(crit7):
 # 11. STLSQ against exhaustive best-subset search
 
 
-_SYNTH = ("u", "u_x", "u_xx", "u_xxx", "u_xxxx", "u^2", "u*u_x", "u_x^2")
-
-
 def _fm(values, target):
-    return FeatureMatrix(
-        columns=[P(s) for s in _SYNTH[:values.shape[1]]],
-        values=values, target=target, target_label=P("u_t"),
-        row_binding={})
+    """The sums of synthetic rows: column j is the symbol c<j>."""
+    names = [f"c{j}" for j in range(values.shape[1])]
+    fm = FeatureMatrix([P(s) for s in names], P("u_t"))
+    fm.add({**dict(zip(names, values.T)), "u_t": target})
+    return fm
 
 
 def _best_subset(a, y, threshold):

@@ -249,14 +249,16 @@ def _solver_edit(**over):
     (lambda d: "\xff" + json.dumps(d), "bad.json is not UTF-8 text"),
     # di-sindy discards the library, but a config holds only a valid one
     (lambda d: json.dumps({**d, "library": {"mode": "cubic",
-                                            "inputs": ["u)"]}}),
-     "trailing input ')' in 'u)'"),
+                                            "inputs": ["u", "u)"]}}),
+     "bad.json: library.inputs[1]: trailing input ')' in 'u)'"),
     (lambda d: json.dumps({**d, "library": {"mode": "cubic"}}),
      "unknown library mode 'cubic'"),
+    (_solver_edit(params={"zz": 1}),
+     "bad.json: kdv reads no solver params ['zz']"),
 ], ids=["unknown-key", "truncated-json", "bad-nx", "unknown-solver-key",
         "not-an-object", "no-system", "runs-not-integer", "nx-not-integer",
         "dt-nan", "seed-negative", "library-divides-by-zero", "not-utf8",
-        "di-sindy-library", "di-sindy-library-mode"])
+        "di-sindy-library", "di-sindy-library-mode", "unread-solver-param"])
 def test_bad_config_is_one_error_line(tmp_path, capsys, config_path, edit,
                                       needle):
     bad = tmp_path / "bad.json"

@@ -21,7 +21,7 @@ from liesindy.harness import (
     generate_dataset, load_runs_csv, summarize_rows,
 )
 from liesindy.invariants import CatalogError
-from liesindy.jetgrid import GridTooSmallError
+from liesindy.jetgrid import WINDOW_POINTS, GridTooSmallError
 from liesindy.regress import RegressionError, SparseModel, model_from_dict
 
 P = lambda s: parse(s, hz.SPACE)
@@ -299,24 +299,28 @@ def test_train_and_test_sets():
 
 
 def test_stack_matches_concatenation():
-    cfg = small_cfg()
+    cfg = small_cfg(method="equiv-r", lam=0.1)
     trains = train_set(cfg)
     fm_a = hz.build_feature_matrix(cfg, trains[:1])
     fm_b = hz.build_feature_matrix(cfg, trains[1:2])
     fm_ab = hz.build_feature_matrix(cfg, trains[:2])
-    assert np.array_equal(fm_ab.values,
-                          np.vstack([fm_a.values, fm_b.values]))
+    # the second trajectory's rows follow the first's
     assert np.array_equal(fm_ab.target,
                           np.concatenate([fm_a.target, fm_b.target]))
+    assert fm_ab.n_rows == fm_a.n_rows + fm_b.n_rows
     assert fm_ab.dropped == fm_a.dropped + fm_b.dropped
-    assert np.array_equal(
-        fm_ab.row_binding["u"],
-        np.concatenate([fm_a.row_binding["u"], fm_b.row_binding["u"]]))
+    pairs = [(fm_ab.sums, fm_a.sums + fm_b.sums)]
+    pairs += [(ab.sums, a.sums + b.sums) for ab, a, b in
+              zip(fm_ab.penalties, fm_a.penalties, fm_b.penalties)]
+    assert len(pairs) == 1 + len(cfg.generators)
+    for got, want in pairs:
+        scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 def test_feature_matrix_is_built_without_a_stacked_copy():
-    # room for the jets, one flat binding and the values, but not for a
-    # second, stacked copy of the per-trajectory matrices (3.2x)
+    # room for one 8-byte target value per row and window-sized buffers,
+    # not for the 20 feature values of every row
     solver = default_config("ks").to_dict()
     solver["nt"] = 200
     cfg = ExperimentConfig(system="ks", method="sindy", runs=1, seed=3,
@@ -328,8 +332,9 @@ def test_feature_matrix_is_built_without_a_stacked_copy():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(trains) == 4 and fm.values.shape[1] == 20
-    assert peak < 2.2 * fm.values.nbytes
+    assert len(trains) == 4 and len(fm.columns) == 20
+    window = 8 * (len(fm.columns) + 1) * WINDOW_POINTS
+    assert peak < 8 * fm.n_rows + 3 * window
 
 
 def test_no_trajectories_is_a_grid_error():

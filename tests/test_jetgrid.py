@@ -1,4 +1,4 @@
-"""Jet estimators and feature-matrix assembly."""
+"""Jet estimators and the windowed pass into the normal equations."""
 
 import math
 import tracemalloc
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from liesindy import harness as hz
+from liesindy import jetgrid
 from liesindy.dynamics import (
     SolverConfig, TrajectoryGrid, default_config, sample_initial_condition,
     solve_pde,
@@ -17,10 +18,12 @@ from liesindy.expr import (
 )
 from liesindy.invariants import builtin_set
 from liesindy.jetgrid import (
-    GridTooSmallError, _dx, _dxx, _dxxx, _dxxxx, evaluate_features,
-    finite_differences, spectral_jets,
+    WINDOW_POINTS, GridTooSmallError, _dx, _dxx, _dxxx, _dxxxx,
+    evaluate_features, finite_differences, spectral_jets,
 )
-from liesindy.liealg import VectorField, check_symmetry_criterion, prolong
+from liesindy.liealg import (
+    VectorField, apply, check_symmetry_criterion, prolong,
+)
 
 SPACE = JetSpace(("t", "x"), ("u",), 4)
 
@@ -169,33 +172,32 @@ def test_feature_matrix_shape_and_bookkeeping(kdv_jet):
     feats = [P(s) for s in ("u_x", "u_xx", "u_xxx", "u_xxxx")]
     fm = evaluate_features([tr], finite_differences, feats, P("u_t + u*u_x"))
     npts = (tr.t.size - 2) * tr.x.size
-    assert fm.values.shape == (npts, 4)
-    assert fm.target.shape == (npts,)
+    assert fm.n_rows == npts and fm.target.shape == (npts,)
     assert fm.dropped == 0
-    assert fm.row_binding["t"].min() == tr.t[1]
-    assert fm.row_binding["t"].max() == tr.t[-2]
-    for name in ("t", "x", "u", "u_t", "u_xxxx"):
-        assert fm.row_binding[name].shape == (npts,)
+    assert fm.columns == feats
+    assert fm.gram.shape == (4, 4) and fm.rhs.shape == (4,)
+    assert fm.yty == pytest.approx(float(fm.target @ fm.target), rel=1e-12)
 
 
 def test_row_binding_matches_point_index(kdv_jet):
     tr, _ = kdv_jet
-    fm = evaluate_features([tr], finite_differences, [P("u_x")], P("u_t"))
     # rows run over the valid window in (t index, x index) order
     ti = np.repeat(np.arange(1, tr.t.size - 1), tr.x.size)
     xi = np.tile(np.arange(tr.x.size), tr.t.size - 2)
-    assert np.array_equal(fm.row_binding["t"], tr.t[ti])
-    assert np.array_equal(fm.row_binding["x"], tr.x[xi])
-    assert np.array_equal(fm.row_binding["u"], tr.u[ti, xi])
+    for name, want in (("t", tr.t[ti]), ("x", tr.x[xi]),
+                       ("u", tr.u[ti, xi])):
+        fm = evaluate_features([tr], finite_differences, [P("u_x")], P(name))
+        assert np.array_equal(fm.target, want), name
 
 
 def test_constants_are_bound_and_checked(kdv_jet):
-    tr, _ = kdv_jet
+    tr, jet = kdv_jet
     target = P("exp(-t/t0)*u_t")
     fm = evaluate_features([tr], finite_differences, [P("u*u_x")], target,
                            constants={"t0": 1.0})
-    expected = np.exp(-fm.row_binding["t"]) * fm.row_binding["u_t"]
-    assert np.allclose(fm.target, expected, rtol=1e-12)
+    cols = jet_columns(jet)
+    assert np.allclose(fm.target, np.exp(-cols["t"]) * cols["u_t"],
+                       rtol=1e-12)
     with pytest.raises(MissingSymbolError, match="t0"):
         evaluate_features([tr], finite_differences, [P("u*u_x")], target)
 
@@ -208,7 +210,7 @@ def test_order_beyond_jet_raises(kdv_jet):
         with pytest.raises(GridTooSmallError, match="between 1 and 4"):
             evaluate_features([tr], estimate, [fifth], P("u_t"))
         fm = evaluate_features([tr], estimate, [P("u_xxxx")], P("u_t"))
-        assert fm.values.shape[1] == 1
+        assert fm.order == 4 and fm.gram.shape == (1, 1)
 
 
 def test_non_finite_rows_are_dropped():
@@ -217,13 +219,12 @@ def test_non_finite_rows_are_dropped():
     u = np.ones((10, 32)) + 0.1 * np.sin(x)[None, :]
     u[4, 7] = 0.0                      # exact zero poisons 1/u at one point
     tr = TrajectoryGrid(x, t, u)
-    fm = evaluate_features([tr], finite_differences, [P("1/u")], P("u_t"))
+    fm = evaluate_features([tr], finite_differences, [P("1/u")], P("u"))
     assert fm.dropped == 1
-    assert fm.values.shape[0] == 8 * 32 - 1
-    assert np.all(np.isfinite(fm.values))
-    assert not np.any((fm.row_binding["t"] == t[4])
-                      & (fm.row_binding["x"] == x[7]))
-    assert fm.row_binding["u"].shape == (8 * 32 - 1,)
+    assert fm.n_rows == fm.target.size == 8 * 32 - 1
+    assert np.all(np.isfinite(fm.sums))
+    # the row of (4, 7) is the one gone
+    assert np.array_equal(fm.target, np.delete(u[1:-1].ravel(), 3 * 32 + 7))
 
 
 def test_jets_evaluate_as_one_matrix_with_a_dropped_row():
@@ -233,25 +234,22 @@ def test_jets_evaluate_as_one_matrix_with_a_dropped_row():
     poisoned = u.copy()
     poisoned[4, 7] = 0.0              # 1/u is infinite in the second jet only
     trajs = [TrajectoryGrid(x, t, v) for v in (u, poisoned)]
-    fm = evaluate_features(trajs, finite_differences, [P("1/u")], P("u_t"))
+    fm = evaluate_features(trajs, finite_differences, [P("1/u")], P("u"))
     n = 8 * 32
     assert fm.dropped == 1
-    assert fm.values.shape == (2 * n - 1, 1)
-    rb = fm.row_binding
-    # 1/u and u_t need order 1: the jets stop at u_x
-    assert set(rb) == {"t", "x", "u", "u_t", "u_x"}
-    for name in rb:
-        assert rb[name].shape == (2 * n - 1,)
-    # every row of values, target and binding describes one grid point
-    assert np.array_equal(fm.values[:, 0], 1.0 / rb["u"])
-    assert np.array_equal(fm.target, rb["u_t"])
+    assert fm.n_rows == 2 * n - 1
+    # 1/u and u need order 1: the jets stop at u_x
+    assert fm.order == 1
     # jet order: the first jet's rows, then the second's less (4, 7)
     rows = np.concatenate([u[1:-1].ravel(), poisoned[1:-1].ravel()])
-    assert np.array_equal(rb["u"], np.delete(rows, n + 3 * 32 + 7))
+    kept = np.delete(rows, n + 3 * 32 + 7)
+    assert np.array_equal(fm.target, kept)
+    assert fm.gram[0, 0] == pytest.approx(float(np.sum(kept ** -2.0)),
+                                          rel=1e-13)
+    assert fm.rhs[0] == pytest.approx(float(kept.size), rel=1e-13)
     first = evaluate_features(trajs[:1], finite_differences, [P("1/u")],
-                              P("u_t"))
-    assert np.array_equal(fm.values[:n], first.values)
-    assert np.array_equal(rb["t"][:n], first.row_binding["t"])
+                              P("u"))
+    assert np.array_equal(fm.target[:n], first.target)
 
 
 def three_trajectories(poison=False):
@@ -301,10 +299,14 @@ def test_feature_major_values_match_a_column_reference(estimate, poison):
                                     feats, target)
     fm = evaluate_features(trajs, estimate, feats, target)
     assert fm.dropped == int(poison)
-    assert np.array_equal(fm.values, values)
+    assert fm.n_rows == tvec.size
     assert np.array_equal(fm.target, tvec)
-    # one contiguous row per feature, dropped rows or not
-    assert fm.values.T.flags.c_contiguous
+    # each entry within 1e-14 of the Cauchy-Schwarz bound on its size
+    gram, rhs, yty = values.T @ values, values.T @ tvec, tvec @ tvec
+    norms = np.sqrt(np.diag(gram))
+    assert np.all(np.abs(fm.gram - gram) <= 1e-14 * np.outer(norms, norms))
+    assert np.all(np.abs(fm.rhs - rhs) <= 1e-14 * norms * np.sqrt(yty))
+    assert abs(fm.yty - yty) <= 1e-14 * yty
 
 
 def test_lazy_jets_of_no_trajectories_are_a_grid_error():
@@ -324,9 +326,9 @@ KDV = builtin_set("kdv")
 def test_jet_order_is_the_expressions_highest(feats, target, order):
     orders = []
 
-    def estimate(traj, n):
+    def estimate(traj, n, rows):
         orders.append(n)
-        return finite_differences(traj, n=n)
+        return finite_differences(traj, n=n, rows=rows)
 
     trajs = three_trajectories()
     evaluate_features(trajs, estimate, feats, target)
@@ -341,36 +343,39 @@ def test_derived_order_matches_order_4_jets(estimate, poison):
     feats = [P(s) for s in ("u", "u*u_x", "1/u", "u_xx")]
     target = P("u_t")
     fm = evaluate_features(trajs, estimate, feats, target)
-    ref = evaluate_features(trajs, lambda tr, n: estimate(tr, n=4), feats,
-                            target)
+    ref = evaluate_features(
+        trajs, lambda tr, n, rows: estimate(tr, n=4, rows=rows), feats,
+        target)
+    assert fm.order == 2
     assert fm.dropped == ref.dropped == int(poison)
-    assert np.array_equal(fm.values, ref.values)
     assert np.array_equal(fm.target, ref.target)
-    assert set(fm.row_binding) == {"t", "x", "u", "u_t", "u_x", "u_xx"}
-    for name, arr in fm.row_binding.items():
-        assert np.array_equal(arr, ref.row_binding[name]), name
+    assert np.array_equal(fm.sums, ref.sums)
 
 
 @pytest.mark.parametrize("estimator", [finite_differences, spectral_jets])
-def test_lazy_jets_are_released_before_the_next_estimate(estimator):
+def test_lazy_jets_are_released_before_the_next_estimate(estimator,
+                                                         monkeypatch):
     refs = []
 
-    def estimate(traj, n):
-        # every earlier trajectory's derivative arrays are already gone
+    def estimate(traj, n, rows):
+        # every earlier window's derivative arrays are already gone
         assert all(r() is None for r in refs)
-        jet = estimator(traj, n=n)
+        jet = estimator(traj, n=n, rows=rows)
         refs.extend(weakref.ref(a) for a in jet.derivs.values())
         return jet
 
+    # three windows of four time rows on each 12-row trajectory
+    monkeypatch.setattr(jetgrid, "WINDOW_POINTS", 4 * 32)
     trajs = three_trajectories()
     fm = evaluate_features(trajs, estimate, [P("u*u_x")], P("u_t"))
-    # order 1: u, u_t and u_x per trajectory
-    assert len(refs) == 3 * len(trajs) and fm.dropped == 0
+    # order 1: u, u_t and u_x per window
+    assert len(refs) == 3 * 3 * len(trajs) and fm.dropped == 0
     assert all(r() is None for r in refs)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1e-3], ids=["spectral", "fd2"])
 def test_feature_matrix_holds_the_jets_of_one_trajectory_at_a_time(sigma):
+    # at most one window's jets, in fact
     solver = default_config("ks").to_dict()
     solver["nt"] = 200
     cfg = hz.ExperimentConfig(system="ks", method="sindy", runs=1, seed=3,
@@ -384,13 +389,82 @@ def test_feature_matrix_holds_the_jets_of_one_trajectory_at_a_time(sigma):
     finally:
         tracemalloc.stop()
     row = 8 * fm.target.size            # bytes of one float per row
-    binding = sum(v.nbytes for v in fm.row_binding.values() if np.ndim(v))
     one_jet = 5 * row / len(trains)     # u_t and four x-derivatives
-    # values, flat binding, target, one trajectory's jets and a few rows of
-    # evaluation temporaries; the jets of all four trajectories (5 rows)
-    # do not fit
+    window = 8 * (len(fm.columns) + 1) * WINDOW_POINTS
+    # the target and window-sized buffers, less than the jets of all four
+    # trajectories
     assert len(trains) == 4 and fm.dropped == 0
-    assert peak < fm.values.nbytes + binding + row + one_jet + 3 * row
+    assert peak < row + 3 * window
+    assert peak < 4 * one_jet
+
+
+# ---------------------------------------------------------------------------
+# the windowed pass
+
+
+@pytest.mark.parametrize("estimate", [finite_differences, spectral_jets])
+def test_windowed_jets_are_bit_equal_to_whole_trajectory_jets(estimate):
+    # windows of 7 time rows over 45, the last one short; dt and h come
+    # from the whole trajectory, and the stencils and FFTs act row by row
+    rng = np.random.default_rng(5)
+    x = np.arange(64) * (20.0 / 64)
+    t = np.arange(45) * 0.01
+    tr = TrajectoryGrid(x, t, rng.normal(size=(45, 64)))
+    whole = estimate(tr, n=4)
+    windows = [estimate(tr, n=4, rows=(lo, lo + 7)) for lo in range(0, 45, 7)]
+    assert windows[0].valid_t[0] == whole.valid_t[0]
+    assert windows[-1].valid_t[1] == whole.valid_t[1]
+    for before, after in zip(windows, windows[1:]):
+        assert before.valid_t[1] == after.valid_t[0]
+    for j, arr in whole.derivs.items():
+        joined = np.concatenate([w.derivs[j] for w in windows])
+        assert joined.tobytes() == arr.tobytes(), j
+
+
+@pytest.fixture(scope="module")
+def ks_equivr_run():
+    """One run of the KS equiv-r benchmark config (sigma 1e-3, lam 1e-2):
+    four trajectories, about 1 M rows."""
+    cfg = hz.ExperimentConfig(system="ks", method="equiv-r", runs=1, seed=7,
+                              lam=1e-2, noise_sigma=1e-3, long_term=False)
+    return cfg, hz._trajectories(hz._solve_sets(cfg, (0,))[0])
+
+
+def test_one_ks_run_is_bounded_by_the_window(ks_equivr_run):
+    cfg, trains = ks_equivr_run
+    hz.build_feature_matrix(cfg, trains[:1])     # fill the action cache
+    tracemalloc.start()
+    try:
+        fm = hz.build_feature_matrix(cfg, trains)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 8-byte target value per row and window-sized buffers
+    window = 8 * (len(fm.columns) + 1) * WINDOW_POINTS
+    assert peak < 8 * fm.target.size + 3 * window, peak
+    assert fm.target.size > 1_000_000 and len(fm.penalties) == 3
+
+
+def test_streamed_sums_match_the_whole_matrix(ks_equivr_run):
+    # G, r and y^T y, and each generator's penalty sums, against the
+    # formulas on whole per-trajectory matrices, summed over trajectories
+    cfg, trains = ks_equivr_run
+    fm = hz.build_feature_matrix(cfg, trains)
+    exprs = list(cfg.features) + [cfg.target]
+    pvs = [prolong(g, 4) for g in cfg.generators]
+    sums = np.zeros((1 + len(pvs),) + fm.sums.shape)
+    for tr in trains:
+        binding = jet_columns(finite_differences(tr, n=4))
+        block = np.array([evaluate_array(e, binding) for e in exprs])
+        sums[0] += block @ block.T
+        for k, pv in enumerate(pvs, start=1):
+            block = np.array([evaluate_array(apply(pv, e), binding)
+                              * np.ones(binding["u"].size) for e in exprs])
+            sums[k] += block @ block.T
+    assert fm.dropped == 0 and len(fm.penalties) == len(pvs)
+    for got, want in zip([fm.sums] + [p.sums for p in fm.penalties], sums):
+        norms = np.sqrt(np.diag(want))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.outer(norms, norms))
 
 
 def test_binding_feeds_the_symmetry_criterion(kdv_jet):

@@ -10,8 +10,8 @@ from liesindy import liealg, regress
 from liesindy.dynamics import SolverConfig, sample_initial_condition, solve_pde
 from liesindy.expr import Const, JetSpace, parse, to_string
 from liesindy.invariants import builtin_set
-from liesindy.jetgrid import FeatureMatrix, evaluate_features, \
-    finite_differences
+from liesindy.jetgrid import WINDOW_POINTS, FeatureMatrix, \
+    evaluate_features, finite_differences
 from liesindy.liealg import VectorField, prolong
 from liesindy.regress import (
     LibrarySpec, RegressionError, SparseModel, build_library,
@@ -26,15 +26,20 @@ def P(s):
     return parse(s, SPACE)
 
 
-def make_fm(values, target, labels, target_label="u_t", binding=None):
+def make_fm(values, target, labels, target_label="u_t", binding=None,
+            generators=()):
+    """The sums of rows whose feature columns are `values`, added at once.
+
+    Each label and the target label is a jet name, bound to its column.
+    """
     values = np.asarray(values, dtype=float)
-    return FeatureMatrix(
-        columns=[P(s) for s in labels],
-        values=values,
-        target=np.asarray(target, dtype=float),
-        target_label=P(target_label),
-        row_binding=dict(binding or {}),
-    )
+    rows = dict(binding or {})
+    rows.update({s: values[:, j] for j, s in enumerate(labels)})
+    rows[target_label] = np.asarray(target, dtype=float)
+    fm = FeatureMatrix([P(s) for s in labels], P(target_label),
+                       generators=generators)
+    fm.add(rows)
+    return fm
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +49,7 @@ def kdv_fm():
     [tr] = solve_pde(cfg, ic[None])
     inv = builtin_set("kdv")
     return evaluate_features([tr], finite_differences, inv.rhs_features(),
-                             inv.lhs), inv
+                             inv.lhs, generators=inv.generators), inv
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +139,7 @@ def test_kdv_invariant_features_select_third_derivative(kdv_fm):
 def test_refit_on_final_support_is_idempotent(kdv_fm):
     fm, _ = kdv_fm
     m = stlsq(fm, threshold=0.5)
-    again = regress._solve_round(*regress._normal_equations(fm), m.mask)[0]
+    again = regress._solve_round(fm.gram, fm.rhs, m.mask)[0]
     assert np.array_equal(again, np.where(m.mask, m.coef, 0.0))
 
 
@@ -196,7 +201,8 @@ def test_penalty_rows_match_hand_assembly():
     # so the penalty block is B = [1, 0] per row against b = -u_x
     binding = toy_binding(400, seed=5)
     a = np.column_stack([binding["u"], binding["u_x"]])
-    fm = make_fm(a, binding["u_t"], ["u", "u_x"], binding=binding)
+    fm = make_fm(a, binding["u_t"], ["u", "u_x"], binding=binding,
+                 generators=[galilean()])
     lam = 0.7
     m = stlsq_regularized(fm, [galilean()], lam=lam, threshold=1e-12)
 
@@ -211,8 +217,9 @@ def test_penalty_rows_match_hand_assembly():
 def test_prolonged_and_plain_generators_agree():
     binding = toy_binding(300, seed=8)
     a = np.column_stack([binding["u"], binding["u_x"]])
-    fm = make_fm(a, binding["u_t"], ["u", "u_x"], binding=binding)
     g = galilean()
+    fm = make_fm(a, binding["u_t"], ["u", "u_x"], binding=binding,
+                 generators=[g, prolong(g, 4)])
     m1 = stlsq_regularized(fm, [g], lam=0.3, threshold=1e-12)
     m2 = stlsq_regularized(fm, [prolong(g, 4)], lam=0.3, threshold=1e-12)
     assert np.allclose(m1.coef, m2.coef, rtol=1e-12)
@@ -227,7 +234,8 @@ def test_large_lambda_steers_to_the_symmetric_model():
     binding = {"t": np.ones(500), "x": np.zeros(500), "u": u, "u_x": ux,
                "u_t": u.copy()}
     a = np.column_stack([u, ux])
-    fm = make_fm(a, u, ["u", "u_x"], binding=binding)
+    fm = make_fm(a, u, ["u", "u_x"], binding=binding,
+                 generators=[shift_u()])
     free = stlsq_regularized(fm, [shift_u()], lam=1e-12, threshold=1e-9)
     pinned = stlsq_regularized(fm, [shift_u()], lam=1e8, threshold=1e-9)
     assert abs(free.coef[0]) > 0.5
@@ -238,7 +246,8 @@ def test_large_lambda_steers_to_the_symmetric_model():
 def test_closed_form_matches_gradient_descent():
     binding = toy_binding(200, seed=13)
     a = np.column_stack([binding["u"], binding["u_x"]])
-    fm = make_fm(a, binding["u_t"], ["u", "u_x"], binding=binding)
+    fm = make_fm(a, binding["u_t"], ["u", "u_x"], binding=binding,
+                 generators=[galilean()])
     lam = 0.5
     m = stlsq_regularized(fm, [galilean()], lam=lam, threshold=1e-12)
 
@@ -258,8 +267,8 @@ def x_scaling():
                        name="x-scaling")
 
 
-def poly2_fm(n, seed):
-    """n-row FeatureMatrix over the 20-term poly2 library, random jets."""
+def poly2_rows(n, seed):
+    """The 20-term poly2 library and an n-row binding of random jets."""
     rng = np.random.default_rng(seed)
     names = ("u", "u_x", "u_xx", "u_xxx", "u_xxxx")
     binding = {name: rng.normal(size=n) for name in names}
@@ -268,37 +277,50 @@ def poly2_fm(n, seed):
     binding["u_t"] = -binding["u_xxx"] - binding["u"] * binding["u_x"] \
         + 1e-3 * rng.normal(size=n)
     feats = build_library(LibrarySpec("poly2", tuple(P(s) for s in names)))
-    values = np.empty((n, len(feats)))
-    for j, f in enumerate(feats):
-        values[:, j] = regress.evaluate_array(f, binding)
-    return FeatureMatrix(columns=feats, values=values,
-                         target=binding["u_t"].copy(), target_label=P("u_t"),
-                         row_binding=binding)
+    return feats, binding
 
 
-def test_chunked_penalty_matches_one_chunk(monkeypatch):
-    fm = poly2_fm(5000, seed=21)
+def summed(feats, binding, generators=(), window=WINDOW_POINTS):
+    """The sums of the binding's rows, added `window` rows at a time."""
+    fm = FeatureMatrix(feats, P("u_t"), generators=generators)
+    n = binding["u"].size
+    for lo in range(0, n, window):
+        fm.add({name: arr[lo:lo + window] for name, arr in binding.items()})
+    return fm
+
+
+def test_chunked_penalty_matches_one_chunk():
+    # rows added one window at a time, the last window short, against the
+    # same rows added at once
+    n = 2 * WINDOW_POINTS + 5000
+    feats, binding = poly2_rows(n, seed=21)
     gens = [prolong(g, 4) for g in (galilean(), shift_u(), x_scaling())]
-    one = stlsq_regularized(fm, gens, lam=0.1, threshold=0.05)
-    monkeypatch.setattr(regress, "_CHUNK_ROWS", 700)   # 8 chunks, last short
-    many = stlsq_regularized(fm, gens, lam=0.1, threshold=0.05)
+    one = stlsq_regularized(summed(feats, binding, gens, window=n), gens,
+                            lam=0.1, threshold=0.05)
+    many = stlsq_regularized(summed(feats, binding, gens), gens, lam=0.1,
+                             threshold=0.05)
     assert np.array_equal(many.mask, one.mask)
     assert many.history == one.history
     assert np.allclose(many.coef, one.coef, rtol=1e-12, atol=0.0)
 
 
 def test_regularized_fit_never_stacks_the_system():
-    # the stacked (A; B_1; B_2; B_3) system alone would be 4x fm.values
-    fm = poly2_fm(150_000, seed=22)
+    # the pass and the fit hold one 8-byte target value per row and
+    # window-sized buffers; A alone would be 20 values per row, and the
+    # stacked (A; B_1; B_2; B_3) system 4x that
+    n = 150_000
+    feats, binding = poly2_rows(n, seed=22)
     gens = [prolong(g, 4) for g in (galilean(), shift_u(), x_scaling())]
-    stlsq_regularized(fm, gens, lam=0.1, threshold=0.05)   # fill the cache
+    summed(*poly2_rows(100, seed=22), gens)      # fill the action cache
     tracemalloc.start()
     try:
+        fm = summed(feats, binding, gens)
         stlsq_regularized(fm, gens, lam=0.1, threshold=0.05)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    limit = 2 * fm.values.nbytes
+    buffer = 8 * (len(feats) + 1) * WINDOW_POINTS
+    limit = 8 * n + 3 * buffer
     assert peak < limit, (peak, limit)
 
 
@@ -312,15 +334,15 @@ def test_second_fit_reuses_prolonged_actions(monkeypatch):
     apply_pieces = liealg.apply_pieces
     monkeypatch.setattr(liealg, "apply_pieces", counted)
     monkeypatch.setattr(liealg, "_actions", {})
-    fm = poly2_fm(500, seed=23)
-    first = stlsq_regularized(fm, [galilean(), x_scaling()], lam=0.1,
-                              threshold=0.05)
-    assert len(calls) == 2 * (len(fm.columns) + 1)
+    feats, binding = poly2_rows(500, seed=23)
+    first = summed(feats, binding, [galilean(), x_scaling()])
+    assert len(calls) == 2 * (len(feats) + 1)
     # plain generators are prolonged afresh; equal fields share the cache
-    again = stlsq_regularized(fm, [galilean(), x_scaling()], lam=0.1,
-                              threshold=0.05)
-    assert len(calls) == 2 * (len(fm.columns) + 1)
-    assert np.array_equal(again.coef, first.coef)
+    again = summed(feats, binding, [galilean(), x_scaling()])
+    assert len(calls) == 2 * (len(feats) + 1)
+    fits = [stlsq_regularized(fm, [galilean(), x_scaling()], lam=0.1,
+                              threshold=0.05) for fm in (first, again)]
+    assert np.array_equal(fits[1].coef, fits[0].coef)
 
 
 def test_annihilating_generator_is_never_evaluated(monkeypatch):
@@ -333,16 +355,23 @@ def test_annihilating_generator_is_never_evaluated(monkeypatch):
         return evaluate_array(e, binding)
 
     evaluate_array = regress.evaluate_array
-    fm = poly2_fm(500, seed=24)
+    feats, binding = poly2_rows(500, seed=24)
     shifts = [VectorField(SPACE, xi=xi, phi=(Const(0.0),), name=name)
               for xi, name in (((Const(0.0), Const(1.0)), "x-shift"),
                                ((Const(1.0), Const(0.0)), "t-shift"))]
     monkeypatch.setattr(regress, "evaluate_array", counted)
+    fm = summed(feats, binding, shifts)
     reg = stlsq_regularized(fm, shifts, lam=10.0, threshold=0.05)
     assert evaluated == []
     plain = stlsq(fm, threshold=0.05)
     assert np.array_equal(reg.mask, plain.mask)
     assert np.array_equal(reg.coef, plain.coef)
+
+
+def test_generator_the_pass_did_not_sum_is_refused(kdv_fm):
+    fm, _ = kdv_fm
+    with pytest.raises(RegressionError, match="x-scaling"):
+        stlsq_regularized(fm, [x_scaling()], lam=1.0, threshold=0.5)
 
 
 def test_negative_lambda_rejected(kdv_fm):
