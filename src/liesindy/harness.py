@@ -383,12 +383,12 @@ def _jet_estimator(cfg: ExperimentConfig):
 def build_feature_matrix(cfg: ExperimentConfig, trains):
     """The sums of one run's fit over all its training trajectories, in
     one windowed pass with the estimator `_jet_estimator` picks; for
-    equiv-r with lam > 0 the pass also sums each generator's penalty."""
+    equiv-r the pass also sums each generator's penalty."""
     _, estimate = _jet_estimator(cfg)
-    penalised = cfg.method == "equiv-r" and cfg.lam > 0
+    equiv_r = cfg.method == "equiv-r"
     return evaluate_features(trains, estimate, cfg.features, cfg.target,
                              constants=cfg.solver.params,
-                             generators=cfg.generators if penalised else ())
+                             generators=cfg.generators if equiv_r else ())
 
 
 def _fit(cfg: ExperimentConfig, fm):

@@ -184,13 +184,13 @@ class FeatureMatrix:
         return np.concatenate([np.empty(0), *self._targets])
 
     def add(self, binding):
-        """Add the rows of `binding` (name -> one 1-D array over the rows).
+        """Add the rows, if any, of `binding` (name -> 1-D array per row).
 
         The constants are bound here.  A row where the target or any
         feature is not finite is dropped and counted.
         """
-        binding = {**binding, **self.constants}
         n = max(np.size(val) for val in binding.values())
+        binding = {**binding, **self.constants}
         if self._buffer.shape[1] < n:
             self._buffer = np.empty((len(self.exprs), n))
         # one contiguous row per expression
@@ -229,10 +229,11 @@ def evaluate_features(trajs, estimate, feats, target: Expr, constants=None,
     """The sums of `feats` against `target` over the trajectories' rows.
 
     `estimate` (finite_differences, spectral_jets, ...) makes each window's
-    jets; an order its stencils lack raises GridTooSmallError.  Rows run in
-    trajectory order, then (t index, x index).  Constants (t0, nu, ...)
-    must all be supplied; a missing one raises with its name.  The penalty
-    sums of `generators` (equiv-r) are added in the same pass.
+    jets (none in halo rows); an order its stencils lack raises
+    GridTooSmallError.  Rows run in trajectory order, then (t index, x
+    index).  Constants (t0, nu, ...) must all be supplied; a missing one
+    raises with its name.  The penalty sums of `generators` (equiv-r) are
+    added in the same pass.
     """
     trajs = list(trajs)
     if not trajs:

@@ -173,7 +173,6 @@ class SymmetryPenalty:
     """
 
     def __init__(self, generator, exprs, order: int):
-        self.generator = generator
         pv = generator if isinstance(generator, ProlongedVectorField) \
             else prolong(generator, order)
         actions = [lie_apply(pv, e) for e in exprs]
@@ -196,20 +195,19 @@ def stlsq_regularized(fm, generators, lam: float,
     The objective's normal equations are
     (A^T A + lam sum_v B_v^T B_v) w = A^T y + lam sum_v B_v^T b_v, a p x p
     system, so each thresholding round is still one exact linear solve and
-    no stacked (A; B_v) matrix is ever built.  A generator whose penalty
-    sums `fm` lacks (see evaluate_features) raises RegressionError.
+    no stacked (A; B_v) matrix is ever built.  `generators` are those whose
+    penalty sums the feature pass added to `fm` (see evaluate_features); a
+    different number of them raises RegressionError.
     """
     if lam < 0:
         raise RegressionError("lam must be non-negative")
     if lam == 0.0:
         return stlsq(fm, threshold)
+    if len(fm.penalties) != len(generators):
+        raise RegressionError(f"the feature pass summed {len(fm.penalties)}"
+                              f" penalties, not {len(generators)}")
     sums = fm.sums.copy()
-    for g in generators:
-        penalty = next((p for p in fm.penalties if p.generator == g), None)
-        if penalty is None:
-            name = getattr(g, "base", g).name
-            raise RegressionError(
-                f"the feature pass summed no penalty for generator '{name}'")
+    for penalty in fm.penalties:
         sums += lam * penalty.sums
     # rows of the equivalent stacked least-squares system
     n_rows = fm.n_rows * (1 + len(generators))

@@ -421,6 +421,46 @@ def test_windowed_jets_are_bit_equal_to_whole_trajectory_jets(estimate):
         assert joined.tobytes() == arr.tobytes(), j
 
 
+@pytest.mark.parametrize("estimate", [finite_differences, spectral_jets])
+def test_windows_of_halo_rows_add_nothing(estimate, monkeypatch):
+    # windows of one time row over 12: the first and last halo (one row for
+    # fd2, three for spectral) have no full stencil, so their windows are
+    # empty, and the constant nu must not make them one row long
+    trajs = three_trajectories()
+    feats, target = [P("u*u_x")], P("u_t + nu*u_xx")
+    whole = evaluate_features(trajs, estimate, feats, target,
+                              constants={"nu": 0.1})
+    monkeypatch.setattr(jetgrid, "WINDOW_POINTS", 32)
+    fm = evaluate_features(trajs, estimate, feats, target,
+                           constants={"nu": 0.1})
+    assert fm.n_rows == whole.n_rows and fm.dropped == 0
+    assert fm.target.tobytes() == whole.target.tobytes()
+    norms = np.sqrt(np.diag(whole.sums))
+    assert np.all(np.abs(fm.sums - whole.sums)
+                  <= 1e-13 * np.outer(norms, norms))
+
+
+@pytest.mark.parametrize("system, nt, sigma", [
+    ("burgers", 385, 1e-3),     # fd2, halo 1: the last window is 1 row
+    ("nkdv", 67, 0.0),          # spectral, halo 3: the last window is 3 rows
+], ids=["burgers-fd2", "nkdv-spectral"])
+def test_a_last_window_of_halo_rows_leaves_the_fit_whole(system, nt, sigma):
+    # at nx 256 a window is 64 time rows; nu and t0 are solver constants
+    solver = {**default_config(system).to_dict(), "nx": 256, "nt": nt}
+    cfg = hz.ExperimentConfig(system=system, method="sindy", runs=1, seed=3,
+                              solver=solver, long_term=False,
+                              noise_sigma=sigma)
+    halo = 1 if sigma else 3
+    assert 0 < nt % (WINDOW_POINTS // 256) <= halo
+    trains = hz._solve_sets(cfg, (0,))[0]
+    truth = hz.ground_truth(system, cfg.target, cfg.features,
+                            cfg.solver.params)
+    row, _ = hz._fit_run(cfg, 0, trains, truth)
+    assert row["status"] == "ok", row["message"]
+    assert row["n_rows"] + row["dropped"] == \
+        len(trains) * (nt - 2 * halo) * 256
+
+
 @pytest.fixture(scope="module")
 def ks_equivr_run():
     """One run of the KS equiv-r benchmark config (sigma 1e-3, lam 1e-2):

@@ -217,11 +217,10 @@ def test_penalty_rows_match_hand_assembly():
 def test_prolonged_and_plain_generators_agree():
     binding = toy_binding(300, seed=8)
     a = np.column_stack([binding["u"], binding["u_x"]])
-    g = galilean()
-    fm = make_fm(a, binding["u_t"], ["u", "u_x"], binding=binding,
-                 generators=[g, prolong(g, 4)])
-    m1 = stlsq_regularized(fm, [g], lam=0.3, threshold=1e-12)
-    m2 = stlsq_regularized(fm, [prolong(g, 4)], lam=0.3, threshold=1e-12)
+    m1, m2 = [stlsq_regularized(
+        make_fm(a, binding["u_t"], ["u", "u_x"], binding=binding,
+                generators=[g]), [g], lam=0.3, threshold=1e-12)
+        for g in (galilean(), prolong(galilean(), 4))]
     assert np.allclose(m1.coef, m2.coef, rtol=1e-12)
 
 
@@ -369,9 +368,11 @@ def test_annihilating_generator_is_never_evaluated(monkeypatch):
 
 
 def test_generator_the_pass_did_not_sum_is_refused(kdv_fm):
-    fm, _ = kdv_fm
-    with pytest.raises(RegressionError, match="x-scaling"):
-        stlsq_regularized(fm, [x_scaling()], lam=1.0, threshold=0.5)
+    # the pass summed the three KdV generators' penalties
+    fm, inv = kdv_fm
+    with pytest.raises(RegressionError, match="summed 3 penalties, not 4"):
+        stlsq_regularized(fm, inv.generators + [x_scaling()], lam=1.0,
+                          threshold=0.5)
 
 
 def test_negative_lambda_rejected(kdv_fm):
