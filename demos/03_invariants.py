@@ -12,9 +12,10 @@ for system in ("kdv", "ks", "burgers", "nkdv", "so2-demo"):
 print()
 
 # full numeric + symbolic verification of one set.  Every (generator,
-# invariant) pair must vanish symbolically, hold to round-off on random
-# jet samples, and the invariant Jacobian must keep full rank.
-rep = verify_set(builtin_set("kdv"), samples=1000, seed=7)
+# invariant) pair must vanish symbolically and hold to round-off, and the
+# invariant Jacobian must keep full rank, on one set of 1000 jet points
+# drawn at a fixed seed.
+rep = verify_set(builtin_set("kdv"))
 print(f"kdv verification: passed={rep.passed}")
 print(f"  numeric max        {rep.numeric_max:.3e}")
 print(f"  jacobian min sv    {rep.jacobian_min_sv:.3e}")

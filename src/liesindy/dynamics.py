@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import zipfile
 from dataclasses import dataclass, field
 
@@ -153,6 +154,9 @@ class SolverConfig:
         if self.transient < 0:
             raise ConfigError("transient must be non-negative")
         steps = self.transient / self.dt
+        if steps > sys.maxsize:
+            raise ConfigError(f"transient is {steps:.3g} steps of dt, "
+                              f"more than {sys.maxsize}")
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigError("transient must be a whole number of steps")
         if self.system == "burgers" and self.params.get("nu", 0.0) <= 0:

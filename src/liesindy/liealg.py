@@ -18,15 +18,14 @@ import numpy as np
 
 from .expr import (
     Add, Const, DepVar, Expr, ExprError, IndepVar, JetSpace,
-    denominators_in, dep_vars_in, evaluate_array, is_zero,
-    partial_derivative, simplify, to_string, total_derivative, _key,
+    dep_vars_in, evaluate_array, is_zero, partial_derivative, simplify,
+    to_string, total_derivative, _key,
 )
 
 __all__ = [
     "VectorField", "ProlongedVectorField", "prolong", "apply",
-    "apply_pieces", "check_invariant", "check_symmetry_criterion",
-    "InvarianceReport", "CriterionReport", "ProlongationError",
-    "OrderMismatchError", "SingularSampleError",
+    "apply_pieces", "check_symmetry_criterion", "CriterionReport",
+    "ProlongationError", "OrderMismatchError", "SingularSampleError",
 ]
 
 
@@ -213,19 +212,6 @@ def apply(pv: ProlongedVectorField, e: Expr) -> Expr:
 
 
 @dataclass(frozen=True)
-class InvarianceReport:
-    symbolic_zero: bool
-    max_abs: float
-    samples: int
-    resampled: int
-    residual: Expr
-
-    @property
-    def passed(self):
-        return self.symbolic_zero
-
-
-@dataclass(frozen=True)
 class CriterionReport:
     symbolic_zero: bool
     residual: Expr
@@ -269,32 +255,6 @@ def _sample_points(names, dens, samples, seed, den_tol, max_resample, params):
     for n, v in params.items():
         cols[n] = float(v)
     return cols, resampled
-
-
-def check_invariant(pv: ProlongedVectorField, eta: Expr, samples: int = 1000,
-                    seed: int = 0, den_tol: float = 1e-3,
-                    max_resample: int = 50, params=None) -> InvarianceReport:
-    """Symbolic and numeric test that eta is annihilated by the generator.
-
-    The numeric path evaluates each summand of the prolonged action
-    separately and adds them in floating point, so it measures true residual
-    cancellation at random jet points instead of evaluating a pre-cancelled
-    zero.
-    """
-    pieces, residual = _action(pv, eta)
-    names = pv.space.coordinate_names()
-    dens = []
-    for p in (eta, *pieces):
-        dens.extend(denominators_in(p))
-    cols, resampled = _sample_points(names, dens, samples, seed, den_tol,
-                                     max_resample, params)
-    total = np.zeros(samples)
-    for p in pieces:
-        total = total + evaluate_array(p, cols)
-    max_abs = float(np.max(np.abs(total))) if samples else 0.0
-    return InvarianceReport(symbolic_zero=is_zero(residual), max_abs=max_abs,
-                            samples=samples, resampled=resampled,
-                            residual=residual)
 
 
 def check_symmetry_criterion(pv: ProlongedVectorField,

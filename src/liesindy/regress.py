@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import (
-    Const, Expr, JetSpace, LiesindyError, evaluate_array, is_zero, parse,
-    simplify, to_string,
+    Const, Expr, ExprError, JetSpace, LiesindyError, evaluate_array, is_zero,
+    parse, simplify, to_string,
 )
 from .liealg import ProlongedVectorField, apply as lie_apply, prolong
 
@@ -265,6 +265,6 @@ def model_from_dict(d: dict, space: JetSpace | None = None) -> SparseModel:
                      for h in d.get("history", [])],
             diagnostics=dict(d.get("diagnostics", {})),
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, ExprError) as err:
         raise RegressionError(
             f"not a model: {type(err).__name__}: {err}") from None

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -150,8 +151,16 @@ def test_evaluate_off_the_test_grid_is_one_error_line(tmp_path, capsys,
     ("run_best.json", "{}", "run_<number>.json"),
     ("run_1.json", '{"model": {"target": "u_t", "features": ["x*u_x"], '
      '"C": [1.0], "M": [1], "threshold": 0.5}}', "explicit x"),
+    ("run_0.json", '{"model": {"target": "u_t", "features": ["u_q"], '
+     '"C": [1.0], "M": [1], "threshold": 0.5}}',
+     "run_0.json: not a model: ParseError: 'u_q' is not a derivative "
+     "coordinate of this jet space"),
+    ("run_0.json", '{"model": {"target": "u_t", "features": ["u/(u-u)"], '
+     '"C": [1.0], "M": [1], "threshold": 0.5}}',
+     "run_0.json: not a model: ExprError: division by symbolic zero"),
 ], ids=["not-an-object", "model-lacks-features", "stray-name",
-        "unrollable-model"])
+        "unrollable-model", "feature-off-the-chart",
+        "feature-divides-by-zero"])
 def test_bad_saved_model_is_one_error_line(tmp_path, capsys, pipeline,
                                            name, text, needle):
     data, out = pipeline
@@ -175,15 +184,15 @@ def test_verify_passes_for_catalog_systems(capsys):
 
 _VERIFY_TRANSLATIONS = (
     "invariance pairs checked: 15, numeric max |apply| 0.00e+00\n"
-    "independence: min singular value 4.20e-01 at 100.0% of samples\n"
+    "independence: min singular value 4.19e-01 at 100.0% of samples\n"
     "criterion x-shift: ok\n"
     "criterion t-shift: ok\n"
     "criterion galilean: ok\n"
     "PASS\n")
 
 
-# every sample set draws from one default_rng(seed); "KdV " is kdv's key
-# with case and padding to drop, criterion lines included
+# verify reads one sample set of 1000 points at a fixed seed; "KdV " is
+# kdv's key with case and padding to drop, criterion lines included
 _VERIFY_OUT = {
     "kdv": _VERIFY_TRANSLATIONS,
     "KdV ": _VERIFY_TRANSLATIONS,
@@ -191,14 +200,14 @@ _VERIFY_OUT = {
     "burgers": _VERIFY_TRANSLATIONS,
     "nkdv": (
         "invariance pairs checked: 15, numeric max |apply| 0.00e+00\n"
-        "independence: min singular value 8.04e-02 at 100.0% of samples\n"
+        "independence: min singular value 1.04e-01 at 100.0% of samples\n"
         "criterion x-shift: ok\n"
         "criterion decaying-t-shift: ok\n"
         "criterion galilean: ok\n"
         "PASS\n"),
     "so2-demo": (
         "invariance pairs checked: 2, numeric max |apply| 2.84e-14\n"
-        "independence: min singular value 4.53e-01 at 100.0% of samples\n"
+        "independence: min singular value 3.68e-01 at 100.0% of samples\n"
         "PASS\n"),
 }
 
@@ -255,10 +264,15 @@ def _solver_edit(**over):
      "unknown library mode 'cubic'"),
     (_solver_edit(params={"zz": 1}),
      "bad.json: kdv reads no solver params ['zz']"),
+    (_solver_edit(transient=1e308),
+     f"bad.json: transient is inf steps of dt, more than {sys.maxsize}"),
+    (_solver_edit(transient=1e300),
+     f"bad.json: transient is 1e+302 steps of dt, more than {sys.maxsize}"),
 ], ids=["unknown-key", "truncated-json", "bad-nx", "unknown-solver-key",
         "not-an-object", "no-system", "runs-not-integer", "nx-not-integer",
         "dt-nan", "seed-negative", "library-divides-by-zero", "not-utf8",
-        "di-sindy-library", "di-sindy-library-mode", "unread-solver-param"])
+        "di-sindy-library", "di-sindy-library-mode", "unread-solver-param",
+        "transient-steps-not-finite", "transient-steps-above-maxsize"])
 def test_bad_config_is_one_error_line(tmp_path, capsys, config_path, edit,
                                       needle):
     bad = tmp_path / "bad.json"

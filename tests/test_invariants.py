@@ -2,12 +2,13 @@
 
 import pytest
 
-from liesindy.expr import ExprError, JetSpace, parse, simplify, to_string
+from liesindy import invariants, liealg
+from liesindy.expr import ExprError, is_zero, parse, simplify, to_string
 from liesindy.invariants import (
     SYSTEMS, CatalogError, InvariantSet, builtin_set, eliminate_translations,
     truth_equation, verify_set,
 )
-from liesindy.liealg import check_invariant, check_symmetry_criterion, prolong
+from liesindy.liealg import check_symmetry_criterion, prolong
 
 EVOLUTION = ("kdv", "ks", "burgers", "nkdv")
 
@@ -67,14 +68,14 @@ def test_lhs_validation_rejects_bad_sets():
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_catalog_verifies(system):
     s = builtin_set(system)
-    rep = verify_set(s, samples=250, seed=9)
+    rep = verify_set(s)
     assert rep.passed, rep.failures
     assert rep.numeric_max < 1e-9
     assert rep.jacobian_ok_fraction >= 0.99
     assert rep.jacobian_min_sv > 1e-8
     n_pairs = len(s.generators) * len(s.etas)
-    assert len(rep.pair_reports) == n_pairs
-    assert all(r.symbolic_zero for r in rep.pair_reports.values())
+    assert len(rep.pairs) == n_pairs
+    assert all(is_zero(res) and m < 1e-9 for res, m in rep.pairs.values())
 
 
 def test_verification_catches_a_broken_invariant():
@@ -84,20 +85,59 @@ def test_verification_catches_a_broken_invariant():
     etas[2] = parse("u_xx + t", sp)  # no longer time-translation invariant
     bad = InvariantSet("kdv", sp, base.generators, etas, lhs_index=0,
                        params={})
-    rep = verify_set(bad, samples=100, seed=1)
+    rep = verify_set(bad)
     assert not rep.passed
-    assert any("t-shift" in f for f in rep.failures)
+    # t-shift, generator 1, leaves the residual 1 at every point
+    residual, max_abs = rep.pairs[(1, 2)]
+    assert to_string(residual) == "1" and max_abs == 1.0
+    assert rep.failures == [
+        "t-shift does not annihilate eta[2] symbolically: 1",
+        "t-shift on eta[2]: numeric residual 1.000e+00"]
     # the run still reports every pair, it does not stop at the first failure
-    assert len(rep.pair_reports) == len(base.generators) * len(etas)
+    assert len(rep.pairs) == len(base.generators) * len(etas)
+    assert all(is_zero(res) and m == 0.0
+               for key, (res, m) in rep.pairs.items() if key != (1, 2))
 
 
 def test_negative_seed_is_an_expr_error():
-    s = builtin_set("kdv")
-    pv = s.prolonged()[0]
+    names = builtin_set("kdv").space.coordinate_names()
     with pytest.raises(ExprError, match="^seed must be non-negative$"):
-        check_invariant(pv, s.etas[0], samples=10, seed=-3)
-    with pytest.raises(ExprError, match="^seed must be non-negative$"):
-        verify_set(s, seed=-1)
+        liealg._sample_points(names, [], 10, -3, 1e-3, 50, None)
+
+
+def _recorded_draws(monkeypatch):
+    """Every sample set drawn through either module's name, in order."""
+    drawn = []
+    sample = liealg._sample_points
+
+    def recorded(*args):
+        cols, resampled = sample(*args)
+        drawn.append(cols)
+        return cols, resampled
+
+    for module in (invariants, liealg):
+        monkeypatch.setattr(module, "_sample_points", recorded)
+    return drawn
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_verify_set_draws_one_sample_set(system, monkeypatch):
+    s = builtin_set(system)
+    drawn = _recorded_draws(monkeypatch)
+    verify_set(s)
+    assert len(drawn) == 1
+    assert all(drawn[0][n].shape == (1000,)
+               for n in s.space.coordinate_names())
+
+
+def test_verify_set_draws_the_same_points_each_call(monkeypatch):
+    # so2-demo's guard redraws points, so the redraws repeat too
+    s = builtin_set("so2-demo")
+    drawn = _recorded_draws(monkeypatch)
+    a, b = verify_set(s), verify_set(s)
+    assert a == b
+    for name in s.space.coordinate_names():
+        assert drawn[0][name].tobytes() == drawn[1][name].tobytes()
 
 
 def test_verification_catches_functional_dependence():
@@ -106,7 +146,7 @@ def test_verification_catches_functional_dependence():
     etas = [parse(s, sp) for s in ("u_t + u*u_x", "u_x", "2*u_x")]
     dep = InvariantSet("kdv", sp, base.generators, etas, lhs_index=0,
                        params={})
-    rep = verify_set(dep, samples=100, seed=1)
+    rep = verify_set(dep)
     assert not rep.passed
     assert any("singular value" in f for f in rep.failures)
 
