@@ -34,11 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import (
-    Add, Const, DepVar, Div, Exp, IndepVar, LiesindyError, MissingSymbolError,
-    Mul, Param, Pow, compile_array, dep_vars_in, evaluate_array, is_zero,
-    params_in, partial_derivative, simplify, substitute, to_string, _walk,
+    Add, Const, DepVar, Exp, IndepVar, LiesindyError, MissingSymbolError,
+    Param, compile_array, dep_vars_in, evaluate_array, is_zero, params_in,
+    partial_derivative, simplify, substitute, to_string, _map_leaves, _walk,
 )
-from .regress import model_to_equation
+from .regress import model_to_equation, project
 
 __all__ = [
     "SolverConfig", "TrajectoryGrid", "default_config",
@@ -530,18 +530,6 @@ def solve_pde(cfg: SolverConfig, ics, metas=None):
 # integrating discovered models
 
 
-def _split_monomial(term):
-    factors = term.factors if isinstance(term, Mul) else (term,)
-    coef = 1.0
-    rest = []
-    for f in factors:
-        if isinstance(f, Const):
-            coef *= f.value
-        else:
-            rest.append(f)
-    return coef, rest
-
-
 def _time_coefficient(eq):
     """Split eq = a(t)*u_t + rest; a must be c or c*e^{g*t}."""
     ut = DepVar("u", ("t",))
@@ -583,18 +571,10 @@ def _time_coefficient(eq):
 
 def _linear_split(rest):
     """rest -> (dict spatial-order -> coefficient, leftover Expr)."""
-    terms = rest.terms if isinstance(rest, Add) else (rest,)
-    linear = {}
-    leftover = []
-    for term in terms:
-        coef, bases = _split_monomial(term)
-        if len(bases) == 1 and isinstance(bases[0], DepVar):
-            order = bases[0].order
-            linear[order] = linear.get(order, 0.0) + coef
-        elif not (len(bases) == 0 and coef == 0.0):
-            leftover.append(term)
-    left = simplify(Add(tuple(leftover))) if leftover else Const(0.0)
-    return linear, left
+    coefs, leftover = project(rest, [DepVar("u", ("x",) * k)
+                                     for k in range(5)])
+    linear = {order: c for order, c in enumerate(coefs) if c != 0.0}
+    return linear, simplify(Add(tuple(leftover))) if leftover else Const(0.0)
 
 
 def _lift_consts(e, consts):
@@ -602,20 +582,13 @@ def _lift_consts(e, consts):
 
     The i-th constant's value is appended to consts.
     """
-    if isinstance(e, Const):
-        consts.append(e.value)
+    def lift(n):
+        if not isinstance(n, Const):
+            return n
+        consts.append(n.value)
         return Param(f"_c{len(consts) - 1}")
-    if isinstance(e, Add):
-        return Add(tuple(_lift_consts(a, consts) for a in e.terms))
-    if isinstance(e, Mul):
-        return Mul(tuple(_lift_consts(a, consts) for a in e.factors))
-    if isinstance(e, Pow):
-        return Pow(_lift_consts(e.base, consts), e.exponent)
-    if isinstance(e, Exp):
-        return Exp(_lift_consts(e.arg, consts))
-    if isinstance(e, Div):
-        return Div(_lift_consts(e.num, consts), _lift_consts(e.den, consts))
-    return e
+
+    return _map_leaves(e, lift)
 
 
 def _rollout_form(model, cfg):

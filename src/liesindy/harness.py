@@ -26,15 +26,12 @@ from .dynamics import (
     load_trajectories, read_json, sample_initial_condition,
     save_trajectories, solve_pde, _grid,
 )
-from .expr import (
-    Add, Const, JetSpace, LiesindyError, is_zero, parse, simplify,
-    substitute, to_string,
-)
+from .expr import Const, JetSpace, LiesindyError, parse, to_string
 from .invariants import builtin_set, truth_equation
 from .jetgrid import evaluate_features, finite_differences, spectral_jets
 from .regress import (
-    LibrarySpec, SparseModel, build_library, model_to_dict, stlsq,
-    stlsq_regularized,
+    LibrarySpec, SparseModel, action_terms, build_library, model_to_dict,
+    project, stlsq, stlsq_regularized,
 )
 
 __all__ = [
@@ -213,12 +210,12 @@ def _problem(cfg: ExperimentConfig):
             raise HarnessError(f"library.inputs[{i}]: {err}") from None
     spec = LibrarySpec(cfg.library["mode"], tuple(inputs),
                        include_constant=bool(cfg.library["include_constant"]))
+    feats = build_library(spec)
     if cfg.method == "di-sindy":
         feats = list(inv.rhs_features())
         if spec.include_constant:
             feats = [Const(1.0)] + feats
         return feats, inv.lhs, list(inv.generators)
-    feats = build_library(spec)
     if cfg.system == "nkdv":
         target = parse("exp(-t/t0)*u_t", SPACE)
     else:
@@ -234,25 +231,16 @@ def _problem(cfg: ExperimentConfig):
 def ground_truth(system, target, features, params) -> SparseModel:
     """Project the catalog's governing equation onto a feature ordering.
 
-    The equation is target - sum_j w_j feat_j = 0; every residual term must
-    be a constant multiple of exactly one library feature once the physical
-    parameters are substituted, otherwise the library cannot represent the
-    truth and the experiment is ill-posed.
+    The equation is target - sum_j w_j feat_j = 0; every term of
+    target - equation must be a constant multiple of a library feature once
+    the physical parameters are substituted (regress.project), otherwise
+    the library cannot represent the truth and the experiment is ill-posed.
     """
-    resid = simplify(substitute(truth_equation(system) - target,
-                                dict(params)))
-    w = np.zeros(len(features))
-    if not is_zero(resid):
-        terms = resid.terms if isinstance(resid, Add) else (resid,)
-        for term in terms:
-            for j, f in enumerate(features):
-                ratio = simplify(term / f)
-                if isinstance(ratio, Const):
-                    w[j] -= ratio.value
-                    break
-            else:
-                raise HarnessError(
-                    f"truth term {to_string(term)} is outside the library")
+    w, rest = project(target - truth_equation(system), features,
+                      dict(params))
+    if rest:
+        raise HarnessError(
+            f"truth term {to_string(rest[0])} is outside the library")
     return SparseModel(target=target, features=list(features), coef=w,
                        mask=w != 0.0, threshold=0.0 if not w.any()
                        else float(np.min(np.abs(w[w != 0.0]))))
@@ -350,9 +338,11 @@ def _solve_sets(cfg: ExperimentConfig, runs, test=False):
                                              s) for s, _, _ in flat])
     outs = solve_pde(cfg.solver, ics, [meta for _, meta, _ in flat])
     if cfg.noise_sigma > 0:
-        outs = [tr if noise is None or isinstance(tr, BlowUpError) else
-                add_noise(tr, cfg.noise_sigma, noise)
-                for tr, (_, _, noise) in zip(outs, flat)]
+        # in place, so one clean trajectory at a time is alive beside the
+        # noisy ones
+        for i, (_, _, noise) in enumerate(flat):
+            if noise is not None and not isinstance(outs[i], BlowUpError):
+                outs[i] = add_noise(outs[i], cfg.noise_sigma, noise)
     outs = iter(outs)
     return [[next(outs) for _ in members] for members in sets]
 
@@ -383,12 +373,13 @@ def _jet_estimator(cfg: ExperimentConfig):
 def build_feature_matrix(cfg: ExperimentConfig, trains):
     """The sums of one run's fit over all its training trajectories, in
     one windowed pass with the estimator `_jet_estimator` picks; for
-    equiv-r the pass also sums each generator's penalty."""
+    equiv-r the pass also sums the generators' action terms outside the
+    library, which the symmetry penalties read."""
     _, estimate = _jet_estimator(cfg)
-    equiv_r = cfg.method == "equiv-r"
+    extra = action_terms(cfg.generators, cfg.features + [cfg.target],
+                         cfg.solver.params) if cfg.method == "equiv-r" else ()
     return evaluate_features(trains, estimate, cfg.features, cfg.target,
-                             constants=cfg.solver.params,
-                             generators=cfg.generators if equiv_r else ())
+                             constants=cfg.solver.params, extra=extra)
 
 
 def _fit(cfg: ExperimentConfig, fm):

@@ -14,10 +14,11 @@ window's jets are bit-equal to the same rows of the whole trajectory's.
 `evaluate_features` passes over each trajectory of a fit one window of
 WINDOW_POINTS grid points at a time: it estimates the window's jets to the
 highest derivative order among the features and the target, and
-`FeatureMatrix.add` evaluates them into one reused buffer, drops the rows
-where any is not finite and adds the rest to the sums the fit reads.  The
-feature matrix never exists whole; per row only the kept target value is
-held.
+`FeatureMatrix.add` evaluates them, and any extra expressions (the symmetry
+action terms an equiv-r fit needs, see regress.action_terms), into one
+reused buffer, drops the rows where a feature or the target is not finite
+and adds the rest to the sums the fit reads.  The feature matrix never
+exists whole; per row only the kept target value is held.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .expr import (
     params_in, to_string,
 )
 from .dynamics import TrajectoryGrid
-from .regress import SymmetryPenalty
 
 __all__ = [
     "JetGrid", "FeatureMatrix", "finite_differences",
@@ -152,31 +152,32 @@ def spectral_jets(traj: TrajectoryGrid, n: int = 4, rows=None) -> JetGrid:
 class FeatureMatrix:
     """The sums one fit reads, added a block of rows at a time.
 
-    Row i is one grid point: the features' values A[i] and the target's
-    y[i].  `add` adds the finite rows to `sums`, the Gram of [A | y], whose
-    blocks are `gram` (A^T A), `rhs` (A^T y) and `yty`, and to each of
-    `generators`' penalty sums (`penalties`).
+    Row i is one grid point: the features' values A[i], the target's y[i]
+    and the `extra` expressions' values E[i].  `add` adds the rows where A
+    and y are finite to `sums`, the Gram of [A | y | E], whose blocks
+    `gram` (A^T A), `rhs` (A^T y) and `yty` are the plain fit's normal
+    equations.
     """
 
     def __init__(self, columns, target_label: Expr, constants=None,
-                 generators=()):
+                 extra=()):
         self.columns = list(columns)          # Expr labels of A's columns
         self.target_label = target_label
-        self.exprs = self.columns + [target_label]
+        self.exprs = self.columns + [target_label] + list(extra)
         self.order = max(1, *map(max_order, self.exprs))
         self.constants = {name: float(val)
                           for name, val in (constants or {}).items()}
-        self.penalties = [SymmetryPenalty(g, self.exprs, self.order)
-                          for g in generators]
         self.sums = np.zeros((len(self.exprs), len(self.exprs)))
-        self.gram, self.rhs = self.sums[:-1, :-1], self.sums[:-1, -1]
+        p = len(self.columns)
+        self.gram, self.rhs = self.sums[:p, :p], self.sums[:p, p]
         self.n_rows = self.dropped = 0
         self._targets = []
         self._buffer = np.empty((len(self.exprs), 0))
 
     @property
     def yty(self):
-        return float(self.sums[-1, -1])
+        p = len(self.columns)
+        return float(self.sums[p, p])
 
     @property
     def target(self):
@@ -187,7 +188,8 @@ class FeatureMatrix:
         """Add the rows, if any, of `binding` (name -> 1-D array per row).
 
         The constants are bound here.  A row where the target or any
-        feature is not finite is dropped and counted.
+        feature is not finite is dropped and counted; the extra expressions
+        do not decide.
         """
         n = max(np.size(val) for val in binding.values())
         binding = {**binding, **self.constants}
@@ -197,20 +199,17 @@ class FeatureMatrix:
         block = self._buffer[:, :n]
         for j, e in enumerate(self.exprs):
             block[j] = evaluate_array(e, binding)
-        keep = np.isfinite(block).all(axis=0)
+        p = len(self.columns)
+        keep = np.isfinite(block[:p + 1]).all(axis=0)
         kept = int(np.count_nonzero(keep))
         if kept < n:
             # compress, not block[:, keep]: numpy lays that result out
             # point-major
             block = block.compress(keep, axis=1)
-            binding = {name: val[keep] if np.ndim(val) else val
-                       for name, val in binding.items()}
         self.sums += block @ block.T
-        self._targets.append(block[-1].copy())
+        self._targets.append(block[p].copy())
         self.n_rows += kept
         self.dropped += n - kept
-        for penalty in self.penalties:
-            penalty.add(binding, self._buffer[:, :kept])
 
 
 def _binding(jet: JetGrid):
@@ -225,20 +224,20 @@ def _binding(jet: JetGrid):
 
 
 def evaluate_features(trajs, estimate, feats, target: Expr, constants=None,
-                      generators=()) -> FeatureMatrix:
+                      extra=()) -> FeatureMatrix:
     """The sums of `feats` against `target` over the trajectories' rows.
 
     `estimate` (finite_differences, spectral_jets, ...) makes each window's
     jets (none in halo rows); an order its stencils lack raises
     GridTooSmallError.  Rows run in trajectory order, then (t index, x
     index).  Constants (t0, nu, ...) must all be supplied; a missing one
-    raises with its name.  The penalty sums of `generators` (equiv-r) are
-    added in the same pass.
+    raises with its name.  The `extra` expressions (equiv-r's action
+    terms) are summed in the same pass.
     """
     trajs = list(trajs)
     if not trajs:
         raise GridTooSmallError("no trajectories to evaluate features on")
-    fm = FeatureMatrix(feats, target, constants, generators)
+    fm = FeatureMatrix(feats, target, constants, extra)
     for e in fm.exprs:
         for p in params_in(e):
             if p.name not in fm.constants:

@@ -10,8 +10,11 @@ deterministic and the mask can only shrink.  The regularized variant adds
 lam * B^T B and lam * B^T b to the same G and r: the prolonged action of
 each generator on the residual equation is affine in the coefficients, so
 the symmetry penalty is exactly quadratic and needs no iterative optimizer.
-A `SymmetryPenalty` sums its B^T B and B^T b in the feature pass, over the
-same rows as G.
+The action on each feature and on the target is a constant combination of
+the features, the target and the action terms outside their span
+(`project`, `action_terms`), so [B | b] = [A | y | extra] M for a constant
+matrix M, and the penalty sums are M^T S M, where S is the Gram of
+[A | y | extra] the feature pass summed.
 """
 
 from __future__ import annotations
@@ -21,15 +24,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import (
-    Const, Expr, ExprError, JetSpace, LiesindyError, evaluate_array, is_zero,
-    parse, simplify, to_string,
+    Add, Const, Expr, ExprError, JetSpace, LiesindyError, is_zero, max_order,
+    parse, simplify, substitute, to_string,
 )
+# not called here: perfbench's traced runs rebind it on this module
+from .expr import evaluate_array  # noqa: F401
 from .liealg import ProlongedVectorField, apply as lie_apply, prolong
 
 __all__ = [
-    "LibrarySpec", "SparseModel", "SymmetryPenalty", "build_library",
-    "stlsq", "stlsq_regularized", "model_to_equation", "model_to_dict",
-    "model_from_dict", "RegressionError",
+    "LibrarySpec", "SparseModel", "build_library", "project", "action_terms",
+    "symmetry_penalty", "stlsq", "stlsq_regularized", "model_to_equation",
+    "model_to_dict", "model_from_dict", "RegressionError",
 ]
 
 
@@ -55,7 +60,8 @@ class LibrarySpec:
 
 
 def build_library(spec: LibrarySpec):
-    """Deterministic feature list: constant, inputs, then pairwise products."""
+    """Deterministic feature list: constant, inputs, then pairwise products.
+    A repeated feature (an input that is a product of inputs) raises."""
     feats = []
     if spec.include_constant:
         feats.append(Const(1.0))
@@ -65,6 +71,10 @@ def build_library(spec: LibrarySpec):
         for i in range(n):
             for j in range(i, n):
                 feats.append(simplify(spec.inputs[i] * spec.inputs[j]))
+    texts = [to_string(f) for f in feats]
+    for i, text in enumerate(texts):
+        if text in texts[:i]:
+            raise RegressionError(f"the library holds {text} twice")
     return feats
 
 
@@ -124,9 +134,8 @@ def _solve_round(gram, rhs, active):
     return coef, min_sv, cond
 
 
-def _stlsq_loop(fm, sums, n_rows, threshold):
-    """STLSQ rounds on the normal equations [G | r] in sums' first rows."""
-    gram, rhs = sums[:-1, :-1], sums[:-1, -1]
+def _stlsq_loop(fm, gram, rhs, n_rows, threshold):
+    """STLSQ rounds on the normal equations G w = r."""
     n_feats = gram.shape[0]
     if n_rows <= n_feats:
         raise RegressionError(
@@ -157,35 +166,71 @@ def _stlsq_loop(fm, sums, n_rows, threshold):
 def stlsq(fm, threshold: float) -> SparseModel:
     """Sequential thresholded least squares on a FeatureMatrix's sums, at
     most 20 thresholding rounds."""
-    return _stlsq_loop(fm, fm.sums, fm.n_rows, threshold)
+    return _stlsq_loop(fm, fm.gram, fm.rhs, fm.n_rows, threshold)
 
 
-class SymmetryPenalty:
-    """One generator's penalty sums over the rows of a fit.
+def project(expr: Expr, basis, constants=None):
+    """(coefficients, rest) with expr = coefficients . basis + sum(rest).
+
+    With `constants` (name -> value) substituted into expr and the basis,
+    each term of expr goes to the first basis entry it is a constant
+    multiple of, by simplify(term / entry); `rest` holds the others.
+    """
+    expr = substitute(expr, constants) if constants else simplify(expr)
+    coefs, rest = np.zeros(len(basis)), []
+    if is_zero(expr):
+        return coefs, rest
+    if constants:
+        basis = [substitute(f, constants) for f in basis]
+    for term in expr.terms if isinstance(expr, Add) else (expr,):
+        for j, f in enumerate(basis):
+            ratio = simplify(term / f)
+            if isinstance(ratio, Const):
+                coefs[j] += ratio.value
+                break
+        else:
+            rest.append(term)
+    return coefs, rest
+
+
+def _actions(generator, exprs):
+    """The prolonged action of `generator` on each of `exprs`; a plain
+    generator is prolonged to their highest order (at least 1)."""
+    pv = generator if isinstance(generator, ProlongedVectorField) \
+        else prolong(generator, max(1, *map(max_order, exprs)))
+    return [lie_apply(pv, e) for e in exprs]
+
+
+def action_terms(generators, exprs, constants=None):
+    """The terms of the generators' actions on `exprs` outside their span,
+    none a multiple of another: what the feature pass must sum beside
+    `exprs` (FeatureMatrix's `extra`) for `symmetry_penalty`."""
+    exprs, extra = list(exprs), []
+    for g in generators:
+        for action in _actions(g, exprs):
+            extra += project(action, exprs + extra, constants)[1]
+    return extra
+
+
+def symmetry_penalty(fm, generator):
+    """The Gram of [B | b] over fm's rows, M^T S M from fm's sums S.
 
     For the residual equation F = target - sum_j w_j feat_j the prolonged
     action is pr v[F] = pr v[target] - sum_j w_j pr v[feat_j], affine in w,
     so the generator's penalty ||b - B w||^2 has B[:, j] = pr v[feat_j] and
-    b = pr v[target] on the data points.  `add` adds the Gram of [B | b]
-    over a block of rows to `sums`, so B^T B and B^T b are its blocks.  A
-    generator that annihilates the target and every feature (`exprs`) is
-    never evaluated; a plain one is prolonged to `order`.
+    b = pr v[target]; each action is M[:, j] . fm.exprs, and an action term
+    the pass did not sum raises RegressionError naming it.
     """
-
-    def __init__(self, generator, exprs, order: int):
-        pv = generator if isinstance(generator, ProlongedVectorField) \
-            else prolong(generator, order)
-        actions = [lie_apply(pv, e) for e in exprs]
-        self.actions = None if all(is_zero(a) for a in actions) else actions
-        self.sums = np.zeros((len(exprs), len(exprs)))
-
-    def add(self, binding, block):
-        """Add the rows of `binding`, evaluated into the buffer `block`."""
-        if self.actions is None:
-            return
-        for j, a in enumerate(self.actions):
-            block[j] = evaluate_array(a, binding)
-        self.sums += block @ block.T
+    n = len(fm.columns) + 1
+    m = np.zeros((len(fm.exprs), n))
+    for j, action in enumerate(_actions(generator, fm.exprs[:n])):
+        m[:, j], rest = project(action, fm.exprs, fm.constants)
+        if rest:
+            base = getattr(generator, "base", generator)
+            raise RegressionError(
+                f"the feature pass did not sum {to_string(rest[0])}, a term "
+                f"of the action of '{base.name}' on {to_string(fm.exprs[j])}")
+    return m.T @ fm.sums @ m
 
 
 def stlsq_regularized(fm, generators, lam: float,
@@ -195,23 +240,21 @@ def stlsq_regularized(fm, generators, lam: float,
     The objective's normal equations are
     (A^T A + lam sum_v B_v^T B_v) w = A^T y + lam sum_v B_v^T b_v, a p x p
     system, so each thresholding round is still one exact linear solve and
-    no stacked (A; B_v) matrix is ever built.  `generators` are those whose
-    penalty sums the feature pass added to `fm` (see evaluate_features); a
-    different number of them raises RegressionError.
+    no stacked (A; B_v) matrix is ever built.  Each generator's sums come
+    from `symmetry_penalty`, so `fm` must have summed the generators'
+    `action_terms`.
     """
     if lam < 0:
         raise RegressionError("lam must be non-negative")
     if lam == 0.0:
         return stlsq(fm, threshold)
-    if len(fm.penalties) != len(generators):
-        raise RegressionError(f"the feature pass summed {len(fm.penalties)}"
-                              f" penalties, not {len(generators)}")
-    sums = fm.sums.copy()
-    for penalty in fm.penalties:
-        sums += lam * penalty.sums
+    p = len(fm.columns)
+    sums = fm.sums[:p + 1, :p + 1].copy()
+    for g in generators:
+        sums += lam * symmetry_penalty(fm, g)
     # rows of the equivalent stacked least-squares system
     n_rows = fm.n_rows * (1 + len(generators))
-    model = _stlsq_loop(fm, sums, n_rows, threshold)
+    model = _stlsq_loop(fm, sums[:p, :p], sums[:p, p], n_rows, threshold)
     model.diagnostics["lambda"] = lam
     return model
 

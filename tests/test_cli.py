@@ -255,6 +255,9 @@ def _solver_edit(**over):
     (lambda d: json.dumps({**d, "method": "sindy",
                            "library": {"inputs": ["u", "u/0"]}}),
      "division by symbolic zero"),
+    (lambda d: json.dumps({**d, "method": "sindy", "library": {
+        "inputs": ["u", "u_x", "u_xx", "u*u_x"]}}),
+     "bad.json: the library holds u*u_x twice"),
     (lambda d: "\xff" + json.dumps(d), "bad.json is not UTF-8 text"),
     # di-sindy discards the library, but a config holds only a valid one
     (lambda d: json.dumps({**d, "library": {"mode": "cubic",
@@ -270,7 +273,8 @@ def _solver_edit(**over):
      f"bad.json: transient is 1e+302 steps of dt, more than {sys.maxsize}"),
 ], ids=["unknown-key", "truncated-json", "bad-nx", "unknown-solver-key",
         "not-an-object", "no-system", "runs-not-integer", "nx-not-integer",
-        "dt-nan", "seed-negative", "library-divides-by-zero", "not-utf8",
+        "dt-nan", "seed-negative", "library-divides-by-zero",
+        "library-repeats-a-feature", "not-utf8",
         "di-sindy-library", "di-sindy-library-mode", "unread-solver-param",
         "transient-steps-not-finite", "transient-steps-above-maxsize"])
 def test_bad_config_is_one_error_line(tmp_path, capsys, config_path, edit,

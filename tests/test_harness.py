@@ -22,7 +22,9 @@ from liesindy.harness import (
 )
 from liesindy.invariants import CatalogError
 from liesindy.jetgrid import WINDOW_POINTS, GridTooSmallError
-from liesindy.regress import RegressionError, SparseModel, model_from_dict
+from liesindy.regress import (
+    RegressionError, SparseModel, model_from_dict, symmetry_penalty,
+)
 
 P = lambda s: parse(s, hz.SPACE)
 
@@ -309,10 +311,14 @@ def test_stack_matches_concatenation():
                           np.concatenate([fm_a.target, fm_b.target]))
     assert fm_ab.n_rows == fm_a.n_rows + fm_b.n_rows
     assert fm_ab.dropped == fm_a.dropped + fm_b.dropped
+    # the pass summed the galilean generator's action term 1 beside the
+    # library and the target
+    assert [to_string(e) for e in fm_ab.exprs[len(cfg.features) + 1:]] \
+        == ["1"]
     pairs = [(fm_ab.sums, fm_a.sums + fm_b.sums)]
-    pairs += [(ab.sums, a.sums + b.sums) for ab, a, b in
-              zip(fm_ab.penalties, fm_a.penalties, fm_b.penalties)]
-    assert len(pairs) == 1 + len(cfg.generators)
+    pairs += [(symmetry_penalty(fm_ab, g),
+               symmetry_penalty(fm_a, g) + symmetry_penalty(fm_b, g))
+              for g in cfg.generators]
     for got, want in pairs:
         scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
         assert np.all(np.abs(got - want) <= 1e-13 * scale)

@@ -24,6 +24,7 @@ from liesindy.jetgrid import (
 from liesindy.liealg import (
     VectorField, apply, check_symmetry_criterion, prolong,
 )
+from liesindy.regress import symmetry_penalty
 
 SPACE = JetSpace(("t", "x"), ("u",), 4)
 
@@ -480,31 +481,56 @@ def test_one_ks_run_is_bounded_by_the_window(ks_equivr_run):
     finally:
         tracemalloc.stop()
     # the 8-byte target value per row and window-sized buffers
-    window = 8 * (len(fm.columns) + 1) * WINDOW_POINTS
+    window = 8 * len(fm.exprs) * WINDOW_POINTS
     assert peak < 8 * fm.target.size + 3 * window, peak
-    assert fm.target.size > 1_000_000 and len(fm.penalties) == 3
+    # the library, the target and galilean's one action term, 1
+    assert fm.target.size > 1_000_000
+    assert len(fm.exprs) == len(fm.columns) + 2
 
 
-def test_streamed_sums_match_the_whole_matrix(ks_equivr_run):
-    # G, r and y^T y, and each generator's penalty sums, against the
-    # formulas on whole per-trajectory matrices, summed over trajectories
-    cfg, trains = ks_equivr_run
+def check_penalties(cfg, trains):
+    """The pass's sums, and each generator's penalty sums M^T S M, against
+    the formulas on whole per-trajectory matrices, summed over
+    trajectories."""
     fm = hz.build_feature_matrix(cfg, trains)
     exprs = list(cfg.features) + [cfg.target]
     pvs = [prolong(g, 4) for g in cfg.generators]
-    sums = np.zeros((1 + len(pvs),) + fm.sums.shape)
+    sums = np.zeros((len(fm.exprs),) * 2)
+    penalties = np.zeros((len(pvs),) + (len(exprs),) * 2)
     for tr in trains:
         binding = jet_columns(finite_differences(tr, n=4))
-        block = np.array([evaluate_array(e, binding) for e in exprs])
-        sums[0] += block @ block.T
-        for k, pv in enumerate(pvs, start=1):
-            block = np.array([evaluate_array(apply(pv, e), binding)
-                              * np.ones(binding["u"].size) for e in exprs])
-            sums[k] += block @ block.T
-    assert fm.dropped == 0 and len(fm.penalties) == len(pvs)
-    for got, want in zip([fm.sums] + [p.sums for p in fm.penalties], sums):
+        ones = np.ones(binding["u"].size)
+        block = np.array([evaluate_array(e, binding) * ones
+                          for e in fm.exprs])
+        sums += block @ block.T
+        for k, pv in enumerate(pvs):
+            block = np.array([evaluate_array(apply(pv, e), binding) * ones
+                              for e in exprs])
+            penalties[k] += block @ block.T
+    assert fm.dropped == 0
+    got = [fm.sums] + [symmetry_penalty(fm, g) for g in cfg.generators]
+    for got, want in zip(got, [sums, *penalties]):
         norms = np.sqrt(np.diag(want))
         assert np.all(np.abs(got - want) <= 1e-12 * np.outer(norms, norms))
+    return fm
+
+
+def test_streamed_sums_match_the_whole_matrix(ks_equivr_run):
+    fm = check_penalties(*ks_equivr_run)
+    assert [to_string(e) for e in fm.exprs[len(fm.columns) + 1:]] == ["1"]
+
+
+def test_penalties_of_a_library_the_actions_leave(ks_equivr_run, tmp_path):
+    # galilean takes x*u to t*u + x, so the pass sums 14 action terms
+    # outside the library and the target
+    cfg, trains = ks_equivr_run
+    lib = {"inputs": ["u", "u_x", "u_xx", "u_xxx", "u_xxxx", "x*u"]}
+    wide = hz.ExperimentConfig(**{**cfg.to_dict(), "library": lib})
+    fm = check_penalties(wide, trains[:1])
+    extra = [to_string(e) for e in fm.exprs[len(fm.columns) + 1:]]
+    assert len(extra) == 14 and extra[:3] == ["1", "x", "t*u"]
+    report = hz.run_experiment(wide, out_dir=tmp_path)
+    assert report.rows[0]["status"] == "ok", report.rows[0]["message"]
 
 
 def test_binding_feeds_the_symmetry_criterion(kdv_jet):

@@ -1,12 +1,13 @@
 """Sparse regression: STLSQ rounds, the symmetry penalty, serialization."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from liesindy import liealg, regress
+from liesindy import jetgrid, liealg, regress
 from liesindy.dynamics import SolverConfig, sample_initial_condition, solve_pde
 from liesindy.expr import Const, JetSpace, parse, to_string
 from liesindy.invariants import builtin_set
@@ -14,9 +15,9 @@ from liesindy.jetgrid import WINDOW_POINTS, FeatureMatrix, \
     evaluate_features, finite_differences
 from liesindy.liealg import VectorField, prolong
 from liesindy.regress import (
-    LibrarySpec, RegressionError, SparseModel, build_library,
-    model_from_dict, model_to_dict, model_to_equation, stlsq,
-    stlsq_regularized,
+    LibrarySpec, RegressionError, SparseModel, action_terms, build_library,
+    model_from_dict, model_to_dict, model_to_equation, project, stlsq,
+    stlsq_regularized, symmetry_penalty,
 )
 
 SPACE = JetSpace(("t", "x"), ("u",), 4)
@@ -28,7 +29,8 @@ def P(s):
 
 def make_fm(values, target, labels, target_label="u_t", binding=None,
             generators=()):
-    """The sums of rows whose feature columns are `values`, added at once.
+    """The sums of rows whose feature columns are `values`, added at once,
+    with the action terms of `generators` that the penalties need.
 
     Each label and the target label is a jet name, bound to its column.
     """
@@ -36,8 +38,9 @@ def make_fm(values, target, labels, target_label="u_t", binding=None,
     rows = dict(binding or {})
     rows.update({s: values[:, j] for j, s in enumerate(labels)})
     rows[target_label] = np.asarray(target, dtype=float)
-    fm = FeatureMatrix([P(s) for s in labels], P(target_label),
-                       generators=generators)
+    feats = [P(s) for s in labels]
+    fm = FeatureMatrix(feats, P(target_label), extra=action_terms(
+        generators, feats + [P(target_label)]))
     fm.add(rows)
     return fm
 
@@ -48,8 +51,10 @@ def kdv_fm():
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=7)
     [tr] = solve_pde(cfg, ic[None])
     inv = builtin_set("kdv")
-    return evaluate_features([tr], finite_differences, inv.rhs_features(),
-                             inv.lhs, generators=inv.generators), inv
+    feats = list(inv.rhs_features())
+    # the KdV generators annihilate every invariant: no action terms
+    assert action_terms(inv.generators, feats + [inv.lhs]) == []
+    return evaluate_features([tr], finite_differences, feats, inv.lhs), inv
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +92,29 @@ def test_library_spec_validation():
     # canonicalization catches disguised duplicates
     with pytest.raises(RegressionError):
         LibrarySpec("poly2", (P("u"), P("u*1")))
+
+
+@pytest.mark.parametrize("spec, twice", [
+    (LibrarySpec("poly2", (P("u"), P("u_x"), P("u*u_x"))), "u*u_x"),
+    (LibrarySpec("poly2", (P("u"), P("u^2"))), "u^2"),
+    (LibrarySpec("linear", (P("u"), P("1")), include_constant=True), "1"),
+], ids=["product-input", "square-input", "constant-input"])
+def test_repeated_library_feature_is_refused(spec, twice):
+    # a repeated column splits one coefficient between two features, so
+    # the projection onto the library is ambiguous
+    with pytest.raises(RegressionError,
+                       match=re.escape(f"holds {twice} twice")):
+        build_library(spec)
+
+
+def test_project_places_each_term_on_the_basis():
+    basis = [P("u"), P("u*u_x"), P("exp(-t/t0)*u_t")]
+    coefs, rest = project(P("2*u - 3*u*u_x + x + exp(-t/t0)*u_t"), basis,
+                          {"t0": 2.0})
+    assert coefs.tolist() == [2.0, -3.0, 1.0]
+    assert [to_string(t) for t in rest] == ["x"]
+    coefs, rest = project(Const(0.0), basis)
+    assert not coefs.any() and rest == []
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +308,10 @@ def poly2_rows(n, seed):
 
 
 def summed(feats, binding, generators=(), window=WINDOW_POINTS):
-    """The sums of the binding's rows, added `window` rows at a time."""
-    fm = FeatureMatrix(feats, P("u_t"), generators=generators)
+    """The sums of the binding's rows, added `window` rows at a time, with
+    the action terms of `generators`."""
+    fm = FeatureMatrix(feats, P("u_t"), extra=action_terms(
+        generators, list(feats) + [P("u_t")]))
     n = binding["u"].size
     for lo in range(0, n, window):
         fm.add({name: arr[lo:lo + window] for name, arr in binding.items()})
@@ -341,38 +371,52 @@ def test_second_fit_reuses_prolonged_actions(monkeypatch):
     assert len(calls) == 2 * (len(feats) + 1)
     fits = [stlsq_regularized(fm, [galilean(), x_scaling()], lam=0.1,
                               threshold=0.05) for fm in (first, again)]
+    assert len(calls) == 2 * (len(feats) + 1)
     assert np.array_equal(fits[1].coef, fits[0].coef)
 
 
 def test_annihilating_generator_is_never_evaluated(monkeypatch):
     # no feature or target of this library depends on t or x, so both
-    # translations act as zero and add nothing to the normal equations
+    # translations act as zero: the pass sums no action term for them and
+    # they add nothing to the normal equations
     evaluated = []
 
     def counted(e, binding):
-        evaluated.append(e)
+        evaluated.append(to_string(e))
         return evaluate_array(e, binding)
 
-    evaluate_array = regress.evaluate_array
+    evaluate_array = jetgrid.evaluate_array
     feats, binding = poly2_rows(500, seed=24)
     shifts = [VectorField(SPACE, xi=xi, phi=(Const(0.0),), name=name)
               for xi, name in (((Const(0.0), Const(1.0)), "x-shift"),
                                ((Const(1.0), Const(0.0)), "t-shift"))]
-    monkeypatch.setattr(regress, "evaluate_array", counted)
+    monkeypatch.setattr(jetgrid, "evaluate_array", counted)
     fm = summed(feats, binding, shifts)
     reg = stlsq_regularized(fm, shifts, lam=10.0, threshold=0.05)
-    assert evaluated == []
+    assert evaluated == [to_string(e) for e in feats] + ["u_t"]
+    assert all(not symmetry_penalty(fm, g).any() for g in shifts)
     plain = stlsq(fm, threshold=0.05)
     assert np.array_equal(reg.mask, plain.mask)
     assert np.array_equal(reg.coef, plain.coef)
 
 
 def test_generator_the_pass_did_not_sum_is_refused(kdv_fm):
-    # the pass summed the three KdV generators' penalties
+    # the pass summed the KdV invariants, which the KdV generators
+    # annihilate; x-scaling takes the target u_t + u*u_x to -u*u_x, which
+    # is not among them
     fm, inv = kdv_fm
-    with pytest.raises(RegressionError, match="summed 3 penalties, not 4"):
+    with pytest.raises(RegressionError, match=(
+            r"did not sum -u\*u_x, a term of the action of 'x-scaling' on "
+            r"u_t \+ u\*u_x")):
         stlsq_regularized(fm, inv.generators + [x_scaling()], lam=1.0,
                           threshold=0.5)
+    # nor 1, galilean's action on u, when the pass summed no action term
+    binding = toy_binding(50, seed=4)
+    a = np.column_stack([binding["u"], binding["u_x"]])
+    bare = make_fm(a, binding["u_t"], ["u", "u_x"], binding=binding)
+    with pytest.raises(RegressionError, match="did not sum 1, a term of "
+                       "the action of 'galilean' on u$"):
+        stlsq_regularized(bare, [galilean()], lam=1.0, threshold=0.5)
 
 
 def test_negative_lambda_rejected(kdv_fm):
