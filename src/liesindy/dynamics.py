@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import (
-    Add, Const, DepVar, Exp, IndepVar, LiesindyError, MissingSymbolError,
-    Param, compile_array, dep_vars_in, evaluate_array, is_zero, params_in,
-    partial_derivative, simplify, substitute, to_string, _map_leaves, _walk,
+    Add, Const, DepVar, Div, Exp, IndepVar, LiesindyError, MissingSymbolError,
+    Mul, Param, Pow, compile_array, dep_vars_in, evaluate_array, is_zero,
+    params_in, partial_derivative, simplify, substitute, to_string, _walk,
 )
 from .regress import model_to_equation, project
 
@@ -582,13 +582,20 @@ def _lift_consts(e, consts):
 
     The i-th constant's value is appended to consts.
     """
-    def lift(n):
-        if not isinstance(n, Const):
-            return n
-        consts.append(n.value)
+    if isinstance(e, Const):
+        consts.append(e.value)
         return Param(f"_c{len(consts) - 1}")
-
-    return _map_leaves(e, lift)
+    if isinstance(e, Add):
+        return Add(tuple(_lift_consts(a, consts) for a in e.terms))
+    if isinstance(e, Mul):
+        return Mul(tuple(_lift_consts(a, consts) for a in e.factors))
+    if isinstance(e, Pow):
+        return Pow(_lift_consts(e.base, consts), e.exponent)
+    if isinstance(e, Exp):
+        return Exp(_lift_consts(e.arg, consts))
+    if isinstance(e, Div):
+        return Div(_lift_consts(e.num, consts), _lift_consts(e.den, consts))
+    return e
 
 
 def _rollout_form(model, cfg):

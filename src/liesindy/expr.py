@@ -568,30 +568,27 @@ def total_derivative(e: Expr, i: str, cap: int | None = None) -> Expr:
     return simplify(Add(tuple(out)))
 
 
-def _map_leaves(e, fn):
-    """e with each leaf replaced by fn(leaf), depth first, left to right."""
-    if isinstance(e, Add):
-        return Add(tuple(_map_leaves(t, fn) for t in e.terms))
-    if isinstance(e, Mul):
-        return Mul(tuple(_map_leaves(f, fn) for f in e.factors))
-    if isinstance(e, Pow):
-        return Pow(_map_leaves(e.base, fn), e.exponent)
-    if isinstance(e, Exp):
-        return Exp(_map_leaves(e.arg, fn))
-    if isinstance(e, Div):
-        return Div(_map_leaves(e.num, fn), _map_leaves(e.den, fn))
-    return fn(e)
-
-
 def substitute(e: Expr, binding) -> Expr:
     """Replace named constants (and optionally variables) by expressions."""
 
     def sub(n):
-        if isinstance(n, Const) or _leaf_name(n) not in binding:
-            return n
-        return _coerce(binding[_leaf_name(n)])
+        if isinstance(n, (Param, IndepVar)) and n.name in binding:
+            return _coerce(binding[n.name])
+        if isinstance(n, DepVar) and n.display() in binding:
+            return _coerce(binding[n.display()])
+        if isinstance(n, Add):
+            return Add(tuple(sub(t) for t in n.terms))
+        if isinstance(n, Mul):
+            return Mul(tuple(sub(f) for f in n.factors))
+        if isinstance(n, Pow):
+            return Pow(sub(n.base), n.exponent)
+        if isinstance(n, Exp):
+            return Exp(sub(n.arg))
+        if isinstance(n, Div):
+            return Div(sub(n.num), sub(n.den))
+        return n
 
-    return simplify(_map_leaves(e, sub))
+    return simplify(sub(e))
 
 
 # ---------------------------------------------------------------------------

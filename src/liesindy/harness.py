@@ -26,7 +26,9 @@ from .dynamics import (
     load_trajectories, read_json, sample_initial_condition,
     save_trajectories, solve_pde, _grid,
 )
-from .expr import Const, JetSpace, LiesindyError, parse, to_string
+from .expr import (
+    Const, JetSpace, LiesindyError, parse, substitute, to_string,
+)
 from .invariants import builtin_set, truth_equation
 from .jetgrid import evaluate_features, finite_differences, spectral_jets
 from .regress import (
@@ -236,8 +238,8 @@ def ground_truth(system, target, features, params) -> SparseModel:
     the physical parameters are substituted (regress.project), otherwise
     the library cannot represent the truth and the experiment is ill-posed.
     """
-    w, rest = project(target - truth_equation(system), features,
-                      dict(params))
+    w, rest = project(substitute(target - truth_equation(system), params),
+                      [substitute(f, params) for f in features])
     if rest:
         raise HarnessError(
             f"truth term {to_string(rest[0])} is outside the library")
@@ -377,7 +379,8 @@ def build_feature_matrix(cfg: ExperimentConfig, trains):
     library, which the symmetry penalties read."""
     _, estimate = _jet_estimator(cfg)
     extra = action_terms(cfg.generators, cfg.features + [cfg.target],
-                         cfg.solver.params) if cfg.method == "equiv-r" else ()
+                         cfg.solver.params)[0] if cfg.method == "equiv-r" \
+        else ()
     return evaluate_features(trains, estimate, cfg.features, cfg.target,
                              constants=cfg.solver.params, extra=extra)
 

@@ -85,22 +85,28 @@ def _evolution_space():
                     evolution=True)
 
 
+def _translation_generators(space):
+    zero, one = Const(0.0), Const(1.0)
+    return [
+        VectorField(space, xi=(zero, one), phi=(zero,), name="x-shift"),
+        VectorField(space, xi=(one, zero), phi=(zero,), name="t-shift"),
+    ]
+
+
 def _build(system):
     zero, one = Const(0.0), Const(1.0)
-    sp = _evolution_space()
-    x_shift = VectorField(sp, xi=(zero, one), phi=(zero,), name="x-shift")
     if system in ("kdv", "ks", "burgers"):
-        gens = [
-            x_shift,
-            VectorField(sp, xi=(one, zero), phi=(zero,), name="t-shift"),
-            VectorField(sp, xi=(zero, IndepVar("t")), phi=(one,),
-                        name="galilean")]
+        sp = _evolution_space()
+        t = IndepVar("t")
+        gens = _translation_generators(sp) + [
+            VectorField(sp, xi=(zero, t), phi=(one,), name="galilean")]
         etas = [parse(s, sp) for s in
                 ("u_t + u*u_x", "u_x", "u_xx", "u_xxx", "u_xxxx")]
         return InvariantSet(system, sp, gens, etas, lhs_index=0, params={})
     if system == "nkdv":
+        sp = _evolution_space()
         gens = [
-            x_shift,
+            VectorField(sp, xi=(zero, one), phi=(zero,), name="x-shift"),
             VectorField(sp, xi=(parse("exp(-t/t0)", sp), zero), phi=(zero,),
                         name="decaying-t-shift"),
             VectorField(sp, xi=(zero, parse("t0*exp(t/t0) - t0", sp)),

@@ -33,7 +33,7 @@ from .liealg import ProlongedVectorField, apply as lie_apply, prolong
 
 __all__ = [
     "LibrarySpec", "SparseModel", "build_library", "project", "action_terms",
-    "symmetry_penalty", "stlsq", "stlsq_regularized", "model_to_equation",
+    "symmetry_penalties", "stlsq", "stlsq_regularized", "model_to_equation",
     "model_to_dict", "model_from_dict", "RegressionError",
 ]
 
@@ -169,19 +169,16 @@ def stlsq(fm, threshold: float) -> SparseModel:
     return _stlsq_loop(fm, fm.gram, fm.rhs, fm.n_rows, threshold)
 
 
-def project(expr: Expr, basis, constants=None):
+def project(expr: Expr, basis):
     """(coefficients, rest) with expr = coefficients . basis + sum(rest).
 
-    With `constants` (name -> value) substituted into expr and the basis,
-    each term of expr goes to the first basis entry it is a constant
+    Each term of expr goes to the first basis entry it is a constant
     multiple of, by simplify(term / entry); `rest` holds the others.
     """
-    expr = substitute(expr, constants) if constants else simplify(expr)
+    expr = simplify(expr)
     coefs, rest = np.zeros(len(basis)), []
     if is_zero(expr):
         return coefs, rest
-    if constants:
-        basis = [substitute(f, constants) for f in basis]
     for term in expr.terms if isinstance(expr, Add) else (expr,):
         for j, f in enumerate(basis):
             ratio = simplify(term / f)
@@ -193,44 +190,65 @@ def project(expr: Expr, basis, constants=None):
     return coefs, rest
 
 
-def _actions(generator, exprs):
-    """The prolonged action of `generator` on each of `exprs`; a plain
-    generator is prolonged to their highest order (at least 1)."""
-    pv = generator if isinstance(generator, ProlongedVectorField) \
-        else prolong(generator, max(1, *map(max_order, exprs)))
-    return [lie_apply(pv, e) for e in exprs]
+# (generators, exprs, constants) -> action_terms, filled on first use: the
+# runs of one cell project each action once
+_bases: dict = {}
 
 
 def action_terms(generators, exprs, constants=None):
-    """The terms of the generators' actions on `exprs` outside their span,
-    none a multiple of another: what the feature pass must sum beside
-    `exprs` (FeatureMatrix's `extra`) for `symmetry_penalty`."""
-    exprs, extra = list(exprs), []
-    for g in generators:
-        for action in _actions(g, exprs):
-            extra += project(action, exprs + extra, constants)[1]
-    return extra
+    """(extra, M): the terms of the generators' actions on `exprs` outside
+    their span, which the feature pass must sum beside `exprs`
+    (FeatureMatrix's `extra`), and M with
+    [pr v[e] for v in generators for e in exprs] = (exprs + extra) . M.
+
+    With the constants substituted, each action is projected onto `exprs`
+    and the terms found before it, and its other terms are appended to
+    `extra`.  A plain generator is prolonged to the highest order of
+    `exprs` (at least 1).
+    """
+    constants = constants or {}
+    key = (tuple(generators), tuple(exprs), tuple(sorted(constants.items())))
+    if key not in _bases:
+        basis, cols = [substitute(e, constants) for e in exprs], []
+        order = max(1, *map(max_order, exprs))
+        for g in generators:
+            pv = g if isinstance(g, ProlongedVectorField) else prolong(g, order)
+            for e in exprs:
+                coefs, rest = project(substitute(lie_apply(pv, e), constants),
+                                      basis)
+                basis += rest
+                cols.append(np.append(coefs, np.ones(len(rest))))
+        m = np.zeros((len(basis), len(cols)))
+        for j, col in enumerate(cols):
+            m[:col.size, j] = col
+        _bases[key] = tuple(basis[len(exprs):]), m
+    return _bases[key]
 
 
-def symmetry_penalty(fm, generator):
-    """The Gram of [B | b] over fm's rows, M^T S M from fm's sums S.
+def symmetry_penalties(fm, generators):
+    """Per generator, the Gram of [B | b] over fm's rows: M^T S M from fm's
+    sums S.
 
     For the residual equation F = target - sum_j w_j feat_j the prolonged
     action is pr v[F] = pr v[target] - sum_j w_j pr v[feat_j], affine in w,
     so the generator's penalty ||b - B w||^2 has B[:, j] = pr v[feat_j] and
-    b = pr v[target]; each action is M[:, j] . fm.exprs, and an action term
+    b = pr v[target], each a column of `action_terms`' M.  An action term
     the pass did not sum raises RegressionError naming it.
     """
     n = len(fm.columns) + 1
-    m = np.zeros((len(fm.exprs), n))
-    for j, action in enumerate(_actions(generator, fm.exprs[:n])):
-        m[:, j], rest = project(action, fm.exprs, fm.constants)
-        if rest:
-            base = getattr(generator, "base", generator)
+    extra, m = action_terms(generators, fm.exprs[:n], fm.constants)
+    for i, term in enumerate(extra):
+        if term not in fm.exprs[n:]:
+            # the first action the term is in brought it into `extra`
+            k, j = divmod(int(np.flatnonzero(m[n + i])[0]), n)
+            g = getattr(generators[k], "base", generators[k])
             raise RegressionError(
-                f"the feature pass did not sum {to_string(rest[0])}, a term "
-                f"of the action of '{base.name}' on {to_string(fm.exprs[j])}")
-    return m.T @ fm.sums @ m
+                f"the feature pass did not sum {to_string(term)}, a term of "
+                f"the action of '{g.name}' on {to_string(fm.exprs[j])}")
+    rows = list(range(n)) + [fm.exprs.index(t, n) for t in extra]
+    s = fm.sums[np.ix_(rows, rows)]
+    return [m[:, k:k + n].T @ s @ m[:, k:k + n]
+            for k in range(0, m.shape[1], n)]
 
 
 def stlsq_regularized(fm, generators, lam: float,
@@ -240,8 +258,8 @@ def stlsq_regularized(fm, generators, lam: float,
     The objective's normal equations are
     (A^T A + lam sum_v B_v^T B_v) w = A^T y + lam sum_v B_v^T b_v, a p x p
     system, so each thresholding round is still one exact linear solve and
-    no stacked (A; B_v) matrix is ever built.  Each generator's sums come
-    from `symmetry_penalty`, so `fm` must have summed the generators'
+    no stacked (A; B_v) matrix is ever built.  The sums come from
+    `symmetry_penalties`, so `fm` must have summed the generators'
     `action_terms`.
     """
     if lam < 0:
@@ -250,8 +268,8 @@ def stlsq_regularized(fm, generators, lam: float,
         return stlsq(fm, threshold)
     p = len(fm.columns)
     sums = fm.sums[:p + 1, :p + 1].copy()
-    for g in generators:
-        sums += lam * symmetry_penalty(fm, g)
+    for penalty in symmetry_penalties(fm, generators):
+        sums += lam * penalty
     # rows of the equivalent stacked least-squares system
     n_rows = fm.n_rows * (1 + len(generators))
     model = _stlsq_loop(fm, sums[:p, :p], sums[:p, p], n_rows, threshold)

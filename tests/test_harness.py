@@ -23,7 +23,7 @@ from liesindy.harness import (
 from liesindy.invariants import CatalogError
 from liesindy.jetgrid import WINDOW_POINTS, GridTooSmallError
 from liesindy.regress import (
-    RegressionError, SparseModel, model_from_dict, symmetry_penalty,
+    RegressionError, SparseModel, model_from_dict, symmetry_penalties,
 )
 
 P = lambda s: parse(s, hz.SPACE)
@@ -316,9 +316,9 @@ def test_stack_matches_concatenation():
     assert [to_string(e) for e in fm_ab.exprs[len(cfg.features) + 1:]] \
         == ["1"]
     pairs = [(fm_ab.sums, fm_a.sums + fm_b.sums)]
-    pairs += [(symmetry_penalty(fm_ab, g),
-               symmetry_penalty(fm_a, g) + symmetry_penalty(fm_b, g))
-              for g in cfg.generators]
+    penalties = [symmetry_penalties(fm, cfg.generators)
+                 for fm in (fm_ab, fm_a, fm_b)]
+    pairs += [(ab, a + b) for ab, a, b in zip(*penalties)]
     for got, want in pairs:
         scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
         assert np.all(np.abs(got - want) <= 1e-13 * scale)

@@ -24,7 +24,7 @@ from liesindy.jetgrid import (
 from liesindy.liealg import (
     VectorField, apply, check_symmetry_criterion, prolong,
 )
-from liesindy.regress import symmetry_penalty
+from liesindy.regress import symmetry_penalties
 
 SPACE = JetSpace(("t", "x"), ("u",), 4)
 
@@ -508,7 +508,7 @@ def check_penalties(cfg, trains):
                               for e in exprs])
             penalties[k] += block @ block.T
     assert fm.dropped == 0
-    got = [fm.sums] + [symmetry_penalty(fm, g) for g in cfg.generators]
+    got = [fm.sums] + symmetry_penalties(fm, cfg.generators)
     for got, want in zip(got, [sums, *penalties]):
         norms = np.sqrt(np.diag(want))
         assert np.all(np.abs(got - want) <= 1e-12 * np.outer(norms, norms))
