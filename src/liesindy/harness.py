@@ -212,12 +212,12 @@ def _problem(cfg: ExperimentConfig):
             raise HarnessError(f"library.inputs[{i}]: {err}") from None
     spec = LibrarySpec(cfg.library["mode"], tuple(inputs),
                        include_constant=bool(cfg.library["include_constant"]))
-    feats = build_library(spec)
     if cfg.method == "di-sindy":
         feats = list(inv.rhs_features())
         if spec.include_constant:
             feats = [Const(1.0)] + feats
         return feats, inv.lhs, list(inv.generators)
+    feats = build_library(spec)
     if cfg.system == "nkdv":
         target = parse("exp(-t/t0)*u_t", SPACE)
     else:
@@ -239,7 +239,7 @@ def ground_truth(system, target, features, params) -> SparseModel:
     the library cannot represent the truth and the experiment is ill-posed.
     """
     w, rest = project(substitute(target - truth_equation(system), params),
-                      [substitute(f, params) for f in features])
+                      features)
     if rest:
         raise HarnessError(
             f"truth term {to_string(rest[0])} is outside the library")
