@@ -568,6 +568,22 @@ def total_derivative(e: Expr, i: str, cap: int | None = None) -> Expr:
     return simplify(Add(tuple(out)))
 
 
+def _map_leaves(e: Expr, fn) -> Expr:
+    """e rebuilt node by node, unsimplified, with each leaf n replaced by
+    fn(n); fn sees the leaves depth first, left to right."""
+    if isinstance(e, Add):
+        return Add(tuple(_map_leaves(t, fn) for t in e.terms))
+    if isinstance(e, Mul):
+        return Mul(tuple(_map_leaves(f, fn) for f in e.factors))
+    if isinstance(e, Pow):
+        return Pow(_map_leaves(e.base, fn), e.exponent)
+    if isinstance(e, Exp):
+        return Exp(_map_leaves(e.arg, fn))
+    if isinstance(e, Div):
+        return Div(_map_leaves(e.num, fn), _map_leaves(e.den, fn))
+    return fn(e)
+
+
 def substitute(e: Expr, binding) -> Expr:
     """Replace named constants (and optionally variables) by expressions."""
 
@@ -576,19 +592,9 @@ def substitute(e: Expr, binding) -> Expr:
             return _coerce(binding[n.name])
         if isinstance(n, DepVar) and n.display() in binding:
             return _coerce(binding[n.display()])
-        if isinstance(n, Add):
-            return Add(tuple(sub(t) for t in n.terms))
-        if isinstance(n, Mul):
-            return Mul(tuple(sub(f) for f in n.factors))
-        if isinstance(n, Pow):
-            return Pow(sub(n.base), n.exponent)
-        if isinstance(n, Exp):
-            return Exp(sub(n.arg))
-        if isinstance(n, Div):
-            return Div(sub(n.num), sub(n.den))
         return n
 
-    return simplify(sub(e))
+    return simplify(_map_leaves(e, sub))
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +626,11 @@ def compile_array(e: Expr):
 
     The tree is walked once, here; each call then runs only the numpy
     operations, depth first and left to right: a sum starts from 0, a
-    product from 1.0, a constant stays a Python float, and every bound
-    value passes through np.asarray(..., dtype=float).  An unbound symbol
-    raises MissingSymbolError when the function is called.  Unlike
+    product from its first factor (one multiply fewer than a walk from
+    1.0, with the same bits, since 1.0 * v is v), a constant stays a
+    Python float, and every bound value passes through
+    np.asarray(..., dtype=float).  An unbound symbol raises
+    MissingSymbolError when the function is called.  Unlike
     evaluate_array, the function leaves numpy's error state to the caller.
     """
     if isinstance(e, Const):
@@ -643,11 +651,11 @@ def compile_array(e: Expr):
         terms = tuple(compile_array(t) for t in e.terms)
         return lambda binding: sum(t(binding) for t in terms)
     if isinstance(e, Mul):
-        factors = tuple(compile_array(f) for f in e.factors)
+        first, *rest = (compile_array(f) for f in e.factors)
 
         def product(binding):
-            v = 1.0
-            for f in factors:
+            v = first(binding)
+            for f in rest:
                 v = v * f(binding)
             return v
 

@@ -5,8 +5,9 @@ fresh training data, one regression, and a scored model.  Everything derives
 from the master seed through named SeedSequence children, so a config file
 pins the entire batch bit-for-bit, including the CSV bytes.  The test set
 and every run's training set are solved in one batched call, each run is
-then fitted in order, and all runs' models are rolled out from every test
-IC in one more call; each member gets the bits of its own solve or rollout.
+then fitted in order, each training trajectory freed once the fit's pass
+has summed it, and all runs' models are rolled out from every test IC in
+one more call; each member gets the bits of its own solve or rollout.
 """
 
 from __future__ import annotations
@@ -360,6 +361,18 @@ def _trajectories(outcomes):
     return outcomes
 
 
+def _handover(outcomes):
+    """The trajectories of a solved or loaded set that its owner gives up.
+
+    Nothing is yielded if a member blew up: the set's first blown member
+    raises as in `_trajectories`.  Each member leaves `outcomes` as it is
+    yielded, so once the consumer drops it, it is freed.
+    """
+    _trajectories(outcomes)
+    while outcomes:
+        yield outcomes.pop(0)
+
+
 def _jet_estimator(cfg: ExperimentConfig):
     """(name, estimator) for the config's data, as runs.csv records it.
 
@@ -373,10 +386,11 @@ def _jet_estimator(cfg: ExperimentConfig):
 
 
 def build_feature_matrix(cfg: ExperimentConfig, trains):
-    """The sums of one run's fit over all its training trajectories, in
-    one windowed pass with the estimator `_jet_estimator` picks; for
-    equiv-r the pass also sums the generators' action terms outside the
-    library, which the symmetry penalties read."""
+    """The sums of one run's fit over its training trajectories, drawn
+    once from the iterable `trains`, in one windowed pass with the
+    estimator `_jet_estimator` picks; for equiv-r the pass also sums the
+    generators' action terms outside the library, which the symmetry
+    penalties read."""
     _, estimate = _jet_estimator(cfg)
     extra = action_terms(cfg.generators, cfg.features + [cfg.target],
                          cfg.solver.params)[0] if cfg.method == "equiv-r" \
@@ -395,8 +409,11 @@ def _fit(cfg: ExperimentConfig, fm):
 def _fit_run(cfg: ExperimentConfig, run, trains, truth):
     """One run's regression on its solved or loaded training set.
 
-    Returns (runs.csv row, fitted SparseModel or None).  A LiesindyError,
-    such as a blown training member, makes the row an error row.
+    `trains` is the set's trajectories, a list that is left whole, or
+    `_handover` of the outcomes its owner gives up, which frees each
+    trajectory once the pass has summed it.  Returns (runs.csv row, fitted
+    SparseModel or None).  A LiesindyError, such as a blown training
+    member, makes the row an error row.
     """
     seeds = _run_seeds(cfg.seed, run)
     row = {"run": run, "status": "ok", "success": 0, "err_norm": "",
@@ -406,7 +423,7 @@ def _fit_run(cfg: ExperimentConfig, run, trains, truth):
            "train_seeds": "|".join(map(str, seeds["train_ic"])),
            "noise_seeds": "|".join(map(str, seeds["noise"]))}
     try:
-        fm = build_feature_matrix(cfg, _trajectories(trains))
+        fm = build_feature_matrix(cfg, trains)
         model = _fit(cfg, fm)
     except LiesindyError as err:
         _error_row(row, err)
@@ -505,7 +522,7 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None,
         else:
             # an unreadable dataset ends the experiment instead of one run
             trains = load_trajectories(os.path.join(data_dir, f"run_{r}"))[0]
-        row, model = _fit_run(cfg, r, trains, truth)
+        row, model = _fit_run(cfg, r, _handover(trains), truth)
         rows.append(row)
         fitted.append(model)
     scores = [None] * cfg.runs

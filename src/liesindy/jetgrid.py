@@ -18,7 +18,10 @@ highest derivative order among the features and the target, and
 action terms an equiv-r fit needs, see regress.action_terms), into one
 reused buffer, drops the rows where a feature or the target is not finite
 and adds the rest to the sums the fit reads.  The feature matrix never
-exists whole; per row only the kept target value is held.
+exists whole; per row only the kept target value is held.  The pass draws
+the trajectories one at a time from any iterable and keeps none of them
+past its last window, so a caller that hands its set over (see
+harness._handover) has each trajectory freed as soon as it is summed.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import (
-    Expr, LiesindyError, MissingSymbolError, evaluate_array, max_order,
-    params_in, to_string,
+    Expr, IndepVar, LiesindyError, MissingSymbolError, evaluate_array,
+    max_order, params_in, to_string, _walk,
 )
 from .dynamics import TrajectoryGrid
 
@@ -212,12 +215,17 @@ class FeatureMatrix:
         self.dropped += n - kept
 
 
-def _binding(jet: JetGrid):
-    """name -> one 1-D array over the jet's rows, (t index, x index)."""
+def _binding(jet: JetGrid, coords):
+    """name -> one 1-D array over the jet's rows, (t index, x index), for
+    every jet coordinate and each of `coords`, the independent variables
+    read."""
     lo, hi = jet.valid_t
     x = jet.base.x
-    binding = {"t": np.repeat(jet.base.t[lo:hi], x.size),
-               "x": np.tile(x, hi - lo)}
+    binding = {}
+    if "t" in coords:
+        binding["t"] = np.repeat(jet.base.t[lo:hi], x.size)
+    if "x" in coords:
+        binding["x"] = np.tile(x, hi - lo)
     for j, arr in jet.derivs.items():
         binding["u_" + "".join(j) if j else "u"] = arr.reshape(-1)
     return binding
@@ -227,25 +235,35 @@ def evaluate_features(trajs, estimate, feats, target: Expr, constants=None,
                       extra=()) -> FeatureMatrix:
     """The sums of `feats` against `target` over the trajectories' rows.
 
-    `estimate` (finite_differences, spectral_jets, ...) makes each window's
-    jets (none in halo rows); an order its stencils lack raises
-    GridTooSmallError.  Rows run in trajectory order, then (t index, x
-    index).  Constants (t0, nu, ...) must all be supplied; a missing one
-    raises with its name.  The `extra` expressions (equiv-r's action
-    terms) are summed in the same pass.
+    `trajs` is any iterable of trajectories, consumed once, in order; no
+    reference to a trajectory is kept past its last window, so one that
+    the iterable does not hold elsewhere is freed before the next is
+    drawn.  `estimate` (finite_differences, spectral_jets, ...) makes each
+    window's jets (none in halo rows); an order its stencils lack raises
+    GridTooSmallError, and so does an iterable with no trajectory.  Rows
+    run in trajectory order, then (t index, x index).  Constants (t0, nu,
+    ...) must all be supplied; a missing one raises with its name.  The
+    `extra` expressions (equiv-r's action terms) are summed in the same
+    pass.
     """
-    trajs = list(trajs)
-    if not trajs:
+    trajs = iter(trajs)
+    traj = next(trajs, None)
+    if traj is None:
         raise GridTooSmallError("no trajectories to evaluate features on")
     fm = FeatureMatrix(feats, target, constants, extra)
+    coords = set()
     for e in fm.exprs:
         for p in params_in(e):
             if p.name not in fm.constants:
                 raise MissingSymbolError(
                     f"no value for constant '{p.name}' in {to_string(e)}")
-    for traj in trajs:
+        _walk(e, lambda n: coords.add(n.name)
+              if isinstance(n, IndepVar) else None)
+    while traj is not None:
         nt, nx = traj.u.shape
         step = max(1, WINDOW_POINTS // nx)
         for lo in range(0, nt, step):
-            fm.add(_binding(estimate(traj, n=fm.order, rows=(lo, lo + step))))
+            fm.add(_binding(estimate(traj, n=fm.order, rows=(lo, lo + step)),
+                            coords))
+        traj = next(trajs, None)
     return fm

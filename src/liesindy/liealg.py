@@ -18,8 +18,8 @@ import numpy as np
 
 from .expr import (
     Add, Const, DepVar, Expr, ExprError, IndepVar, JetSpace,
-    dep_vars_in, evaluate_array, is_zero, partial_derivative, simplify,
-    to_string, total_derivative, _key,
+    dep_vars_in, evaluate_array, is_zero, max_order, partial_derivative,
+    simplify, to_string, total_derivative, _key,
 )
 
 __all__ = [
@@ -41,13 +41,6 @@ class SingularSampleError(ExprError):
     """Could not draw enough non-singular sample points within the retry cap."""
 
 
-def _base_vars_only(e):
-    for dv in dep_vars_in(e):
-        if dv.order > 0:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class VectorField:
     """Point generator sum_i xi_i d/dx_i + sum_a phi_a d/du_a."""
@@ -65,7 +58,7 @@ class VectorField:
         if len(self.phi) != len(self.space.dependent):
             raise ExprError("one phi component per dependent variable")
         for e in self.xi + self.phi:
-            if not _base_vars_only(e):
+            if max_order(e) > 0:
                 raise ExprError(
                     f"point generator components may depend on base variables "
                     f"only, got {to_string(e)}")

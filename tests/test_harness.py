@@ -4,12 +4,13 @@ import json
 import math
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from liesindy import harness as hz
-from liesindy import LiesindyError
+from liesindy import LiesindyError, jetgrid
 from liesindy.dynamics import (
     BlowUpError, ConfigError, DynamicsError, SolverConfig, TrajectoryGrid,
     default_config, sample_initial_condition,
@@ -346,6 +347,34 @@ def test_feature_matrix_is_built_without_a_stacked_copy():
 def test_no_trajectories_is_a_grid_error():
     with pytest.raises(GridTooSmallError):
         hz.build_feature_matrix(small_cfg(), [])
+
+
+@pytest.mark.parametrize("from_disk", [False, True],
+                         ids=["in-memory", "data-dir"])
+def test_each_training_trajectory_is_freed_once_summed(from_disk, tmp_path,
+                                                       monkeypatch):
+    cfg = small_cfg()
+    data = None
+    if from_disk:
+        data = tmp_path / "data"
+        generate_dataset(cfg, data)
+    # three windows of 20 time rows on each 60-row trajectory
+    monkeypatch.setattr(jetgrid, "WINDOW_POINTS", 20 * 64)
+    clean = run_experiment(cfg, data_dir=data)
+    seen = []           # a weakref to each trajectory the pass meets
+    estimate = hz.spectral_jets
+
+    def spy(traj, n, rows):
+        if not seen or seen[-1]() is not traj:
+            seen.append(weakref.ref(traj))
+        # every earlier trajectory, of this run or an earlier one, is gone
+        assert all(r() is None for r in seen[:-1])
+        return estimate(traj, n=n, rows=rows)
+
+    monkeypatch.setattr(hz, "spectral_jets", spy)
+    rep = run_experiment(cfg, data_dir=data)
+    assert len(seen) == cfg.runs * 4
+    assert rep.rows == clean.rows
 
 
 # ---------------------------------------------------------------------------
