@@ -16,9 +16,11 @@ structure march as one batch, each member with its own coefficients.
 Every solve and rollout takes an (n, nx) batch of initial conditions,
 steps it as one state through one loop, `_march`, and returns one outcome
 per member.  The loop cuts each output span into sub-steps, writes every
-sample and guards it against blow-up.  Every operation on the state acts on
-each row alone, so each member gets the same bits as on its own; a member
-that blows up stays in the state, unsampled, and its outcome is a
+sample and guards it against blow-up.  A sample is the one inverse
+transform of the state per span, and the next step's first stage reads it
+instead of transforming the state again.  Every operation on the state
+acts on each row alone, so each member gets the same bits as on its own; a
+member that blows up stays in the state, unsampled, and its outcome is a
 BlowUpError with its finite rows.
 """
 
@@ -275,8 +277,10 @@ def add_noise(traj: TrajectoryGrid, sigma: float, seed) -> TrajectoryGrid:
         return TrajectoryGrid(traj.x, traj.t, traj.u.copy(), meta)
     rng = np.random.default_rng(seed)
     scale = sigma * float(np.std(traj.u))
-    return TrajectoryGrid(traj.x, traj.t,
-                          traj.u + rng.normal(0.0, scale, traj.u.shape), meta)
+    # u + draw summed into the draw's own buffer: one field-sized array
+    # fewer
+    draw = rng.normal(0.0, scale, traj.u.shape)
+    return TrajectoryGrid(traj.x, traj.t, np.add(traj.u, draw, out=draw), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +313,19 @@ def _linear_symbol(system, k, params):
 
 
 def _advection(k, mask, nx):
-    """v -> the dealiased advection term -ik*mask*rfft(u^2/2)."""
-    # -ik*mask*X associates as (-ik*mask)*X, so forming it once keeps the
-    # bits
-    ik = 1j * k
-    ikm = -ik * mask
+    """(v, u) -> the dealiased advection term -ik*mask*rfft(u^2/2).
 
-    def nonlinear(v):
-        u = np.fft.irfft(v, nx, axis=-1)
-        return ikm * np.fft.rfft(0.5 * u * u, axis=-1)
+    u is irfft(v), taken here when the caller passes None.
+    """
+    # -ik*mask*X associates as (-ik*mask)*X, so forming it once keeps the
+    # bits, and so does moving the exact factor 0.5 from u*u onto it
+    ik = 1j * k
+    ikm = 0.5 * (-ik * mask)
+
+    def nonlinear(v, u=None):
+        if u is None:
+            u = np.fft.irfft(v, nx, axis=-1)
+        return ikm * np.fft.rfft(u * u, axis=-1)
 
     return nonlinear
 
@@ -373,8 +381,8 @@ def _make_etdrk4(lin, h, nonlinear):
     # bits
     f2x2 = 2.0 * f2
 
-    def step(v):
-        nv = nonlinear(v)
+    def step(v, u=None):
+        nv = nonlinear(v, u)
         e2v = e2 * v
         a = e2v + q * nv
         na = nonlinear(a)
@@ -393,9 +401,9 @@ def _make_ifrk4(lin, h, nonlinear):
     # 2.0*e*X associates as (2.0*e)*X, so folding it keeps the bits
     ex2 = 2.0 * e
 
-    def step(v):
+    def step(v, u=None):
         e2v = e2 * v
-        a = h * nonlinear(v)
+        a = h * nonlinear(v, u)
         b = h * nonlinear(e * (v + a / 2))
         c = h * nonlinear(e * v + b / 2)
         d = h * nonlinear(e2v + e * c)
@@ -408,7 +416,9 @@ def _make_stepper(scheme, lin, nonlinear):
     """h -> `scheme`'s step of size h for v' = lin*v + nonlinear(v).
 
     lin is one (nk,) symbol shared by every member or an (n, nk) array of
-    one row per member.
+    one row per member.  The step takes v and, optionally, u = irfft(v),
+    which its first stage hands to nonlinear(v, u) in place of
+    transforming v again.
     """
     make = _make_etdrk4 if scheme == "etdrk4" else _make_ifrk4
     return lambda h: make(lin, h, nonlinear)
@@ -416,8 +426,8 @@ def _make_stepper(scheme, lin, nonlinear):
 
 def _blown(u):
     """Per row of u: non-finite, or some |value| above BLOWUP_LIMIT."""
-    return ~np.isfinite(u).all(axis=-1) | (
-        np.abs(u).max(axis=-1) > BLOWUP_LIMIT)
+    # max propagates NaN, and NaN <= BLOWUP_LIMIT is false
+    return ~(np.abs(u).max(axis=-1) <= BLOWUP_LIMIT)
 
 
 def _batch(ics, nx):
@@ -444,40 +454,49 @@ def _march(make_step, ics, spans, sub, min_steps=1, skip=0):
     A blown member is no longer sampled but stays in the state; every
     operation on the state acts on each row alone, so the others keep their
     bits.  The march stops once no member is left.
+
+    Each sample is the one inverse transform of the state per span: the
+    next span's first step takes it as its u = irfft(v) (see
+    _make_stepper) instead of transforming the same state again.
     """
     n, nx = ics.shape
     # one array per member, so each is freed with its own trajectory
     u = [np.empty((len(spans) + 1 - skip, nx)) for _ in range(n)]
     out = list(u)
-    live = np.ones(n, dtype=bool)
+    live = range(n)             # the members still sampled
 
     def sample(rows, j, step):
         """Store row j of the live members, guarded as `step`."""
-        bad = live & _blown(rows)
-        for b in np.flatnonzero(bad):
-            out[b] = BlowUpError(f"solution blew up at step {step}",
-                                 step=step, rows=u[b][:j])
-        live[bad] = False
-        for b in np.flatnonzero(live):
+        nonlocal live
+        bad = _blown(rows)
+        if bad.any():
+            for b in live:
+                if bad[b]:
+                    out[b] = BlowUpError(f"solution blew up at step {step}",
+                                         step=step, rows=u[b][:j])
+            live = [b for b in live if not bad[b]]
+        for b in live:
             u[b][j] = rows[b]
 
     with np.errstate(all="ignore"):
         if not skip:
             sample(ics, 0, 0)
         state = np.fft.rfft(ics, axis=-1)
+        physical = None         # irfft(state) once the last sample took it
         step_h = None
         for i, span in enumerate(spans, -skip):
-            if not live.any():
+            if not live:
                 break
             m = max(min_steps, math.ceil(span / sub - 1e-12))
             h = span / m
             if step_h is None or abs(h - step_h) > 1e-15 * abs(h):
                 advance, step_h = make_step(h), h
             for _ in range(m):
-                state = advance(state)
+                state, physical = advance(state, physical), None
+            physical = np.fft.irfft(state, nx, axis=-1)
             # transient samples pass through row 0 as steps -skip..-1
             j = max(i + 1, 0)
-            sample(np.fft.irfft(state, nx, axis=-1), j, j if i >= 0 else i)
+            sample(physical, j, j if i >= 0 else i)
     return out
 
 
@@ -614,16 +633,17 @@ def _rollout_form(model, cfg):
 
 
 def _leftover_term(shape, consts, scale, k, mask, nx):
-    """v -> scale*mask*rfft(shape), each member with its own constants.
+    """(v, u) -> scale*mask*rfft(shape), each member with its own constants.
 
     consts maps each lifted constant's name to its (n, 1) column of member
     values and scale is the (n, 1) column of -1/c.  shape is compiled once;
     each call evaluates it under _march's error state.  u and its
     derivatives come from one inverse transform of [v, (ik)^o v ...],
-    stacked in one buffer.
+    stacked in one buffer; a u = irfft(v) passed in leaves only the
+    derivative rows to transform.
     """
     if shape is None:
-        return np.zeros_like
+        return lambda v, u=None: np.zeros_like(v)
     dvs = dep_vars_in(shape)
     needed = sorted({dv.order for dv in dvs} - {0})
     names = ["u"] + ["u_" + "x" * order for order in needed]
@@ -643,10 +663,16 @@ def _leftover_term(shape, consts, scale, k, mask, nx):
     sm = scale * mask
     stacked = np.empty((len(names), scale.shape[0], k.size), dtype=complex)
 
-    def nonlinear(v):
-        stacked[0] = v
+    def nonlinear(v, u=None):
         np.multiply(ikp, v, out=stacked[1:])
-        binding.update(zip(names, np.fft.irfft(stacked, nx, axis=-1)))
+        if u is None:
+            stacked[0] = v
+            fields = np.fft.irfft(stacked, nx, axis=-1)
+        elif needed:
+            fields = [u, *np.fft.irfft(stacked[1:], nx, axis=-1)]
+        else:
+            fields = [u]
+        binding.update(zip(names, fields))
         return sm * np.fft.rfft(rhs(binding), axis=-1)
 
     return nonlinear

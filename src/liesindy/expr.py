@@ -611,14 +611,24 @@ def _leaf_name(e):
     raise TypeError(type(e))
 
 
-def evaluate_array(e: Expr, binding):
+def evaluate_array(e: Expr, binding, out=None):
     """Vectorized evaluation over numpy arrays.
 
     Non-finite entries are allowed to propagate (the caller filters); unbound
-    symbols still raise.
+    symbols still raise.  With `out`, the value is written into out,
+    broadcast to its shape, with the same bits, and out is returned; a
+    product's last multiply writes there directly.
     """
     with np.errstate(all="ignore"):
-        return compile_array(e)(binding)
+        if out is None:
+            return compile_array(e)(binding)
+        if isinstance(e, Mul) and len(e.factors) > 1:
+            *head, last = e.factors
+            np.multiply(compile_array(Mul(tuple(head)))(binding),
+                        compile_array(last)(binding), out=out)
+        else:
+            out[...] = compile_array(e)(binding)
+        return out
 
 
 def compile_array(e: Expr):

@@ -2,7 +2,9 @@
 
 Two estimators build the prolonged dataset.  `finite_differences` uses
 second-order central stencils: periodic wraparound in x (the data is
-periodic by construction), one endpoint row trimmed at each end in t.
+periodic by construction), all four x-stencils reading slices of one copy
+of the rows wrapped by two columns at each side, and one endpoint row
+trimmed at each end in t.
 `spectral_jets` is for noiseless data: x-derivatives by FFT, exact to
 round-off on periodic band-limited fields, and u_t from the 7-point
 sixth-order central stencil, trimming three rows at each end in t.  Its
@@ -15,13 +17,13 @@ window's jets are bit-equal to the same rows of the whole trajectory's.
 WINDOW_POINTS grid points at a time: it estimates the window's jets to the
 highest derivative order among the features and the target, and
 `FeatureMatrix.add` evaluates them, and any extra expressions (the symmetry
-action terms an equiv-r fit needs, see regress.action_terms), into one
-reused buffer, drops the rows where a feature or the target is not finite
-and adds the rest to the sums the fit reads.  The feature matrix never
-exists whole; per row only the kept target value is held.  The pass draws
-the trajectories one at a time from any iterable and keeps none of them
-past its last window, so a caller that hands its set over (see
-harness._handover) has each trajectory freed as soon as it is summed.
+action terms an equiv-r fit needs, see regress.action_terms), straight into
+the rows of one reused buffer, drops the rows where a feature or the target
+is not finite and adds the rest to the sums the fit reads.  The feature
+matrix never exists whole; per row only the kept target value is held.
+The pass draws the trajectories one at a time from any iterable and keeps
+none of them past its last window, so a caller that hands its set over
+(see harness._handover) has each trajectory freed as soon as it is summed.
 """
 
 from __future__ import annotations
@@ -50,22 +52,21 @@ class GridTooSmallError(LiesindyError):
     pass
 
 
-def _dx(u, h):
-    return (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * h)
+# each x-stencil of finite_differences reads u at i-2, i-1, i, i+1, i+2
+def _dx(m2, m1, u, p1, p2, h):
+    return (p1 - m1) / (2.0 * h)
 
 
-def _dxx(u, h):
-    return (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1)) / h ** 2
+def _dxx(m2, m1, u, p1, p2, h):
+    return (p1 - 2.0 * u + m1) / h ** 2
 
 
-def _dxxx(u, h):
-    return (-0.5 * np.roll(u, 2, axis=1) + np.roll(u, 1, axis=1)
-            - np.roll(u, -1, axis=1) + 0.5 * np.roll(u, -2, axis=1)) / h ** 3
+def _dxxx(m2, m1, u, p1, p2, h):
+    return (-0.5 * m2 + m1 - p1 + 0.5 * p2) / h ** 3
 
 
-def _dxxxx(u, h):
-    return (np.roll(u, 2, axis=1) - 4.0 * np.roll(u, 1, axis=1) + 6.0 * u
-            - 4.0 * np.roll(u, -1, axis=1) + np.roll(u, -2, axis=1)) / h ** 4
+def _dxxxx(m2, m1, u, p1, p2, h):
+    return (m2 - 4.0 * m1 + 6.0 * u - 4.0 * p1 + p2) / h ** 4
 
 
 _SPATIAL = (_dx, _dxx, _dxxx, _dxxxx)
@@ -119,8 +120,12 @@ def finite_differences(traj: TrajectoryGrid, n: int = 4,
     mid = u[lo:hi]
     derivs = {(): mid}
     derivs[("t",)] = (u[lo + 1:hi + 1] - u[lo - 1:hi - 1]) / (2.0 * dt)
+    # the periodic neighbours at offsets -2..2 as slices of one wrapped copy
+    nx = mid.shape[1]
+    wrapped = np.concatenate([mid[:, -2:], mid, mid[:, :2]], axis=1)
+    shifts = [wrapped[:, s:s + nx] for s in range(5)]
     for m in range(1, n + 1):
-        derivs[("x",) * m] = _SPATIAL[m - 1](mid, h)
+        derivs[("x",) * m] = _SPATIAL[m - 1](*shifts, h)
     return _jet_grid(traj, derivs, (lo, hi))
 
 
@@ -201,7 +206,7 @@ class FeatureMatrix:
         # one contiguous row per expression
         block = self._buffer[:, :n]
         for j, e in enumerate(self.exprs):
-            block[j] = evaluate_array(e, binding)
+            evaluate_array(e, binding, out=block[j])
         p = len(self.columns)
         keep = np.isfinite(block[:p + 1]).all(axis=0)
         kept = int(np.count_nonzero(keep))

@@ -172,6 +172,12 @@ def test_add_noise_scale_and_determinism(kdv_run):
     ratio = np.std(noisy.u - tr.u) / np.std(tr.u)
     assert ratio == pytest.approx(1e-3, rel=0.05)
     assert noisy.meta["noise_sigma"] == pytest.approx(1e-3)
+    # the same bits as u + n, and the clean field is left as it was
+    before = tr.u.tobytes()
+    scale = 1e-3 * float(np.std(tr.u))
+    draw = np.random.default_rng(21).normal(0.0, scale, tr.u.shape)
+    assert add_noise(tr, 1e-3, seed=21).u.tobytes() == (tr.u + draw).tobytes()
+    assert tr.u.tobytes() == before
 
 
 def test_add_noise_zero_sigma_copies(kdv_run):
@@ -508,6 +514,102 @@ def test_blown_members_match_each_alone(cfg, run, scales, blown, when):
                 "horizon": 0 < o.step < cfg.nt}[when]
 
 
+def test_blown_rows_at_the_edges():
+    from liesindy.dynamics import _blown
+    above = np.nextafter(BLOWUP_LIMIT, math.inf)
+    rows = np.zeros((9, 16))
+    rows[1, 3] = math.nan
+    rows[2, 0] = math.inf
+    rows[3, 15] = -math.inf
+    rows[4, 7] = BLOWUP_LIMIT
+    rows[5, 7] = -BLOWUP_LIMIT
+    rows[6, 2] = above
+    rows[7, 2] = -above
+    rows[8, [1, 5]] = math.inf, math.nan
+    want = [False, True, True, True, False, False, True, True, True]
+    assert _blown(rows).tolist() == want
+    # one bad row among good ones: only it is blown
+    for row, bad in zip(rows, want):
+        batch = np.ones((5, 16))
+        batch[3] = row
+        assert _blown(batch).tolist() == [False] * 3 + [bad, False]
+
+
+def _fresh_stepper(made, handed):
+    """_make_stepper whose steps drop the u = irfft(v) the march hands
+    them, so every step transforms its state afresh; `handed` records, per
+    step, whether a u was handed."""
+    def make_stepper(scheme, lin, nonlinear):
+        at = made(scheme, lin, nonlinear)
+
+        def sized(h):
+            step = at(h)
+
+            def fresh(v, u=None):
+                handed.append(u is not None)
+                return step(v)
+
+            return fresh
+
+        return sized
+
+    return make_stepper
+
+
+@pytest.mark.parametrize("case", ["ks-transient", "nkdv-sub-steps",
+                                  "rollout"])
+def test_handed_field_matches_a_fresh_transform(monkeypatch, case):
+    # KS with 20 transient steps, one member blowing up among them; nKdV,
+    # whose spans take up to two KdV sub-steps; and a rollout batch with a
+    # poly2 leftover, a constant-only leftover, a purely linear model and
+    # u_t = u^2, which blows up on the scaled IC only
+    from liesindy import dynamics
+    if case == "rollout":
+        cfg = SolverConfig("kdv", nx=64, length=2.0 * math.pi, dt=0.1,
+                           nt=16)
+        models = [truth_model("u_t + u*u_x", ["u*u_xxx", "u_xx", "u_xxx"],
+                              [0.05, 0.1, -1.0]),
+                  truth_model("u_t", ["1", "u_xx"], [0.3, 0.1]),
+                  truth_model("u_t", ["u_xx"], [0.1]),
+                  truth_model("u_t", ["u^2"], [1.0])]
+        models.append(models[-1])
+        scales = (0.2, 0.2, 0.2, 3.0, 0.2)
+        run = lambda ics: integrate_model(models, ics, cfg)  # noqa: E731
+        blown, steps = [3], (cfg.nt - 1) * 4
+    else:
+        cfg = _short("ks" if case == "ks-transient" else "nkdv")
+        scales = (1.0, 100.0, 1.0) if case == "ks-transient" else (1.0,) * 3
+        run = lambda ics: solve_pde(cfg, ics)  # noqa: E731
+        blown = [1] if case == "ks-transient" else []
+        steps = None
+    ics = np.array([scale * sample_initial_condition(cfg.nx, cfg.length, s)
+                    for s, scale in enumerate(scales, 1)])
+    got = run(ics)
+    handed = []
+    monkeypatch.setattr(dynamics, "_make_stepper",
+                        _fresh_stepper(dynamics._make_stepper, handed))
+    want = run(ics)
+    assert [b for b, o in enumerate(want) if isinstance(o, BlowUpError)] \
+        == blown
+    if case == "ks-transient":
+        assert want[1].step < 0 and want[1].rows.shape == (0, cfg.nx)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        if isinstance(w, BlowUpError):
+            assert g.step == w.step
+            assert g.rows.tobytes() == w.rows.tobytes()
+        else:
+            assert g.u.tobytes() == w.u.tobytes()
+    # every span but the first starts from the field its sample took
+    spans = round(cfg.transient / cfg.dt) + cfg.nt - 1
+    groups = 4 if case == "rollout" else 1
+    assert handed.count(True) == groups * (spans - 1)
+    if steps is not None:
+        assert len(handed) == groups * steps
+    elif case == "nkdv-sub-steps":
+        assert len(handed) > spans
+
+
 def test_grouped_rollout_matches_each_model_alone():
     # two models of one structure with different coefficients, one with
     # another linear order, one with an explicit-x term, and u_t = u^2,
@@ -642,13 +744,14 @@ def test_etdrk4_coefficients_match_the_series_and_the_contour(monkeypatch):
 def _leftover_term_per_order(shape, consts, scale, k, mask, nx):
     """The rollout's leftover term with one inverse transform per order,
     each stage walking the leftover's tree (under _march's error state).
+    A u handed over by the march is dropped: every stage transforms v.
     """
     if shape is None:
-        return np.zeros_like
+        return lambda v, u=None: np.zeros_like(v)
     needed = sorted({dv.order for dv in dep_vars_in(shape)} - {0})
     ikp = {order: (1j * k) ** order for order in needed}
 
-    def nonlinear(v):
+    def nonlinear(v, u=None):
         u = np.fft.irfft(v, nx, axis=-1)
         binding = {"u": u, **consts}
         for order in needed:

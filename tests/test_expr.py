@@ -270,6 +270,26 @@ def test_compiled_evaluation_matches_the_tree_walk():
     assert {float, np.float64, np.ndarray} <= kinds
 
 
+def test_evaluation_into_a_row_matches_the_returned_value():
+    # every pinned expression, each leaf type alone, a one-factor product
+    # and constant-only products, written into the middle row of a buffer:
+    # the returned value broadcast to the row, byte for byte, and the
+    # other rows untouched
+    exprs = _pinned_expressions() + [
+        Const(-2.5), IndepVar("x"), DepVar("u", ("x",)), Param("nu"),
+        Mul((DepVar("u", ()),)), Mul((Const(2.0), Const(-3.0))),
+        Mul((Const(0.5), Param("nu")))]
+    for binding in _bindings():
+        n = np.size(binding["u"])
+        for e in exprs:
+            want = np.broadcast_to(evaluate_array(e, binding), (n,))
+            buf = np.full((3, n), 7.0)
+            row = buf[1]
+            assert evaluate_array(e, binding, out=row) is row
+            assert row.tobytes() == want.tobytes(), to_string(e)
+            assert (buf[[0, 2]] == 7.0).all()
+
+
 @pytest.mark.parametrize("bound", [(), ("u",), ("u", "nu"), ("u", "u_xx")])
 def test_compiled_function_raises_for_an_unbound_name_when_called(bound):
     e = P("u_xx*exp(nu*u) + 1/(1 + u^2)")

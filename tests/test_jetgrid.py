@@ -18,8 +18,8 @@ from liesindy.expr import (
 )
 from liesindy.invariants import builtin_set
 from liesindy.jetgrid import (
-    WINDOW_POINTS, GridTooSmallError, _dx, _dxx, _dxxx, _dxxxx,
-    evaluate_features, finite_differences, spectral_jets,
+    WINDOW_POINTS, GridTooSmallError, evaluate_features,
+    finite_differences, spectral_jets,
 )
 from liesindy.liealg import (
     VectorField, apply, check_symmetry_criterion, prolong,
@@ -106,13 +106,65 @@ def test_constant_field_has_zero_jets():
             assert np.all(arr == 0.0), key
 
 
+def _rolled_dx(u, h):
+    return (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * h)
+
+
+def _rolled_dxx(u, h):
+    return (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1)) / h ** 2
+
+
+def _rolled_dxxx(u, h):
+    return (-0.5 * np.roll(u, 2, axis=1) + np.roll(u, 1, axis=1)
+            - np.roll(u, -1, axis=1) + 0.5 * np.roll(u, -2, axis=1)) / h ** 3
+
+
+def _rolled_dxxxx(u, h):
+    return (np.roll(u, 2, axis=1) - 4.0 * np.roll(u, 1, axis=1) + 6.0 * u
+            - 4.0 * np.roll(u, -1, axis=1) + np.roll(u, -2, axis=1)) / h ** 4
+
+
+# the x-stencils written with np.roll: the reference for the padded copy
+_ROLLED = (_rolled_dx, _rolled_dxx, _rolled_dxxx, _rolled_dxxxx)
+
+
+def x_jets(u, h):
+    """finite_differences' x-jets of orders 1-4 on every row of u."""
+    halo = np.vstack([u[:1], u, u[-1:]])
+    tr = TrajectoryGrid(np.arange(u.shape[1]) * h, np.arange(len(halo)),
+                        halo)
+    derivs = finite_differences(tr).derivs
+    return [derivs[("x",) * m] for m in range(1, 5)]
+
+
+@pytest.mark.parametrize("rows", [(5, 6), (1, 65)], ids=["one-row",
+                                                          "64-rows"])
+@pytest.mark.parametrize("nx", [16, 256])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_padded_stencils_match_the_rolled_ones(n, nx, rows):
+    rng = np.random.default_rng(100 * n + nx)
+    h = 0.37
+    tr = TrajectoryGrid(np.arange(nx) * h, np.arange(70) * 0.1,
+                        rng.normal(size=(70, nx)))
+    jet = finite_differences(tr, n=n, rows=rows)
+    assert jet.valid_t == rows
+    mid = tr.u[rows[0]:rows[1]]
+    assert set(jet.derivs) == {(), ("t",)} | {("x",) * m
+                                              for m in range(1, n + 1)}
+    for m in range(1, n + 1):
+        assert jet.derivs[("x",) * m].tobytes() == \
+            _ROLLED[m - 1](mid, h).tobytes()
+
+
 def test_high_stencils_compose_from_low_ones():
     # the wide third/fourth stencils are exactly D_c(D_2) and D_2(D_2)
     rng = np.random.default_rng(0)
     u = rng.normal(size=(6, 64))
     h = 0.37
-    assert np.allclose(_dxxx(u, h), _dx(_dxx(u, h), h), atol=1e-10)
-    assert np.allclose(_dxxxx(u, h), _dxx(_dxx(u, h), h), atol=1e-10)
+    _, uxx, uxxx, uxxxx = x_jets(u, h)
+    ux_of_uxx, uxx_of_uxx = x_jets(uxx, h)[:2]
+    assert np.allclose(uxxx, ux_of_uxx, atol=1e-10)
+    assert np.allclose(uxxxx, uxx_of_uxx, atol=1e-10)
 
 
 def test_valid_window_trims_one_row_each_side():

@@ -382,9 +382,9 @@ def test_annihilating_generator_is_never_evaluated(monkeypatch):
     # they add nothing to the normal equations
     evaluated = []
 
-    def counted(e, binding):
+    def counted(e, binding, out=None):
         evaluated.append(to_string(e))
-        return evaluate_array(e, binding)
+        return evaluate_array(e, binding, out=out)
 
     evaluate_array = jetgrid.evaluate_array
     feats, binding = poly2_rows(500, seed=24)
