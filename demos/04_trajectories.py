@@ -19,10 +19,13 @@ print("trajectory:", tr.u.shape, "u range",
 mass = tr.u.sum(axis=1) * tr.h   # integral of u is conserved for KdV
 print("mass drift:", float(np.max(np.abs(mass - mass[0]))))
 
+# the estimator returns the rows' binding: the jets by name, with t and x
+# as views of the grid
 jet = finite_differences(tr, n=4)
-for idx, arr in sorted(jet.derivs.items(), key=lambda kv: (len(kv[0]), kv[0])):
-    name = "u" + ("_" + "".join(idx) if idx else "")
-    print(f"  {name:8s} max |.| = {np.max(np.abs(arr)):.3f}")
+print("jet rows:", jet["u"].shape, "t", jet["t"].shape, "x", jet["x"].shape)
+for name, arr in jet.items():
+    if name not in ("t", "x"):
+        print(f"  {name:8s} max |.| = {np.max(np.abs(arr)):.3f}")
 
 # measurement noise is relative to the field's own std
 noisy = add_noise(tr, sigma=1e-3, seed=5)

@@ -13,7 +13,7 @@ import sys
 from .dynamics import load_trajectories, read_json
 from .expr import LiesindyError, max_order, to_string
 from .harness import (
-    SPACE, ExperimentConfig, HarnessError, aggregate_longterm, long_term_mse,
+    ExperimentConfig, HarnessError, aggregate_longterm, long_term_mse,
     load_longterm_csv, load_runs_csv, render_longterm_svg, run_experiment,
     generate_dataset, summarize_rows, write_longterm, write_summary_csv,
 )
@@ -88,7 +88,7 @@ def _saved_model(path):
     if blob.get("model") is None:
         return None
     try:
-        return model_from_dict(blob["model"], space=SPACE)
+        return model_from_dict(blob["model"])
     except RegressionError as err:
         raise HarnessError(f"{path}: {err}") from None
 

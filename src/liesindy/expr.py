@@ -24,10 +24,10 @@ import numpy as np
 
 __all__ = [
     "Expr", "Const", "IndepVar", "DepVar", "Param", "Add", "Mul", "Pow",
-    "Exp", "Div", "JetSpace", "simplify", "is_zero", "partial_derivative",
-    "total_derivative", "evaluate_array", "compile_array", "substitute",
-    "parse", "to_string", "dep_vars_in", "params_in", "denominators_in",
-    "max_order",
+    "Exp", "Div", "JetSpace", "SPACE", "simplify", "is_zero",
+    "partial_derivative", "total_derivative", "evaluate_array",
+    "compile_array", "substitute", "parse", "to_string", "dep_vars_in",
+    "params_in", "denominators_in", "max_order",
     "LiesindyError", "ExprError", "MissingSymbolError", "OrderCapError",
     "ParseError",
 ]
@@ -749,6 +749,11 @@ class JetSpace:
                 if self.contains(dv):
                     return dv
         return None
+
+
+# the chart of every evolution system in the catalog: t, x and u, u_t, u_x
+# up to u_xxxx
+SPACE = JetSpace()
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .dynamics import (
     save_trajectories, solve_pde, _grid,
 )
 from .expr import (
-    Const, JetSpace, LiesindyError, parse, substitute, to_string,
+    SPACE, Const, LiesindyError, parse, substitute, to_string,
 )
 from .invariants import builtin_set, truth_equation
 from .jetgrid import evaluate_features, finite_differences, spectral_jets
@@ -50,8 +50,6 @@ METHODS = ("sindy", "equiv-r", "di-sindy")
 # reserved run tag for the shared test initial conditions
 _TEST_TAG = 0xFFFFFFFF
 
-SPACE = JetSpace(("t", "x"), ("u",), 4)
-
 _BASELINE_INPUTS = ("u", "u_x", "u_xx", "u_xxx", "u_xxxx")
 
 # config key -> (accepted JSON value types, their name in error messages)
@@ -65,7 +63,6 @@ _CONFIG_TYPES = {
     "lam": NUMBER,
     "library": ((dict,), "an object"),
     "seed": ((int,), "an integer"),
-    "output_dir": ((str,), "a string"),
     "long_term": ((bool,), "true or false"),
 }
 _LIBRARY_TYPES = {
@@ -98,7 +95,6 @@ class ExperimentConfig:
     lam: float = 0.0
     library: dict = field(default_factory=dict)
     seed: int = 0
-    output_dir: str = "results"
     long_term: bool = True
 
     def __post_init__(self):
@@ -144,7 +140,7 @@ class ExperimentConfig:
                 "noise_sigma": self.noise_sigma,
                 "threshold": self.threshold, "lam": self.lam,
                 "library": dict(self.library), "seed": self.seed,
-                "output_dir": self.output_dir, "long_term": self.long_term}
+                "long_term": self.long_term}
 
     @classmethod
     def from_dict(cls, d):
@@ -152,7 +148,9 @@ class ExperimentConfig:
             raise HarnessError(
                 f"config must be a JSON object, not {type(d).__name__}")
         d = dict(d)
-        d.pop("digest", None)
+        # save's stamp, and the unread output_dir of older config files
+        for key in ("digest", "output_dir"):
+            d.pop(key, None)
         check_config_dict(d, _CONFIG_TYPES, "config", HarnessError)
         missing = [k for k in ("system", "method") if k not in d]
         if missing:

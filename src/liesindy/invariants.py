@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import (
-    Const, DepVar, Expr, ExprError, IndepVar, JetSpace, denominators_in,
-    dep_vars_in, evaluate_array, is_zero, parse, partial_derivative, simplify,
-    to_string,
+    SPACE, Const, DepVar, Expr, ExprError, IndepVar, JetSpace,
+    denominators_in, dep_vars_in, evaluate_array, is_zero, parse,
+    partial_derivative, simplify, to_string,
 )
 from .liealg import VectorField, prolong, _action, _sample_points
 
@@ -80,14 +80,9 @@ class InvariantSet:
         return [prolong(v, self.space.order) for v in self.generators]
 
 
-def _evolution_space():
-    return JetSpace(independent=("t", "x"), dependent=("u",), order=4,
-                    evolution=True)
-
-
 def _build(system):
     zero, one = Const(0.0), Const(1.0)
-    sp = _evolution_space()
+    sp = SPACE
     x_shift = VectorField(sp, xi=(zero, one), phi=(zero,), name="x-shift")
     if system in ("kdv", "ks", "burgers"):
         t = IndepVar("t")
@@ -138,7 +133,7 @@ def _system_key(system):
 def truth_equation(system: str) -> Expr:
     """Governing equation F with F = 0, in jet coordinates."""
     try:
-        return parse(_TRUTH[_system_key(system)], _evolution_space())
+        return parse(_TRUTH[_system_key(system)], SPACE)
     except KeyError:
         raise CatalogError(f"no governing equation on file for '{system}'") from None
 
@@ -166,7 +161,7 @@ def eliminate_translations(generators, n: int):
     removed from the working coordinate list without losing any invariant
     information.  Returns (remaining coordinate names, leftover generators).
     """
-    space = generators[0].space if generators else _evolution_space()
+    space = generators[0].space if generators else SPACE
     removed = set()
     leftover = []
     for v in generators:

@@ -12,15 +12,21 @@ x-derivatives amplify high-wavenumber noise as k^m, so noisy data keeps the
 finite-difference estimator.  Either estimates any range of time rows from
 the halo rows beside it, with the whole trajectory's dt and h, so a
 window's jets are bit-equal to the same rows of the whole trajectory's.
+Either returns the rows' binding: the jet coordinates under the names
+`expr` gives them ("u", "u_t", "u_x", ... "u_xxxx"), each a (rows, nx)
+array, with "t" as the (rows, 1) and "x" as the (1, nx) view of the
+trajectory's own grid, which broadcast against them.  A non-finite
+estimate raises GridTooSmallError naming its coordinate.
 
 `evaluate_features` passes over each trajectory of a fit one window of
 WINDOW_POINTS grid points at a time: it estimates the window's jets to the
 highest derivative order among the features and the target, and
-`FeatureMatrix.add` evaluates them, and any extra expressions (the symmetry
-action terms an equiv-r fit needs, see regress.action_terms), straight into
-the rows of one reused buffer, drops the rows where a feature or the target
-is not finite and adds the rest to the sums the fit reads.  The feature
-matrix never exists whole; per row only the kept target value is held.
+`FeatureMatrix.add` evaluates the features and the target on that binding,
+and any extra expressions (the symmetry action terms an equiv-r fit needs,
+see regress.action_terms), straight into the rows of one reused buffer,
+drops the rows where a feature or the target is not finite and adds the
+rest to the sums the fit reads.  The feature matrix never exists whole;
+per row only the kept target value is held.
 The pass draws the trajectories one at a time from any iterable and keeps
 none of them past its last window, so a caller that hands its set over
 (see harness._handover) has each trajectory freed as soon as it is summed.
@@ -28,19 +34,17 @@ none of them past its last window, so a caller that hands its set over
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .expr import (
-    Expr, IndepVar, LiesindyError, MissingSymbolError, evaluate_array,
-    max_order, params_in, to_string, _walk,
+    Expr, LiesindyError, MissingSymbolError, evaluate_array, max_order,
+    params_in, to_string,
 )
 from .dynamics import TrajectoryGrid
 
 __all__ = [
-    "JetGrid", "FeatureMatrix", "finite_differences",
-    "spectral_jets", "evaluate_features", "GridTooSmallError",
+    "FeatureMatrix", "finite_differences", "spectral_jets",
+    "evaluate_features", "GridTooSmallError",
 ]
 
 # grid points per window of evaluate_features' pass; a window is
@@ -72,19 +76,6 @@ def _dxxxx(m2, m1, u, p1, p2, h):
 _SPATIAL = (_dx, _dxx, _dxxx, _dxxxx)
 
 
-@dataclass
-class JetGrid:
-    """Derivative estimates on a range of one trajectory's time rows.
-
-    Every stored array (including u itself) covers time indices
-    valid_t[0]..valid_t[1]-1 of the base grid, all x columns.
-    """
-
-    base: TrajectoryGrid
-    derivs: dict = field(default_factory=dict)  # multi-index tuple -> array
-    valid_t: tuple = (1, -1)
-
-
 def _check_grid(traj: TrajectoryGrid, n: int, halo: int, rows):
     """The rows of `rows` (lo, hi) with the stencil's full halo inside the
     grid, as (lo, hi); every such row when `rows` is None."""
@@ -101,16 +92,20 @@ def _check_grid(traj: TrajectoryGrid, n: int, halo: int, rows):
     return lo, max(lo, hi)
 
 
-def _jet_grid(traj: TrajectoryGrid, derivs: dict, valid_t) -> JetGrid:
-    for j, arr in derivs.items():
+def _window(traj: TrajectoryGrid, lo: int, hi: int, jets: dict) -> dict:
+    """The binding of time rows lo..hi-1: `jets` with t and x as views.
+
+    The estimators compute under np.errstate(over="ignore",
+    invalid="ignore"); a non-finite estimate is refused here, by name.
+    """
+    for name, arr in jets.items():
         if not np.all(np.isfinite(arr)):
             raise GridTooSmallError(
-                f"non-finite derivative estimate for index {j}")
-    return JetGrid(base=traj, derivs=derivs, valid_t=valid_t)
+                f"non-finite derivative estimate for {name}")
+    return {"t": traj.t[lo:hi, None], "x": traj.x[None, :], **jets}
 
 
-def finite_differences(traj: TrajectoryGrid, n: int = 4,
-                       rows=None) -> JetGrid:
+def finite_differences(traj: TrajectoryGrid, n: int = 4, rows=None) -> dict:
     """Central-difference jets up to spatial order n plus u_t, on the time
     rows of `rows` (lo, hi) that have a full stencil (all by default)."""
     lo, hi = _check_grid(traj, n, 1, rows)
@@ -118,15 +113,16 @@ def finite_differences(traj: TrajectoryGrid, n: int = 4,
     dt = float(traj.dt)
     u = traj.u
     mid = u[lo:hi]
-    derivs = {(): mid}
-    derivs[("t",)] = (u[lo + 1:hi + 1] - u[lo - 1:hi - 1]) / (2.0 * dt)
-    # the periodic neighbours at offsets -2..2 as slices of one wrapped copy
-    nx = mid.shape[1]
-    wrapped = np.concatenate([mid[:, -2:], mid, mid[:, :2]], axis=1)
-    shifts = [wrapped[:, s:s + nx] for s in range(5)]
-    for m in range(1, n + 1):
-        derivs[("x",) * m] = _SPATIAL[m - 1](*shifts, h)
-    return _jet_grid(traj, derivs, (lo, hi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        jets = {"u": mid,
+                "u_t": (u[lo + 1:hi + 1] - u[lo - 1:hi - 1]) / (2.0 * dt)}
+        # the periodic neighbours at offsets -2..2, slices of one wrapped copy
+        nx = mid.shape[1]
+        wrapped = np.concatenate([mid[:, -2:], mid, mid[:, :2]], axis=1)
+        shifts = [wrapped[:, s:s + nx] for s in range(5)]
+        for m in range(1, n + 1):
+            jets["u_" + "x" * m] = _SPATIAL[m - 1](*shifts, h)
+    return _window(traj, lo, hi, jets)
 
 
 # sixth-order central first-derivative weights for offsets +1, +2, +3
@@ -134,7 +130,7 @@ def finite_differences(traj: TrajectoryGrid, n: int = 4,
 _T6 = (3.0 / 4.0, -3.0 / 20.0, 1.0 / 60.0)
 
 
-def spectral_jets(traj: TrajectoryGrid, n: int = 4, rows=None) -> JetGrid:
+def spectral_jets(traj: TrajectoryGrid, n: int = 4, rows=None) -> dict:
     """Spectral x-jets up to order n plus sixth-order central u_t, on the
     time rows of `rows` (lo, hi) that have a full stencil (all by default).
 
@@ -145,16 +141,16 @@ def spectral_jets(traj: TrajectoryGrid, n: int = 4, rows=None) -> JetGrid:
     dt = float(traj.dt)
     u = traj.u
     mid = u[lo:hi]
-    derivs = {(): mid}
-    u_t = np.zeros_like(mid)
-    for j, w in enumerate(_T6, start=1):
-        u_t += w * (u[lo + j:hi + j] - u[lo - j:hi - j])
-    derivs[("t",)] = u_t / dt
-    ik = 2j * np.pi * np.fft.rfftfreq(nx, d=float(traj.h))
-    spec = np.fft.rfft(mid, axis=1)
-    for m in range(1, n + 1):
-        derivs[("x",) * m] = np.fft.irfft(ik ** m * spec, nx, axis=1)
-    return _jet_grid(traj, derivs, (lo, hi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_t = np.zeros_like(mid)
+        for j, w in enumerate(_T6, start=1):
+            u_t += w * (u[lo + j:hi + j] - u[lo - j:hi - j])
+        jets = {"u": mid, "u_t": u_t / dt}
+        ik = 2j * np.pi * np.fft.rfftfreq(nx, d=float(traj.h))
+        spec = np.fft.rfft(mid, axis=1)
+        for m in range(1, n + 1):
+            jets["u_" + "x" * m] = np.fft.irfft(ik ** m * spec, nx, axis=1)
+    return _window(traj, lo, hi, jets)
 
 
 class FeatureMatrix:
@@ -193,20 +189,22 @@ class FeatureMatrix:
         return np.concatenate([np.empty(0), *self._targets])
 
     def add(self, binding):
-        """Add the rows, if any, of `binding` (name -> 1-D array per row).
+        """Add the rows, if any, of `binding` (name -> array).
 
-        The constants are bound here.  A row where the target or any
-        feature is not finite is dropped and counted; the extra expressions
-        do not decide.
+        The arrays broadcast to one shape, and its elements in C order are
+        the rows.  The constants are bound here.  A row where the target or
+        any feature is not finite is dropped and counted; the extra
+        expressions do not decide.
         """
-        n = max(np.size(val) for val in binding.values())
+        rows = np.broadcast(*binding.values())
+        shape, n = rows.shape, rows.size
         binding = {**binding, **self.constants}
         if self._buffer.shape[1] < n:
             self._buffer = np.empty((len(self.exprs), n))
-        # one contiguous row per expression
+        # one contiguous row per expression, viewed in the binding's shape
         block = self._buffer[:, :n]
         for j, e in enumerate(self.exprs):
-            evaluate_array(e, binding, out=block[j])
+            evaluate_array(e, binding, out=block[j].reshape(shape))
         p = len(self.columns)
         keep = np.isfinite(block[:p + 1]).all(axis=0)
         kept = int(np.count_nonzero(keep))
@@ -220,22 +218,6 @@ class FeatureMatrix:
         self.dropped += n - kept
 
 
-def _binding(jet: JetGrid, coords):
-    """name -> one 1-D array over the jet's rows, (t index, x index), for
-    every jet coordinate and each of `coords`, the independent variables
-    read."""
-    lo, hi = jet.valid_t
-    x = jet.base.x
-    binding = {}
-    if "t" in coords:
-        binding["t"] = np.repeat(jet.base.t[lo:hi], x.size)
-    if "x" in coords:
-        binding["x"] = np.tile(x, hi - lo)
-    for j, arr in jet.derivs.items():
-        binding["u_" + "".join(j) if j else "u"] = arr.reshape(-1)
-    return binding
-
-
 def evaluate_features(trajs, estimate, feats, target: Expr, constants=None,
                       extra=()) -> FeatureMatrix:
     """The sums of `feats` against `target` over the trajectories' rows.
@@ -243,32 +225,29 @@ def evaluate_features(trajs, estimate, feats, target: Expr, constants=None,
     `trajs` is any iterable of trajectories, consumed once, in order; no
     reference to a trajectory is kept past its last window, so one that
     the iterable does not hold elsewhere is freed before the next is
-    drawn.  `estimate` (finite_differences, spectral_jets, ...) makes each
-    window's jets (none in halo rows); an order its stencils lack raises
-    GridTooSmallError, and so does an iterable with no trajectory.  Rows
-    run in trajectory order, then (t index, x index).  Constants (t0, nu,
-    ...) must all be supplied; a missing one raises with its name.  The
-    `extra` expressions (equiv-r's action terms) are summed in the same
-    pass.
+    drawn.  `estimate` (finite_differences, spectral_jets, ...) returns
+    each window's binding, its jets by name with t and x (no rows in
+    halo rows), which `FeatureMatrix.add` reads; an order its stencils
+    lack raises GridTooSmallError, and so does an iterable with no
+    trajectory.  Rows run in trajectory order, then (t index, x index).
+    Constants (t0, nu, ...) must all be supplied; a missing one raises
+    with its name.  The `extra` expressions (equiv-r's action terms) are
+    summed in the same pass.
     """
     trajs = iter(trajs)
     traj = next(trajs, None)
     if traj is None:
         raise GridTooSmallError("no trajectories to evaluate features on")
     fm = FeatureMatrix(feats, target, constants, extra)
-    coords = set()
     for e in fm.exprs:
         for p in params_in(e):
             if p.name not in fm.constants:
                 raise MissingSymbolError(
                     f"no value for constant '{p.name}' in {to_string(e)}")
-        _walk(e, lambda n: coords.add(n.name)
-              if isinstance(n, IndepVar) else None)
     while traj is not None:
         nt, nx = traj.u.shape
         step = max(1, WINDOW_POINTS // nx)
         for lo in range(0, nt, step):
-            fm.add(_binding(estimate(traj, n=fm.order, rows=(lo, lo + step)),
-                            coords))
+            fm.add(estimate(traj, n=fm.order, rows=(lo, lo + step)))
         traj = next(trajs, None)
     return fm

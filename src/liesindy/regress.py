@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import (
-    Add, Const, Expr, ExprError, JetSpace, LiesindyError, is_zero, max_order,
-    parse, simplify, substitute, to_string,
+    SPACE, Add, Const, Expr, ExprError, JetSpace, LiesindyError, is_zero,
+    max_order, parse, simplify, substitute, to_string,
 )
 # not called here: perfbench's traced runs rebind it on this module
 from .expr import evaluate_array  # noqa: F401
@@ -314,7 +314,7 @@ def model_from_dict(d: dict, space: JetSpace | None = None) -> SparseModel:
     if not isinstance(d, dict):
         raise RegressionError(
             f"a model must be an object, not {type(d).__name__}")
-    space = space or JetSpace()
+    space = space or SPACE
     try:
         return SparseModel(
             target=parse(d["target"], space),

@@ -419,6 +419,23 @@ def test_report_on_malformed_csv_is_one_error_line(tmp_path, capsys, runs,
     assert name in err and "Traceback" not in err
 
 
+def test_report_reads_a_config_of_an_older_layout(tmp_path, capsys,
+                                                  config_path):
+    # older config.json files carry output_dir, a key nothing read; it is
+    # dropped on load like the digest
+    blob = json.loads(config_path.read_text())
+    assert "output_dir" not in blob
+    blob["output_dir"] = "results"
+    (tmp_path / "config.json").write_text(json.dumps(blob))
+    (tmp_path / "runs.csv").write_text(
+        "run,status,success,err_norm\n0,ok,1,0.5\n")
+    assert main(["report", "--in", str(tmp_path)]) == 0
+    assert "di-sindy" in capsys.readouterr().out
+    assert (tmp_path / "summary.csv").read_text().startswith(
+        "system,method,success_rate,rmse_successful,rmse_all\n"
+        "kdv,di-sindy,1.0,")
+
+
 def test_report_on_runs_csv_of_an_older_layout(tmp_path, capsys):
     # no jets, condition_number or min_singular_value columns
     (tmp_path / "runs.csv").write_text(

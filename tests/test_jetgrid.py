@@ -43,21 +43,19 @@ def manufactured(nx, nt):
 
 
 def jet_errors(nx, nt, jets=finite_differences):
-    tr, x, t = manufactured(nx, nt)
+    tr, x, _ = manufactured(nx, nt)
     jet = jets(tr, n=4)
-    lo, hi = jet.valid_t
-    tt = t[lo:hi]
+    tt = jet["t"]                       # the window's times, a column
     sx, cx = np.sin(x)[None, :], np.cos(x)[None, :]
-    et = np.exp(np.cos(tt))[:, None]
+    et = np.exp(np.cos(tt))
     truth = {
-        ("x",): cx * et,
-        ("x", "x"): -sx * et,
-        ("x", "x", "x"): -cx * et,
-        ("x", "x", "x", "x"): sx * et,
-        ("t",): -np.sin(tt)[:, None] * sx * et,
+        "u_x": cx * et,
+        "u_xx": -sx * et,
+        "u_xxx": -cx * et,
+        "u_xxxx": sx * et,
+        "u_t": -np.sin(tt) * sx * et,
     }
-    return {k: float(np.max(np.abs(jet.derivs[k] - truth[k])))
-            for k in truth}
+    return {k: float(np.max(np.abs(jet[k] - truth[k]))) for k in truth}
 
 
 @pytest.fixture(scope="module")
@@ -88,9 +86,10 @@ def test_spectral_x_at_round_off_and_sixth_order_t():
     for m in range(1, 5):
         # round-off of the m-th FFT derivative: eps * k_max^m * max|u|
         bound = 10 * eps * 32.0 ** m * math.e
+        name = "u_" + "x" * m
         for errs in (e_coarse, e_fine):
-            assert errs[("x",) * m] < bound, (m, errs[("x",) * m])
-    ratio = e_coarse[("t",)] / e_fine[("t",)]
+            assert errs[name] < bound, (m, errs[name])
+    ratio = e_coarse["u_t"] / e_fine["u_t"]
     assert 56.0 < ratio < 72.0, ratio
 
 
@@ -99,11 +98,9 @@ def test_constant_field_has_zero_jets():
     t = np.arange(12) * 0.1
     tr = TrajectoryGrid(x, t, np.full((12, 32), 3.25))
     jet = finite_differences(tr, n=4)
-    for key, arr in jet.derivs.items():
-        if key == ():
-            assert np.all(arr == 3.25)
-        else:
-            assert np.all(arr == 0.0), key
+    assert np.all(jet["u"] == 3.25)
+    for name in ("u_t", "u_x", "u_xx", "u_xxx", "u_xxxx"):
+        assert np.all(jet[name] == 0.0), name
 
 
 def _rolled_dx(u, h):
@@ -133,8 +130,8 @@ def x_jets(u, h):
     halo = np.vstack([u[:1], u, u[-1:]])
     tr = TrajectoryGrid(np.arange(u.shape[1]) * h, np.arange(len(halo)),
                         halo)
-    derivs = finite_differences(tr).derivs
-    return [derivs[("x",) * m] for m in range(1, 5)]
+    jet = finite_differences(tr)
+    return [jet["u_" + "x" * m] for m in range(1, 5)]
 
 
 @pytest.mark.parametrize("rows", [(5, 6), (1, 65)], ids=["one-row",
@@ -147,12 +144,12 @@ def test_padded_stencils_match_the_rolled_ones(n, nx, rows):
     tr = TrajectoryGrid(np.arange(nx) * h, np.arange(70) * 0.1,
                         rng.normal(size=(70, nx)))
     jet = finite_differences(tr, n=n, rows=rows)
-    assert jet.valid_t == rows
+    assert np.array_equal(jet["t"][:, 0], tr.t[rows[0]:rows[1]])
     mid = tr.u[rows[0]:rows[1]]
-    assert set(jet.derivs) == {(), ("t",)} | {("x",) * m
-                                              for m in range(1, n + 1)}
+    assert set(jet) == {"t", "x", "u", "u_t"} | {"u_" + "x" * m
+                                                 for m in range(1, n + 1)}
     for m in range(1, n + 1):
-        assert jet.derivs[("x",) * m].tobytes() == \
+        assert jet["u_" + "x" * m].tobytes() == \
             _ROLLED[m - 1](mid, h).tobytes()
 
 
@@ -170,15 +167,15 @@ def test_high_stencils_compose_from_low_ones():
 def test_valid_window_trims_one_row_each_side():
     tr, _, _ = manufactured(32, 10)
     jet = finite_differences(tr, n=4)
-    assert jet.valid_t == (1, 9)
-    assert jet.derivs[()].shape == (8, 32)
+    assert np.array_equal(jet["t"][:, 0], tr.t[1:9])
+    assert jet["u"].shape == (8, 32)
 
 
 def test_spectral_window_trims_three_rows_each_side():
     tr, _, _ = manufactured(32, 10)
     jet = spectral_jets(tr, n=4)
-    assert jet.valid_t == (3, 7)
-    assert jet.derivs[()].shape == (4, 32)
+    assert np.array_equal(jet["t"][:, 0], tr.t[3:7])
+    assert jet["u"].shape == (4, 32)
 
 
 def test_spatial_order_bounds():
@@ -193,8 +190,22 @@ def test_spatial_order_bounds():
 def test_lower_order_jets_omit_high_derivatives():
     tr, _, _ = manufactured(32, 10)
     jet = finite_differences(tr, n=2)
-    assert ("x", "x") in jet.derivs
-    assert ("x", "x", "x") not in jet.derivs
+    assert "u_xx" in jet
+    assert "u_xxx" not in jet
+
+
+@pytest.mark.parametrize("estimate", [finite_differences, spectral_jets])
+def test_a_non_finite_estimate_is_refused_by_name(estimate):
+    # a finite field whose fourth x-derivative overflows: the estimate is
+    # refused by its coordinate's name, and no overflow warning escapes
+    # (RuntimeWarning is an error under the suite's filter)
+    x = np.arange(32) * 0.05
+    u = np.zeros((12, 32))
+    u[:, ::2] = 1e303
+    tr = TrajectoryGrid(x, np.arange(12) * 0.1, u)
+    with pytest.raises(GridTooSmallError,
+                       match="^non-finite derivative estimate for u_xxxx$"):
+        estimate(tr, n=4)
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +329,10 @@ def three_trajectories(poison=False):
 
 
 def jet_columns(jet):
-    """name -> the jet's valid window, raveled in (t index, x index) order."""
-    lo, hi = jet.valid_t
-    shape = (hi - lo, jet.base.x.size)
-    cols = {"t": np.broadcast_to(jet.base.t[lo:hi, None], shape).ravel(),
-            "x": np.broadcast_to(jet.base.x, shape).ravel()}
-    for j, arr in jet.derivs.items():
-        cols["u_" + "".join(j) if j else "u"] = arr.ravel()
-    return cols
+    """name -> the binding broadcast whole, raveled in (t index, x index)
+    order."""
+    return {name: arr.ravel()
+            for name, arr in zip(jet, np.broadcast_arrays(*jet.values()))}
 
 
 def column_reference(jets, feats, target):
@@ -376,22 +383,31 @@ def test_an_empty_iterator_is_the_same_grid_error():
     assert errors[0] == errors[1] == "no trajectories to evaluate features on"
 
 
-def test_the_pass_binds_t_and_x_only_where_read(kdv_jet, monkeypatch):
+@pytest.mark.parametrize("estimate", [finite_differences, spectral_jets])
+def test_a_window_binds_t_and_x_as_views_of_the_grid(kdv_jet, monkeypatch,
+                                                      estimate):
+    # nothing is allocated for t and x: each window's are views of the
+    # trajectory's own, a (rows, 1) column and a (1, nx) row
     tr, _ = kdv_jet
     bound = []
     add = jetgrid.FeatureMatrix.add
 
     def spy(self, binding):
-        bound.append({"t", "x"} & set(binding))
+        bound.append(binding)
         return add(self, binding)
 
     monkeypatch.setattr(jetgrid.FeatureMatrix, "add", spy)
-    for target, want in (("u_t", set()), ("exp(-t/t0)*u_t", {"t"}),
-                         ("x*u_t", {"x"})):
-        bound.clear()
-        evaluate_features([tr], finite_differences, [P("u*u_x")], P(target),
-                          constants={"t0": 1.0})
-        assert bound and all(names == want for names in bound), target
+    evaluate_features([tr], estimate, [P("u*u_x")], P("exp(-t/t0)*u_t + x"),
+                      constants={"t0": 1.0})
+    assert len(bound) > 1
+    for binding in bound:
+        assert binding["t"].shape == (binding["u"].shape[0], 1)
+        assert binding["x"].shape == (1, tr.x.size)
+        assert np.shares_memory(binding["t"], tr.t)
+        assert np.shares_memory(binding["x"], tr.x)
+    times = np.concatenate([b["t"][:, 0] for b in bound])
+    halo = 1 if estimate is finite_differences else 3
+    assert np.array_equal(times, tr.t[halo:-halo])
 
 
 KDV = builtin_set("kdv")
@@ -438,18 +454,18 @@ def test_lazy_jets_are_released_before_the_next_estimate(estimator,
     refs = []
 
     def estimate(traj, n, rows):
-        # every earlier window's derivative arrays are already gone
+        # every earlier window's arrays are already gone
         assert all(r() is None for r in refs)
         jet = estimator(traj, n=n, rows=rows)
-        refs.extend(weakref.ref(a) for a in jet.derivs.values())
+        refs.extend(weakref.ref(a) for a in jet.values())
         return jet
 
     # three windows of four time rows on each 12-row trajectory
     monkeypatch.setattr(jetgrid, "WINDOW_POINTS", 4 * 32)
     trajs = three_trajectories()
     fm = evaluate_features(trajs, estimate, [P("u*u_x")], P("u_t"))
-    # order 1: u, u_t and u_x per window
-    assert len(refs) == 3 * 3 * len(trajs) and fm.dropped == 0
+    # order 1: t, x, u, u_t and u_x per window
+    assert len(refs) == 3 * 5 * len(trajs) and fm.dropped == 0
     assert all(r() is None for r in refs)
 
 
@@ -492,13 +508,13 @@ def test_windowed_jets_are_bit_equal_to_whole_trajectory_jets(estimate):
     tr = TrajectoryGrid(x, t, rng.normal(size=(45, 64)))
     whole = estimate(tr, n=4)
     windows = [estimate(tr, n=4, rows=(lo, lo + 7)) for lo in range(0, 45, 7)]
-    assert windows[0].valid_t[0] == whole.valid_t[0]
-    assert windows[-1].valid_t[1] == whole.valid_t[1]
-    for before, after in zip(windows, windows[1:]):
-        assert before.valid_t[1] == after.valid_t[0]
-    for j, arr in whole.derivs.items():
-        joined = np.concatenate([w.derivs[j] for w in windows])
-        assert joined.tobytes() == arr.tobytes(), j
+    # the windows' t columns join, without gap or overlap, into the whole's
+    for name, arr in whole.items():
+        if name == "x":
+            assert all(w["x"].tobytes() == arr.tobytes() for w in windows)
+            continue
+        joined = np.concatenate([w[name] for w in windows])
+        assert joined.tobytes() == arr.tobytes(), name
 
 
 @pytest.mark.parametrize("estimate", [finite_differences, spectral_jets])
@@ -626,9 +642,9 @@ def test_penalties_of_a_library_the_actions_leave(ks_equivr_run, tmp_path):
 
 
 def test_binding_feeds_the_symmetry_criterion(kdv_jet):
-    tr, jet = kdv_jet
-    binding = jet_columns(jet)
-    assert binding["u"].size == (tr.t.size - 2) * tr.x.size
+    # the estimator's binding, t and x broadcast against the jets
+    tr, binding = kdv_jet
+    assert binding["u"].shape == (tr.t.size - 2, tr.x.size)
     f = P("u_t + u*u_x + u_xxx")
     scaling = VectorField(SPACE, xi=(P("3*t"), P("x")), phi=(P("-2*u"),))
     rep = check_symmetry_criterion(prolong(scaling, 4), f)
