@@ -107,25 +107,22 @@ def _cmd_evaluate(args):
     paths = sorted(glob.glob(os.path.join(models_dir, "run_*.json")),
                    key=_run_number)
     if not paths:
-        print(f"no run_*.json under {models_dir}", file=sys.stderr)
-        return 1
+        raise HarnessError(f"no run_*.json under {models_dir}")
     test_dir = args.data
     if os.path.isdir(os.path.join(test_dir, "test")):
         test_dir = os.path.join(test_dir, "test")
     test_trajs, solver = load_trajectories(test_dir)
     if solver is None:
-        print("test data has no solver config", file=sys.stderr)
-        return 1
-    os.makedirs(args.out, exist_ok=True)
+        raise HarnessError("test data has no solver config")
     models = [m for m in map(_saved_model, paths) if m is not None]
     if not models:
-        print("no usable models", file=sys.stderr)
-        return 1
+        raise HarnessError("no usable models")
     scores = long_term_mse(models, test_trajs, solver)
     for score in scores:
         if isinstance(score, Exception):
             raise score
     blown = sum(bad for _, _, bad in scores)
+    os.makedirs(args.out, exist_ok=True)
     write_longterm(args.out, *aggregate_longterm([m for m, _, _ in scores]),
                    "long-term MSE over saved models")
     print(f"evaluated {len(scores)} models over {len(test_trajs)} test "

@@ -26,6 +26,7 @@ BlowUpError with its finite rows.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -58,8 +59,9 @@ BLOWUP_LIMIT = 1e6
 
 # bumped whenever solve_pde writes other bits for some config;
 # ExperimentConfig.data_digest hashes it, so a dataset written by an older
-# generator is refused.  2: closed-form ETDRK4 coefficients away from z = 0
-GENERATOR_VERSION = 2
+# generator is refused.  2: closed-form ETDRK4 coefficients away from z = 0;
+# 3: phi-series coefficients near z = 0
+GENERATOR_VERSION = 3
 
 
 class DynamicsError(LiesindyError):
@@ -330,57 +332,87 @@ def _advection(k, mask, nx):
     return nonlinear
 
 
-# |z| below which _etdrk4_coeffs takes the contour mean
-_CONTOUR_CUT = 1.0
+# terms of phi_3's Taylor series taken where |z| < 1; the first one left
+# out, z^21/24!, is below 1e-23 of phi_3 there
+_PHI_TERMS = 21
+
+# most bytes of one (block, *lin.shape) complex array in an ETDRK4
+# coefficient build (31 step sizes of 129 wavenumbers).  numpy elides
+# temporaries from 256 KiB up, which moves bits; below that each size gets
+# the bits it gets alone
+_BLOCK_BYTES = 1 << 16
 
 
-def _etdrk4_coeffs(lin, h, m=64):
-    """ETDRK4 coefficients (e^z, e^{z/2}, q, f1, f2, f3) at z = lin*h.
+def _phis(z):
+    """(phi_1, phi_2, phi_3) at z, by Horner on phi_3's Taylor series.
 
-    The phi-functions take the closed forms of Cox & Matthews (J. Comput.
-    Phys. 2002) where |z| >= _CONTOUR_CUT.  Nearer z = 0 those cancel, so
-    such rows take Kassam & Trefethen's mean over m points of the unit
-    circle about z (SIAM J. Sci. Comput. 2005).  Against the functions'
-    Taylor series, the closed form is within 3e-14 relative for
-    0.75 <= |z| <= 2 in every direction, and loses digits below 0.5
-    (6e-12 at 0.1).
-    The contour is within 2e-14 up to 0.75 but reads 1e-12 on the real
-    and imaginary axes near |z| = 1, where its circle passes close to 0.
-    The cut at 1 leaves the closed form a margin above 0.75 and takes the
-    contour's worst band, 1 <= |z| < 1.5, off it.  The mean is kept
-    complex, which stays correct for the purely imaginary dispersive
-    symbol (a half circle plus real part only works for real lin).
+    phi_k(z) = sum_n z^n/(n+k)!, so phi_2 = z*phi_3 + 1/2 and
+    phi_1 = z*phi_2 + 1.
     """
+    p3 = np.full_like(z, 1.0 / math.factorial(_PHI_TERMS + 2))
+    for n in range(_PHI_TERMS - 2, -1, -1):
+        p3 = p3 * z + 1.0 / math.factorial(n + 3)
+    p2 = z * p3 + 0.5
+    return z * p2 + 1.0, p2, p3
+
+
+def _etdrk4_coeffs(lin, hs):
+    """ETDRK4 coefficients (e^z, e^{z/2}, q, f1, f2, f3) at z = h*lin.
+
+    One set per step size h in hs, each array of shape
+    (len(hs), *lin.shape).  Where |z| >= 1 the phi-functions take the
+    closed forms of Cox & Matthews (J. Comput. Phys. 2002), within 3e-14
+    relative of their Taylor series for 0.75 <= |z| <= 2 in every
+    direction.  Nearer z = 0 those cancel (6e-12 at 0.1), so such rows
+    take the series: q = h*phi_1(z/2)/2, f1 = h*(phi_1 - 3 phi_2 + 4 phi_3),
+    f2 = h*(phi_2 - 2 phi_3) and f3 = h*(4 phi_3 - phi_2), within 6e-15
+    of the functions for |z| < 1.  Every operation acts on each element
+    alone, so a set's bits do not depend on the other sizes in hs as long
+    as no array reaches numpy's elision size (see _BLOCK_BYTES).
+    """
+    h = np.asarray(hs, dtype=float).reshape((-1,) + (1,) * lin.ndim)
     z = h * lin.astype(complex)
+    h = np.broadcast_to(h, z.shape)
     e1, e2 = np.exp(z), np.exp(z / 2)
     q, f1, f2, f3 = (np.empty_like(z) for _ in range(4))
-    near = np.abs(z) < _CONTOUR_CUT
-    far = ~near
-    zf, ef = z[far], e1[far]
+    far = np.abs(z) >= 1.0
+    near = ~far
+    zf, ef, hf = z[far], e1[far], h[far]
     zf2 = zf * zf
-    hz3 = h / (zf2 * zf)
-    q[far] = h * (e2[far] - 1.0) / zf
+    hz3 = hf / (zf2 * zf)
+    q[far] = hf * (e2[far] - 1.0) / zf
     f1[far] = hz3 * (-4.0 - zf + ef * (4.0 - 3.0 * zf + zf2))
     f2[far] = hz3 * (2.0 + zf + ef * (-2.0 + zf))
     f3[far] = hz3 * (-4.0 - 3.0 * zf - zf2 + ef * (4.0 - zf))
-    r = np.exp(2j * math.pi * (np.arange(m) + 0.5) / m)
-    zz = z[near, None] + r[None, :]
-    ez, zz2, zz3 = np.exp(zz), zz ** 2, zz ** 3
-    q[near] = h * np.mean((np.exp(zz / 2) - 1.0) / zz, axis=1)
-    f1[near] = h * np.mean(
-        (-4.0 - zz + ez * (4.0 - 3.0 * zz + zz2)) / zz3, axis=1)
-    f2[near] = h * np.mean((2.0 + zz + ez * (-2.0 + zz)) / zz3, axis=1)
-    f3[near] = h * np.mean(
-        (-4.0 - 3.0 * zz - zz2 + ez * (4.0 - zz)) / zz3, axis=1)
+    zn, hn = z[near], h[near]
+    p1, p2, p3 = _phis(zn)
+    q[near] = hn * (0.5 * _phis(zn / 2)[0])
+    f1[near] = hn * (p1 - 3.0 * p2 + 4.0 * p3)
+    f2[near] = hn * (p2 - 2.0 * p3)
+    f3[near] = hn * (4.0 * p3 - p2)
     return e1, e2, q, f1, f2, f3
 
 
-def _make_etdrk4(lin, h, nonlinear):
-    e1, e2, q, f1, f2, f3 = _etdrk4_coeffs(lin, h)
-    # the step's 2.0*f2*X associates as (2.0*f2)*X, so folding it keeps the
-    # bits
-    f2x2 = 2.0 * f2
+def _etdrk4_steps(lin, sizes, nonlinear):
+    """One ETDRK4 step per size in `sizes`, built a block at a time.
 
+    Each block's coefficients come from one _etdrk4_coeffs call, made when
+    the block's first step is drawn, so a march that stops early builds no
+    further block.
+    """
+    rows = max(1, _BLOCK_BYTES // (16 * lin.size))
+    sizes = iter(sizes)
+    while block := list(itertools.islice(sizes, rows)):
+        e1, e2, q, f1, f2, f3 = _etdrk4_coeffs(lin, block)
+        # the step's 2.0*f2*X associates as (2.0*f2)*X, so folding it
+        # keeps the bits
+        f2x2 = 2.0 * f2
+        for j in range(len(block)):
+            yield _etdrk4_step(e1[j], e2[j], q[j], f1[j], f2x2[j], f3[j],
+                               nonlinear)
+
+
+def _etdrk4_step(e1, e2, q, f1, f2x2, f3, nonlinear):
     def step(v, u=None):
         nv = nonlinear(v, u)
         e2v = e2 * v
@@ -413,15 +445,18 @@ def _make_ifrk4(lin, h, nonlinear):
 
 
 def _make_stepper(scheme, lin, nonlinear):
-    """h -> `scheme`'s step of size h for v' = lin*v + nonlinear(v).
+    """sizes -> an iterator of `scheme`'s steps for v' = lin*v + nonlinear(v),
+    one per step size in the iterable `sizes`, each built when it is drawn.
 
     lin is one (nk,) symbol shared by every member or an (n, nk) array of
-    one row per member.  The step takes v and, optionally, u = irfft(v),
-    which its first stage hands to nonlinear(v, u) in place of
-    transforming v again.
+    one row per member.  ETDRK4 builds its steps' coefficients a block of
+    sizes at a time (_etdrk4_steps); IF-RK4 builds each step alone.  A
+    step takes v and, optionally, u = irfft(v), which its first stage
+    hands to nonlinear(v, u) in place of transforming v again.
     """
-    make = _make_etdrk4 if scheme == "etdrk4" else _make_ifrk4
-    return lambda h: make(lin, h, nonlinear)
+    if scheme == "etdrk4":
+        return lambda sizes: _etdrk4_steps(lin, sizes, nonlinear)
+    return lambda sizes: (_make_ifrk4(lin, h, nonlinear) for h in sizes)
 
 
 def _blown(u):
@@ -439,11 +474,28 @@ def _batch(ics, nx):
     return ics
 
 
-def _march(make_step, ics, spans, sub, min_steps=1, skip=0):
+def _cuts(spans, sub, min_steps):
+    """Per span: (sub-step count m, their size h, whether h is new).
+
+    A span is cut into m = max(min_steps, ceil(span/sub)) equal sub-steps;
+    h is new when it is more than 1e-15 relative from the last new size.
+    """
+    last = None
+    for span in spans:
+        m = max(min_steps, math.ceil(span / sub - 1e-12))
+        h = span / m
+        new = last is None or abs(h - last) > 1e-15 * abs(h)
+        if new:
+            last = h
+        yield m, h, new
+
+
+def _march(make_steps, ics, spans, sub, min_steps=1, skip=0):
     """Step the (n, nx) batch rfft(ics) across `spans` as one state.
 
-    Each span is cut into max(min_steps, ceil(span/sub)) equal sub-steps;
-    make_step(h) builds the step of size h, once per run of equal sizes.
+    Each span is cut into sub-steps as _cuts says.  make_steps(sizes) (see
+    _make_stepper) turns the new sizes, in order, into an iterator of their
+    steps, and the march draws the next step at each span of a new size.
     Row 0 is ics and row j the state after the j-th span.  With `skip`, the
     first skip spans are a discarded transient: guarded at steps -skip..-1,
     not stored, and the state after them becomes row 0.
@@ -478,19 +530,19 @@ def _march(make_step, ics, spans, sub, min_steps=1, skip=0):
         for b in live:
             u[b][j] = rows[b]
 
+    steps = make_steps(h for _, h, new in _cuts(spans, sub, min_steps)
+                       if new)
+
     with np.errstate(all="ignore"):
         if not skip:
             sample(ics, 0, 0)
         state = np.fft.rfft(ics, axis=-1)
         physical = None         # irfft(state) once the last sample took it
-        step_h = None
-        for i, span in enumerate(spans, -skip):
+        for i, (m, _, new) in enumerate(_cuts(spans, sub, min_steps), -skip):
             if not live:
                 break
-            m = max(min_steps, math.ceil(span / sub - 1e-12))
-            h = span / m
-            if step_h is None or abs(h - step_h) > 1e-15 * abs(h):
-                advance, step_h = make_step(h), h
+            if new:
+                advance = next(steps)
             for _ in range(m):
                 state, physical = advance(state, physical), None
             physical = np.fft.irfft(state, nx, axis=-1)
@@ -525,7 +577,7 @@ def solve_pde(cfg: SolverConfig, ics, metas=None):
         raise ConfigError(f"{len(metas)} metas for {len(ics)} ics")
     x, t, k, mask = _grid(cfg)
     lin = _linear_symbol(cfg.system, k, cfg.params)
-    make_step = _make_stepper(cfg.scheme, lin, _advection(k, mask, cfg.nx))
+    make_steps = _make_stepper(cfg.scheme, lin, _advection(k, mask, cfg.nx))
     skip = round(cfg.transient / cfg.dt)
     if cfg.system == "nkdv":
         spans = np.diff(_tau_of_t(t, cfg.params["t0"]))
@@ -533,7 +585,7 @@ def solve_pde(cfg: SolverConfig, ics, metas=None):
     else:
         # exactly dt per span: np.diff(t) would differ in the last bits
         spans, sub = [cfg.dt] * (skip + cfg.nt - 1), cfg.dt
-    outcomes = _march(make_step, ics, spans, sub, skip=skip)
+    outcomes = _march(make_steps, ics, spans, sub, skip=skip)
     trajs = []
     for u, m in zip(outcomes, metas):
         out_meta = {"system": cfg.system, "params": dict(cfg.params),
@@ -724,10 +776,12 @@ def integrate_model(models, ics, cfg: SolverConfig):
         consts = {f"_c{i}": np.array([[f[2][i]] for f in group])
                   for i in range(len(group[0][2]))}
         nonlinear = _leftover_term(shape, consts, scale, k, mask, cfg.nx)
-        s = t if gexp == 0.0 else -np.expm1(-gexp * t) / gexp
+        # exactly dt per span where s = t: np.diff(t) would differ in the
+        # last bits and build a step per distinct span
+        spans = ([cfg.dt] * (cfg.nt - 1) if gexp == 0.0 else
+                 np.diff(-np.expm1(-gexp * t) / gexp))
         outcomes = _march(_make_stepper("rk4-spectral", lin, nonlinear),
-                          ics[members], np.diff(s), cfg.dt / 4.0,
-                          min_steps=4)
+                          ics[members], spans, cfg.dt / 4.0, min_steps=4)
         for b, u in zip(members, outcomes):
             out[b] = u if isinstance(u, BlowUpError) else TrajectoryGrid(
                 x, t, u, {"system": cfg.system, "kind": "model-integration",

@@ -145,6 +145,32 @@ def test_evaluate_off_the_test_grid_is_one_error_line(tmp_path, capsys,
         f"error: test trajectory 0 is off the solver grid: {needle}\n")
 
 
+@pytest.mark.parametrize("case", ["no-runs", "no-solver", "no-models"])
+def test_evaluate_refusal_is_one_error_line(tmp_path, capsys, pipeline,
+                                            case):
+    data, out = pipeline
+    models = tmp_path / "models"
+    models.mkdir()
+    if case != "no-runs":
+        # a run whose fit kept no model
+        (models / "run_0.json").write_text('{"model": null}')
+    if case == "no-solver":
+        shutil.copytree(out / "models", models, dirs_exist_ok=True)
+        shutil.copytree(data / "test", tmp_path / "data" / "test")
+        data = tmp_path / "data"
+        manifest = data / "test" / "manifest"
+        blob = json.loads(manifest.read_text())
+        blob["config"] = None
+        manifest.write_text(json.dumps(blob))
+    want = {"no-runs": f"no run_*.json under {models}",
+            "no-solver": "test data has no solver config",
+            "no-models": "no usable models"}[case]
+    assert main(["evaluate", "--models", str(models), "--data", str(data),
+                 "--out", str(tmp_path / "eval")]) == 1
+    assert capsys.readouterr().err == f"error: {want}\n"
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("name, text, needle", [
     ("run_0.json", "[1,2]", "not a JSON object"),
     ("run_0.json", '{"model": {"target": "u_t"}}', "'features'"),

@@ -540,18 +540,16 @@ def _fresh_stepper(made, handed):
     them, so every step transforms its state afresh; `handed` records, per
     step, whether a u was handed."""
     def make_stepper(scheme, lin, nonlinear):
-        at = made(scheme, lin, nonlinear)
+        make_steps = made(scheme, lin, nonlinear)
 
-        def sized(h):
-            step = at(h)
-
-            def fresh(v, u=None):
+        def fresh(step):
+            def stepped(v, u=None):
                 handed.append(u is not None)
                 return step(v)
 
-            return fresh
+            return stepped
 
-        return sized
+        return lambda sizes: map(fresh, make_steps(sizes))
 
     return make_stepper
 
@@ -651,43 +649,51 @@ def test_batch_shapes_are_checked(ic, meta):
         solve_pde(cfg, ic, meta)
 
 
-def test_etdrk4_coefficients_are_computed_once_per_step_size(monkeypatch):
+def _recorded_coeffs(monkeypatch):
+    """(calls, the module's _etdrk4_coeffs); each call of the patched
+    function appends its (lin, list of step sizes) to calls."""
     from liesindy import dynamics
     calls = []
     coeffs = dynamics._etdrk4_coeffs
 
-    def counted(lin, h):
-        calls.append(h)
-        return coeffs(lin, h)
+    def recorded(lin, hs):
+        calls.append((lin, list(hs)))
+        return coeffs(lin, hs)
 
-    monkeypatch.setattr(dynamics, "_etdrk4_coeffs", counted)
+    monkeypatch.setattr(dynamics, "_etdrk4_coeffs", recorded)
+    return calls, coeffs
+
+
+def test_etdrk4_coefficients_are_computed_once_per_step_size(monkeypatch):
+    calls, _ = _recorded_coeffs(monkeypatch)
+    sizes = lambda: [h for _, hs in calls for h in hs]  # noqa: E731
     cfg = SolverConfig("nkdv", nx=64, length=20.0, dt=0.01, nt=20,
                        params={"t0": 1.0})
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=5)
     first = solve_pde(cfg, ic[None])[0]
-    # one step size per output span (each shorter than KdV's dt of 0.01)
-    assert len(calls) == len(set(calls)) == cfg.nt - 1
+    # one step size per output span (each shorter than KdV's dt of 0.01),
+    # all of them in one block
+    assert len(calls) == 1
+    assert len(sizes()) == len(set(sizes())) == cfg.nt - 1
+    once = sizes()
     again = solve_pde(cfg, np.array([ic, ic]))
-    assert calls[cfg.nt - 1:] == calls[:cfg.nt - 1]
+    assert sizes() == once + once
     assert all(np.array_equal(tr.u, first.u) for tr in again)
     del calls[:]
     solve_pde(SolverConfig("kdv", nx=64, length=20.0, dt=0.01, nt=20),
               np.array([ic, ic]))
-    assert calls == [0.01]
+    assert sizes() == [0.01]
 
 
-def _etdrk4_coeffs_formula(lin, h, m=64):
-    """The Kassam-Trefethen contour means, each term written out in full."""
-    z = h * lin.astype(complex)
-    r = np.exp(2j * math.pi * (np.arange(m) + 0.5) / m)
-    zz = z[:, None] + r[None, :]
-    q = h * np.mean((np.exp(zz / 2) - 1.0) / zz, axis=1)
-    f1 = h * np.mean(
-        (-4.0 - zz + np.exp(zz) * (4.0 - 3.0 * zz + zz ** 2)) / zz ** 3, axis=1)
-    f2 = h * np.mean((2.0 + zz + np.exp(zz) * (-2.0 + zz)) / zz ** 3, axis=1)
-    f3 = h * np.mean(
-        (-4.0 - 3.0 * zz - zz ** 2 + np.exp(zz) * (4.0 - zz)) / zz ** 3, axis=1)
-    return np.exp(z), np.exp(z / 2), q, f1, f2, f3
+def _etdrk4_closed_form(z, h):
+    """(q, f1, f2, f3) at z from Cox & Matthews' closed forms, written out
+    in full."""
+    e = np.exp(z)
+    q = h * (np.exp(z / 2) - 1.0) / z
+    f1 = h * (-4.0 - z + e * (4.0 - 3.0 * z + z ** 2)) / z ** 3
+    f2 = h * (2.0 + z + e * (-2.0 + z)) / z ** 3
+    f3 = h * (-4.0 - 3.0 * z - z ** 2 + e * (4.0 - z)) / z ** 3
+    return q, f1, f2, f3
 
 
 def _phi_series(z, h, terms=40):
@@ -703,42 +709,81 @@ def _phi_series(z, h, terms=40):
     return h * q, h * f1, h * f2, h * f3
 
 
-def test_etdrk4_coefficients_match_the_series_and_the_contour(monkeypatch):
-    # every coefficient set of the default nKdV solve and of the kdv and ks
-    # steps.  Against the series, on 0.5 <= |z| <= 2 where it converges
-    # in double precision: closed-form rows (|z| >= 1) within 2e-14
-    # relative, contour rows within 2e-12 (they read 5e-15 and 1.3e-12).
-    # Contour rows keep the bits of the contour formula.
-    from liesindy import dynamics
-    calls = []
-    coeffs = dynamics._etdrk4_coeffs
-
-    def recorded(lin, h):
-        calls.append((lin, h))
-        return coeffs(lin, h)
-
-    monkeypatch.setattr(dynamics, "_etdrk4_coeffs", recorded)
+def _solved_coeffs(monkeypatch):
+    """(calls, _etdrk4_coeffs) over the default nKdV solve and the kdv and
+    ks steps."""
+    calls, coeffs = _recorded_coeffs(monkeypatch)
     solve_pde(default_config("nkdv"), np.zeros((1, 256)))
-    assert len(calls) == default_config("nkdv").nt - 1
+    assert sum(len(hs) for _, hs in calls) == default_config("nkdv").nt - 1
     for system in ("kdv", "ks"):
         d = default_config(system).to_dict()
         d.update(nt=8, transient=0.0)
         solve_pde(SolverConfig.from_dict(d), np.zeros((1, 256)))
-        assert calls[-1][1] == d["dt"]
+        assert calls[-1][1] == [d["dt"]]
+    return calls, coeffs
+
+
+def test_etdrk4_coefficients_match_the_series_and_the_closed_form(
+        monkeypatch):
+    # every coefficient set of the default nKdV solve and of the kdv and ks
+    # steps.  Against the test's own series, on 0.02 <= |z| <= 2 where it
+    # converges in double precision: every row within 2e-14 relative.
+    # Independent of that oracle, the module's series rows agree with the
+    # closed form, accurate to 3e-14 from |z| = 0.75 up, on
+    # 0.75 <= |z| < 1
+    calls, coeffs = _solved_coeffs(monkeypatch)
     sides = set()
-    for lin, h in calls:
-        z = h * lin.astype(complex)
-        near = np.abs(z) < dynamics._CONTOUR_CUT
-        got = coeffs(lin, h)
-        for g, w in zip(got, _etdrk4_coeffs_formula(lin, h)):
-            assert g[near].tobytes() == w[near].tobytes()
-        band = (np.abs(z) >= 0.5) & (np.abs(z) <= 2.0)
-        want = _phi_series(z[band], h)
-        tol = np.where(near[band], 2e-12, 2e-14)
-        for g, w in zip(got[2:], want):
-            assert (np.abs(g[band] - w) <= tol * np.abs(w)).all()
-        sides.update(near[band].tolist())
+    seen = 0
+    for lin, hs in calls:
+        got = coeffs(lin, hs)
+        for j, h in enumerate(hs):
+            z = h * lin.astype(complex)
+            band = (np.abs(z) >= 0.02) & (np.abs(z) <= 2.0)
+            for g, w in zip(got[2:], _phi_series(z[band], h)):
+                assert (np.abs(g[j][band] - w) <= 2e-14 * np.abs(w)).all()
+            sides.update((np.abs(z[band]) < 1.0).tolist())
+            below = (np.abs(z) >= 0.75) & (np.abs(z) < 1.0)
+            seen += below.sum()
+            for g, w in zip(got[2:], _etdrk4_closed_form(z[below], h)):
+                assert (np.abs(g[j][below] - w) <= 3e-14 * np.abs(w)).all()
     assert sides == {True, False}
+    assert seen > 100
+
+
+def test_a_block_of_etdrk4_coefficients_is_bit_equal_to_each_size_alone(
+        monkeypatch):
+    calls, coeffs = _solved_coeffs(monkeypatch)
+    assert max(len(hs) for _, hs in calls) > 16
+    for lin, hs in calls:
+        block = coeffs(lin, hs)
+        for j, h in enumerate(hs):
+            for b, one in zip(block, coeffs(lin, [h])):
+                assert b[j].tobytes() == one[0].tobytes()
+
+
+def test_a_rollout_builds_one_step_per_size(monkeypatch):
+    # a kdv rollout steps exactly dt/4, one size; the nKdV truth's rescaled
+    # time makes every span a size of its own
+    from liesindy import dynamics
+    built = []
+    make = dynamics._make_ifrk4
+
+    def counted(lin, h, nonlinear):
+        built.append(h)
+        return make(lin, h, nonlinear)
+
+    monkeypatch.setattr(dynamics, "_make_ifrk4", counted)
+    cfg = SolverConfig("kdv", nx=64, length=20.0, dt=0.01, nt=60)
+    ics = np.array([sample_initial_condition(cfg.nx, cfg.length, seed=s)
+                    for s in (1, 2)])
+    outs = integrate_model([truth_model(*_TRUTH["kdv"])] * 2, ics, cfg)
+    assert not any(isinstance(o, Exception) for o in outs)
+    assert built == [cfg.dt / 4.0]
+    del built[:]
+    cfg = SolverConfig("nkdv", nx=64, length=20.0, dt=0.01, nt=60,
+                       params={"t0": 1.0})
+    integrate_model([truth_model(*_TRUTH["nkdv"])], ics[:1], cfg)
+    assert len(built) == len(set(built)) == cfg.nt - 1
 
 
 def _leftover_term_per_order(shape, consts, scale, k, mask, nx):
@@ -822,13 +867,13 @@ def _fold_check_setup(system):
     made = dynamics._make_stepper(
         cfg.scheme, lin, dynamics._advection(k, mask, cfg.nx))
     return (cfg.dt, lin, v, _advection_written_out(k, mask, cfg.nx),
-            made(cfg.dt))
+            next(made([cfg.dt])))
 
 
 def test_folded_etdrk4_step_matches_the_step_written_out():
     from liesindy import dynamics
     h, lin, v, nonlinear, step = _fold_check_setup("kdv")
-    e1, e2, q, f1, f2, f3 = dynamics._etdrk4_coeffs(lin, h)
+    e1, e2, q, f1, f2, f3 = (c[0] for c in dynamics._etdrk4_coeffs(lin, [h]))
     nv = nonlinear(v)
     a = e2 * v + q * nv
     na = nonlinear(a)
