@@ -7,11 +7,14 @@ time-rescaled KdV variant is solved through its exact substitution onto KdV
 time, under the configured scheme, landing on every requested output
 instant rather than interpolating.
 
-Discovered models are integrated by the same spectral machinery: the model's
-own constant-coefficient linear part is absorbed into an integrating factor
-(a bare explicit step is unstable for any dispersive model worth finding)
-and the remainder is evaluated pointwise.  Models that share one equation
-structure march as one batch, each member with its own coefficients.
+Discovered models are integrated by the same spectral machinery, their
+right side split three ways: the model's own constant-coefficient linear
+part is absorbed into an integrating factor (a bare explicit step is
+unstable for any dispersive model worth finding); a remainder that is
+exactly a*u*u_x steps through the generators' dealiased advection kernel,
+with a folded into its symbol; and any other remainder is evaluated
+pointwise.  Models that share one equation structure march as one batch,
+each member with its own coefficients.
 
 Every solve and rollout takes an (n, nx) batch of initial conditions,
 steps it as one state through one loop, `_march`, and returns one outcome
@@ -314,15 +317,19 @@ def _linear_symbol(system, k, params):
     raise ConfigError(f"unknown system '{system}'")
 
 
-def _advection(k, mask, nx):
+def _advection(k, mask, nx, weight=None):
     """(v, u) -> the dealiased advection term -ik*mask*rfft(u^2/2).
 
-    u is irfft(v), taken here when the caller passes None.
+    u is irfft(v), taken here when the caller passes None.  With `weight`,
+    an (n, 1) column of one factor per member, the term is weight times
+    that, the factor folded into the symbol, one (n, nk) row per member.
     """
     # -ik*mask*X associates as (-ik*mask)*X, so forming it once keeps the
     # bits, and so does moving the exact factor 0.5 from u*u onto it
     ik = 1j * k
     ikm = 0.5 * (-ik * mask)
+    if weight is not None:
+        ikm = weight * ikm
 
     def nonlinear(v, u=None):
         if u is None:
@@ -640,12 +647,26 @@ def _time_coefficient(eq):
     return c, g, rest
 
 
+# u*u_x, the one nonlinear term with a kernel of its own: under the 2/3
+# rule mask*F[u*u_x] = mask*(ik/2)*F[u^2] for a state band-limited to nx/3
+_ADVECTED = DepVar("u") * DepVar("u", ("x",))
+
+
 def _linear_split(rest):
-    """rest -> (dict spatial-order -> coefficient, leftover Expr)."""
+    """rest -> (dict spatial-order -> coefficient, a, leftover Expr).
+
+    rest is the linear terms plus a*u*u_x plus the leftover.  a is nonzero
+    only when the rest of rest is exactly a*u*u_x; beside any other
+    nonlinear term, u*u_x stays in the leftover.
+    """
     coefs, leftover = project(rest, [DepVar("u", ("x",) * k)
                                      for k in range(5)])
     linear = {order: c for order, c in enumerate(coefs) if c != 0.0}
-    return linear, simplify(Add(tuple(leftover))) if leftover else Const(0.0)
+    if not leftover:
+        return linear, 0.0, Const(0.0)
+    leftover = simplify(Add(tuple(leftover)))
+    (a,), other = project(leftover, [_ADVECTED])
+    return (linear, a, Const(0.0)) if not other else (linear, 0.0, leftover)
 
 
 def _lift_consts(e, consts):
@@ -666,11 +687,13 @@ def _rollout_form(model, cfg):
     """(structure, c, linear weights, leftover constants) of a model.
 
     The model's equation on cfg's params is c*e^{g t}*u_t + linear terms +
-    leftover.  The structure is (g, the linear orders in order, the
-    leftover with its constants lifted by _lift_consts, or None when it is
-    zero); models that share it march as one group.  Raises
-    UnsupportedModelError or MissingSymbolError for a model that cannot
-    be rolled out.
+    leftover (see _linear_split).  A leftover of exactly a*u*u_x takes
+    _advection's kernel and its one constant is a; any other takes
+    _leftover_term.  The structure is (g, the linear orders in order, the
+    kernel, "advection" or "compiled", and the leftover with its
+    constants lifted by _lift_consts, or None when it is zero or advected);
+    models that share it march as one group.  Raises UnsupportedModelError
+    or MissingSymbolError for a model that cannot be rolled out.
     """
     eq = simplify(substitute(model_to_equation(model), cfg.params))
     missing = sorted(p.name for p in params_in(eq))
@@ -678,21 +701,24 @@ def _rollout_form(model, cfg):
         raise MissingSymbolError(
             f"model references unbound constants {missing}")
     c, gexp, rest = _time_coefficient(eq)
-    linear, leftover = _linear_split(rest)
-    consts = []
+    linear, a, leftover = _linear_split(rest)
+    consts = [a] if a else []
     shape = None if is_zero(leftover) else _lift_consts(leftover, consts)
-    return (gexp, tuple(linear), shape), c, tuple(linear.values()), consts
+    kernel = "advection" if a else "compiled"
+    return ((gexp, tuple(linear), kernel, shape), c, tuple(linear.values()),
+            consts)
 
 
 def _leftover_term(shape, consts, scale, k, mask, nx):
     """(v, u) -> scale*mask*rfft(shape), each member with its own constants.
 
-    consts maps each lifted constant's name to its (n, 1) column of member
-    values and scale is the (n, 1) column of -1/c.  shape is compiled once;
-    each call evaluates it under _march's error state.  u and its
-    derivatives come from one inverse transform of [v, (ik)^o v ...],
-    stacked in one buffer; a u = irfft(v) passed in leaves only the
-    derivative rows to transform.
+    This is the kernel of every leftover but a lone a*u*u_x, which steps
+    through _advection instead.  consts maps each lifted constant's name to
+    its (n, 1) column of member values and scale is the (n, 1) column of
+    -1/c.  shape is compiled once; each call evaluates it under _march's
+    error state.  u and its derivatives come from one inverse transform of
+    [v, (ik)^o v ...], stacked in one buffer; a u = irfft(v) passed in
+    leaves only the derivative rows to transform.
     """
     if shape is None:
         return lambda v, u=None: np.zeros_like(v)
@@ -738,7 +764,11 @@ def integrate_model(models, ics, cfg: SolverConfig):
     c*e^{g t} is removed by the exact change of time variable, the model's
     own constant-coefficient linear terms go into an integrating factor,
     and the remainder steps with RK4 at dt/4 substeps, sampling every 4th
-    step.  Members whose models share one structure (see _rollout_form)
+    step.  A remainder of exactly a*u*u_x steps through the generators'
+    advection kernel, one inverse transform, u*u and one forward transform
+    per stage, with each member's a/c folded into its symbol; any other
+    remainder through its compiled expression (_leftover_term).  Members
+    whose models share one structure (see _rollout_form), kernel included,
     march as one state, each with its own coefficients.
 
     Returns, per member, its TrajectoryGrid, its BlowUpError (.step and the
@@ -764,7 +794,7 @@ def integrate_model(models, ics, cfg: SolverConfig):
             groups.setdefault(forms[id(m)][0], []).append(b)
 
     x, t, k, mask = _grid(cfg)
-    for (gexp, orders, shape), members in groups.items():
+    for (gexp, orders, kernel, shape), members in groups.items():
         group = [forms[id(models[b])][1:] for b in members]
         # du/ds = -(rest)/c in the rescaled time s with ds = e^{-g t} dt
         lin = np.zeros((len(members), k.size), dtype=complex)
@@ -775,7 +805,11 @@ def integrate_model(models, ics, cfg: SolverConfig):
         scale = np.array([[-1.0 / c] for c, _, _ in group])
         consts = {f"_c{i}": np.array([[f[2][i]] for f in group])
                   for i in range(len(group[0][2]))}
-        nonlinear = _leftover_term(shape, consts, scale, k, mask, cfg.nx)
+        if kernel == "advection":
+            # -(a/c)*u*u_x is a/c times the generators' -u*u_x
+            nonlinear = _advection(k, mask, cfg.nx, -scale * consts["_c0"])
+        else:
+            nonlinear = _leftover_term(shape, consts, scale, k, mask, cfg.nx)
         # exactly dt per span where s = t: np.diff(t) would differ in the
         # last bits and build a step per distinct span
         spans = ([cfg.dt] * (cfg.nt - 1) if gexp == 0.0 else

@@ -610,18 +610,25 @@ def test_handed_field_matches_a_fresh_transform(monkeypatch, case):
 
 def test_grouped_rollout_matches_each_model_alone():
     # two models of one structure with different coefficients, one with
-    # another linear order, one with an explicit-x term, and u_t = u^2,
-    # which blows up on the scaled IC only
+    # another linear order, one with an explicit-x term, u_t = u^2, which
+    # blows up on the scaled IC only, and two advected models (leftover
+    # a*u*u_x) of one structure with different coefficients
+    from liesindy import dynamics
     cfg = SolverConfig("kdv", nx=64, length=2.0 * math.pi, dt=0.1, nt=16)
     kdv_a = truth_model("u_t + u*u_x", ["u_xxx", "u^2"], [-1.0, 0.1])
     kdv_b = truth_model("u_t + u*u_x", ["u_xxx", "u^2"], [-0.7, -0.3])
     heat = truth_model("u_t + u*u_x", ["u_xx", "u^2"], [0.1, 0.2])
     explicit = truth_model("u_t", ["x*u_x"], [1.0])
     blowup = truth_model("u_t", ["u^2"], [1.0])
+    adv_a = truth_model("u_t", ["u*u_x", "u_xxx"], [-1.0, -1.0])
+    adv_b = truth_model("u_t", ["u*u_x", "u_xxx"], [-0.6, -1.3])
+    assert {dynamics._rollout_form(m, cfg)[0][2] for m in (adv_a, adv_b)} \
+        == {"advection"}
     ics = np.array([scale * sample_initial_condition(cfg.nx, cfg.length, s)
                     for scale, s in ((0.2, 1), (0.2, 2), (3.0, 3), (0.2, 4))])
-    models = [kdv_a, kdv_b, heat, explicit, blowup, blowup, kdv_b, kdv_a]
-    members = ics[[0, 1, 2, 3, 2, 0, 3, 1]]
+    models = [kdv_a, kdv_b, heat, explicit, blowup, blowup, kdv_b, kdv_a,
+              adv_a, adv_b, adv_b, adv_a]
+    members = ics[[0, 1, 2, 3, 2, 0, 3, 1, 0, 1, 3, 2]]
     out = integrate_model(models, members, cfg)
     assert len(out) == len(models)
     alone = [integrate_model([m], ic[None], cfg)[0]
@@ -631,9 +638,12 @@ def test_grouped_rollout_matches_each_model_alone():
     assert isinstance(out[4], BlowUpError)
     assert 0 < out[4].step == alone[4].step < cfg.nt
     assert np.array_equal(out[4].rows, alone[4].rows)
-    for b in (0, 1, 2, 5, 6, 7):
-        assert np.array_equal(out[b].u, alone[b].u)
-    with pytest.raises(ConfigError, match="2 models for 8 ics"):
+    for b in (0, 1, 2, 5, 6, 7, 8, 9, 10, 11):
+        assert out[b].u.tobytes() == alone[b].u.tobytes()
+    # the advected members' coefficients differ, and so do their rollouts
+    assert not np.array_equal(out[8].u, integrate_model(
+        [adv_b], members[8:9], cfg)[0].u)
+    with pytest.raises(ConfigError, match="2 models for 12 ics"):
         integrate_model(models[:2], members, cfg)
 
 
@@ -786,6 +796,33 @@ def test_a_rollout_builds_one_step_per_size(monkeypatch):
     assert len(built) == len(set(built)) == cfg.nt - 1
 
 
+@pytest.mark.parametrize("model, kernel, a", [
+    (_TRUTH["kdv"], "advection", 1.0),
+    (_TRUTH["nkdv"], "advection", 1.0),
+    # a sindy-style fit: u_t against u*u_x among the features
+    (("u_t", ["u*u_x", "u_xxx"], [-0.97, -1.03]), "advection", 0.97),
+    # found symbolically, not from the printed text; a is the equation's
+    # u*u_x coefficient, before dividing by u_t's
+    (("2*u_t", ["u_x*u", "u_xx"], [-0.5, 0.1]), "advection", 0.5),
+    (("u_t", ["u^2*u_x/u", "u*u_x"], [-0.25, -0.5]), "advection", 0.75),
+    # u*u_x beside any other nonlinear term stays in the compiled leftover
+    (("u_t + u*u_x", ["u*u_xx", "u_xxx"], [0.1, -1.0]), "compiled", None),
+    (("u_t + u*u_x", ["u_x^2"], [0.1]), "compiled", None),
+    (("u_t", ["u^2"], [1.0]), "compiled", None),
+    (("u_t + u*u_x", ["u*u_x", "u_xx"], [1.0, 0.1]), "compiled", None),
+], ids=["kdv", "nkdv", "sindy", "reordered", "summed", "beside-u-u_xx",
+        "beside-u_x^2", "u^2", "cancelled"])
+def test_only_a_lone_u_u_x_takes_the_advection_kernel(model, kernel, a):
+    from liesindy import dynamics
+    cfg = SolverConfig("nkdv", nx=64, length=20.0, dt=0.01, nt=8,
+                       params={"t0": 1.0})
+    (_, _, got, shape), _, _, consts = dynamics._rollout_form(
+        truth_model(*model), cfg)
+    assert got == kernel
+    if kernel == "advection":
+        assert shape is None and consts == [pytest.approx(a, abs=1e-15)]
+
+
 def _leftover_term_per_order(shape, consts, scale, k, mask, nx):
     """The rollout's leftover term with one inverse transform per order,
     each stage walking the leftover's tree (under _march's error state).
@@ -809,11 +846,27 @@ def _leftover_term_per_order(shape, consts, scale, k, mask, nx):
     return nonlinear
 
 
+def _advection_scaled_written_out(weights):
+    """The rollout's advection term: _advection_written_out scaled by each
+    member's coefficient, the (n, 1) column `weight`, which is appended to
+    `weights`.  A u handed over by the march is dropped."""
+    def advection(k, mask, nx, weight):
+        weights.append(weight)
+        nonlinear = _advection_written_out(k, mask, nx, weight)
+        return lambda v, u=None: nonlinear(v)
+
+    return advection
+
+
 def test_rollout_matches_the_per_order_transforms(monkeypatch):
     # a poly2 leftover in u, u_x and u_xxx; two constant-only leftovers of
     # one structure; u_t = u^2, which blows up on the scaled IC; the nKdV
-    # truth, with its e^{-t/t0} time coefficient; and a leftover with Exp,
-    # Div and Pow whose third member blows up while the other two march on
+    # truth, with its e^{-t/t0} time coefficient; a leftover with Exp, Div
+    # and Pow whose third member blows up while the other two march on; a
+    # sindy-style model with fitted u*u_x and u_xxx coefficients; and
+    # u*u_x beside u*u_xx.  The advected members (a lone a*u*u_x leftover)
+    # take the advection oracle, scaled by each member's a/c, and every
+    # other member the per-order oracle
     from liesindy import dynamics
     cfg = SolverConfig("nkdv", nx=64, length=2.0 * math.pi, dt=0.05, nt=24,
                        params={"t0": 1.0})
@@ -826,14 +879,23 @@ def test_rollout_matches_the_per_order_transforms(monkeypatch):
     odd = ["exp(-u^2)", "u_x/(1 + u^2)", "u^3", "u_xx"]
     odd_a = truth_model("u_t", odd, [0.05, 0.3, 0.2, 0.1])
     odd_b = truth_model("u_t", odd, [-0.1, 0.2, 0.3, 0.05])
+    sindy = truth_model("exp(-t/t0)*u_t", ["u*u_x", "u_xxx"], [-0.97, -1.03])
+    mixed = truth_model("u_t + u*u_x", ["u*u_xx", "u_xxx"], [0.1, -1.0])
     ics = np.array([scale * sample_initial_condition(cfg.nx, cfg.length, s)
                     for scale, s in ((0.3, 1), (0.3, 2), (3.0, 3))])
     models = [poly2, const_a, const_b, poly2, blowup, blowup, nkdv, odd_a,
-              odd_b, odd_b, nkdv]
-    members = ics[[0, 1, 2, 1, 2, 0, 0, 1, 0, 2, 1]]
+              odd_b, odd_b, nkdv, sindy, mixed, sindy]
+    members = ics[[0, 1, 2, 1, 2, 0, 0, 1, 0, 2, 1, 1, 0, 0]]
     got = integrate_model(models, members, cfg)
+    weights = []
     monkeypatch.setattr(dynamics, "_leftover_term", _leftover_term_per_order)
+    monkeypatch.setattr(dynamics, "_advection",
+                        _advection_scaled_written_out(weights))
     want = integrate_model(models, members, cfg)
+    # one advected group: nKdV's truth and the sindy model share a
+    # structure, and u*u_x beside u*u_xx stays on the per-order path
+    [weight] = weights
+    assert weight.ravel().tolist() == [1.0, 1.0, 0.97, 0.97]
     blown = [isinstance(out, BlowUpError) for out in want]
     assert [b for b, is_blown in enumerate(blown) if is_blown] == [4, 9]
     assert 0 < want[9].step < cfg.nt - 1
@@ -845,10 +907,14 @@ def test_rollout_matches_the_per_order_transforms(monkeypatch):
             assert g.u.tobytes() == w.u.tobytes()
 
 
-def _advection_written_out(k, mask, nx):
+def _advection_written_out(k, mask, nx, weight=None):
+    """The dealiased advection term, times the (n, 1) column `weight` of
+    one factor per member when it is given."""
+    symbol = -(1j * k) if weight is None else -(1j * k) * weight
+
     def nonlinear(v):
         u = np.fft.irfft(v, nx, axis=-1)
-        return -(1j * k) * mask * np.fft.rfft(0.5 * u * u, axis=-1)
+        return symbol * mask * np.fft.rfft(0.5 * u * u, axis=-1)
 
     return nonlinear
 

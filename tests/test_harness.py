@@ -540,6 +540,50 @@ def test_generate_then_discover_matches_in_memory(tmp_path, small_report):
     assert rep.rows == small_report.rows
 
 
+# one cell per regression path: di-sindy with rollout (its discovered
+# models step through the advection kernel), equiv-r with noise, sindy with
+# noise
+_PREFIX_CELLS = {
+    "kdv-di-sindy": dict(system="kdv", method="di-sindy", long_term=True,
+                         solver=SMALL_KDV),
+    "ks-equiv-r": dict(system="ks", method="equiv-r", lam=1e-2,
+                       noise_sigma=1e-3, long_term=False,
+                       solver=dict(system="ks", nx=64,
+                                   length=32.0 * math.pi, dt=0.05, nt=40)),
+    "burgers-sindy": dict(system="burgers", method="sindy",
+                          noise_sigma=1e-3, long_term=False,
+                          solver=dict(system="burgers", nx=64,
+                                      length=2.0 * math.pi, dt=0.005, nt=40,
+                                      scheme="rk4-spectral",
+                                      params={"nu": 0.1})),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(_PREFIX_CELLS))
+def test_a_run_does_not_depend_on_the_run_count(cell):
+    # run r's row, model and long-term score are those of run r in a cell
+    # with more runs, bit for bit: the runs are solved, fitted and rolled
+    # out in batches whose members keep their own bits.  Both cells run on
+    # this machine, so no digest is pinned across BLAS kernels
+    two, three = (run_experiment(ExperimentConfig(
+        runs=runs, seed=7, **_PREFIX_CELLS[cell])) for runs in (2, 3))
+    assert [r["status"] for r in three.rows] == ["ok"] * 3
+    assert two.rows == three.rows[:2]
+    assert [json.dumps(m) for m in two.models] == \
+        [json.dumps(m) for m in three.models[:2]]
+    assert len(two.scores) == 2
+    for got, want in zip(two.scores, three.scores):
+        if got is None:
+            assert want is None and not two.config.long_term
+            continue
+        (mean, per_ic, blown), (want_mean, want_per_ic, want_blown) = \
+            got, want
+        assert mean.tobytes() == want_mean.tobytes()
+        assert [s.tobytes() for s in per_ic] == \
+            [s.tobytes() for s in want_per_ic]
+        assert blown == want_blown
+
+
 def test_package_errors_share_one_root():
     for cls in (ExprError, DynamicsError, RegressionError, HarnessError,
                 GridTooSmallError):
