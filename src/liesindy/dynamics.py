@@ -25,6 +25,15 @@ instead of transforming the state again.  Every operation on the state
 acts on each row alone, so each member gets the same bits as on its own; a
 member that blows up stays in the state, unsampled, and its outcome is a
 BlowUpError with its finite rows.
+
+Every spectral transform, here and in jetgrid.spectral_jets, is one of a
+pair of helpers, _rfft and _irfft.  On numpy >= 2 they call the pocketfft
+gufuncs that np.fft.rfft and irfft call, with the same scale factors, so
+the bits are np.fft's; but they write into a buffer the caller owns and
+skip np.fft's Python wrapper, which costs about as much as the 8-row
+transforms of 256 points that a rollout stage makes.  The march and each
+kernel hold their own buffers, sized from the (n, nk) state; what a
+kernel or a step returns is always a new array.
 """
 
 from __future__ import annotations
@@ -291,6 +300,46 @@ def add_noise(traj: TrajectoryGrid, sigma: float, seed) -> TrajectoryGrid:
 # ---------------------------------------------------------------------------
 # spectral plumbing
 
+# numpy >= 2's pocketfft gufuncs, False on numpy 1.x, None until the first
+# transform: numpy.fft is imported lazily, and importing it here would add
+# its import to every program that imports liesindy
+_POCKETFFT = None
+
+
+def _pocketfft():
+    global _POCKETFFT
+    if _POCKETFFT is None:
+        try:
+            from numpy.fft import _pocketfft_umath
+        except ImportError:
+            _pocketfft_umath = False
+        _POCKETFFT = _pocketfft_umath
+    return _POCKETFFT
+
+
+def _rfft(u, out):
+    """rfft(u, axis=-1) of real u with an even last axis.
+
+    On numpy >= 2 it is written into `out`, (..., nx//2 + 1), and returned;
+    on numpy 1.x it is np.fft.rfft's new array and `out` is unused, so
+    callers read the returned array.
+    """
+    ufuncs = _pocketfft()
+    if ufuncs:
+        return ufuncs.rfft_n_even(u, 1, out=out)
+    return np.fft.rfft(u, axis=-1)
+
+
+def _irfft(v, out):
+    """irfft(v, nx, axis=-1) for `out` of last axis nx, as _rfft.
+
+    1/nx is the factor np.fft.irfft hands the gufunc for its default norm.
+    """
+    ufuncs = _pocketfft()
+    if ufuncs:
+        return ufuncs.irfft(v, 1.0 / out.shape[-1], out=out)
+    return np.fft.irfft(v, out.shape[-1], axis=-1)
+
 
 def _grid(cfg):
     """(x, t, wavenumbers, dealias mask) of cfg's periodic grid.
@@ -317,12 +366,14 @@ def _linear_symbol(system, k, params):
     raise ConfigError(f"unknown system '{system}'")
 
 
-def _advection(k, mask, nx, weight=None):
+def _advection(k, mask, n, nx, weight=None):
     """(v, u) -> the dealiased advection term -ik*mask*rfft(u^2/2).
 
-    u is irfft(v), taken here when the caller passes None.  With `weight`,
-    an (n, 1) column of one factor per member, the term is weight times
-    that, the factor folded into the symbol, one (n, nk) row per member.
+    v is an (n, nk) state and u is irfft(v), taken here when the caller
+    passes None.  With `weight`, an (n, 1) column of one factor per member,
+    the term is weight times that, the factor folded into the symbol, one
+    (n, nk) row per member.  u, u*u and the spectrum are written into
+    buffers of this kernel's own; the returned term is a new array.
     """
     # -ik*mask*X associates as (-ik*mask)*X, so forming it once keeps the
     # bits, and so does moving the exact factor 0.5 from u*u onto it
@@ -330,11 +381,13 @@ def _advection(k, mask, nx, weight=None):
     ikm = 0.5 * (-ik * mask)
     if weight is not None:
         ikm = weight * ikm
+    u_buf, uu_buf = np.empty((n, nx)), np.empty((n, nx))
+    spec_buf = np.empty((n, k.size), dtype=complex)
 
     def nonlinear(v, u=None):
         if u is None:
-            u = np.fft.irfft(v, nx, axis=-1)
-        return ikm * np.fft.rfft(u * u, axis=-1)
+            u = _irfft(v, u_buf)
+        return ikm * _rfft(np.multiply(u, u, out=uu_buf), spec_buf)
 
     return nonlinear
 
@@ -516,7 +569,11 @@ def _march(make_steps, ics, spans, sub, min_steps=1, skip=0):
 
     Each sample is the one inverse transform of the state per span: the
     next span's first step takes it as its u = irfft(v) (see
-    _make_stepper) instead of transforming the same state again.
+    _make_stepper) instead of transforming the same state again.  The
+    march's transforms, the first forward one and each sample, go through
+    _rfft and _irfft into two buffers of its own, (n, nk) and (n, nx); the
+    steps' kernels hold theirs, so a step's input is never overwritten
+    before the step returns.
     """
     n, nx = ics.shape
     # one array per member, so each is freed with its own trajectory
@@ -543,7 +600,8 @@ def _march(make_steps, ics, spans, sub, min_steps=1, skip=0):
     with np.errstate(all="ignore"):
         if not skip:
             sample(ics, 0, 0)
-        state = np.fft.rfft(ics, axis=-1)
+        state = _rfft(ics, np.empty((n, nx // 2 + 1), dtype=complex))
+        phys_buf = np.empty((n, nx))
         physical = None         # irfft(state) once the last sample took it
         for i, (m, _, new) in enumerate(_cuts(spans, sub, min_steps), -skip):
             if not live:
@@ -552,7 +610,7 @@ def _march(make_steps, ics, spans, sub, min_steps=1, skip=0):
                 advance = next(steps)
             for _ in range(m):
                 state, physical = advance(state, physical), None
-            physical = np.fft.irfft(state, nx, axis=-1)
+            physical = _irfft(state, phys_buf)
             # transient samples pass through row 0 as steps -skip..-1
             j = max(i + 1, 0)
             sample(physical, j, j if i >= 0 else i)
@@ -584,7 +642,8 @@ def solve_pde(cfg: SolverConfig, ics, metas=None):
         raise ConfigError(f"{len(metas)} metas for {len(ics)} ics")
     x, t, k, mask = _grid(cfg)
     lin = _linear_symbol(cfg.system, k, cfg.params)
-    make_steps = _make_stepper(cfg.scheme, lin, _advection(k, mask, cfg.nx))
+    make_steps = _make_stepper(cfg.scheme, lin,
+                               _advection(k, mask, len(ics), cfg.nx))
     skip = round(cfg.transient / cfg.dt)
     if cfg.system == "nkdv":
         spans = np.diff(_tau_of_t(t, cfg.params["t0"]))
@@ -717,8 +776,10 @@ def _leftover_term(shape, consts, scale, k, mask, nx):
     its (n, 1) column of member values and scale is the (n, 1) column of
     -1/c.  shape is compiled once; each call evaluates it under _march's
     error state.  u and its derivatives come from one inverse transform of
-    [v, (ik)^o v ...], stacked in one buffer; a u = irfft(v) passed in
-    leaves only the derivative rows to transform.
+    the stacked [v, (ik)^o v ...] into a stacked buffer of fields; a
+    u = irfft(v) passed in leaves only the derivative rows to transform.
+    The forward transform goes into a third buffer, and the returned term
+    is a new array.
     """
     if shape is None:
         return lambda v, u=None: np.zeros_like(v)
@@ -739,19 +800,22 @@ def _leftover_term(shape, consts, scale, k, mask, nx):
     # scale*mask*X associates as (scale*mask)*X, so forming it once keeps
     # the bits
     sm = scale * mask
-    stacked = np.empty((len(names), scale.shape[0], k.size), dtype=complex)
+    n = scale.shape[0]
+    stacked = np.empty((len(names), n, k.size), dtype=complex)
+    fields = np.empty((len(names), n, nx))
+    spec_buf = np.empty((n, k.size), dtype=complex)
 
     def nonlinear(v, u=None):
         np.multiply(ikp, v, out=stacked[1:])
         if u is None:
             stacked[0] = v
-            fields = np.fft.irfft(stacked, nx, axis=-1)
-        elif needed:
-            fields = [u, *np.fft.irfft(stacked[1:], nx, axis=-1)]
+            binding.update(zip(names, _irfft(stacked, fields)))
         else:
-            fields = [u]
-        binding.update(zip(names, fields))
-        return sm * np.fft.rfft(rhs(binding), axis=-1)
+            binding["u"] = u
+            if needed:
+                binding.update(zip(names[1:],
+                                   _irfft(stacked[1:], fields[1:])))
+        return sm * _rfft(rhs(binding), spec_buf)
 
     return nonlinear
 
@@ -807,7 +871,8 @@ def integrate_model(models, ics, cfg: SolverConfig):
                   for i in range(len(group[0][2]))}
         if kernel == "advection":
             # -(a/c)*u*u_x is a/c times the generators' -u*u_x
-            nonlinear = _advection(k, mask, cfg.nx, -scale * consts["_c0"])
+            nonlinear = _advection(k, mask, len(members), cfg.nx,
+                                   -scale * consts["_c0"])
         else:
             nonlinear = _leftover_term(shape, consts, scale, k, mask, cfg.nx)
         # exactly dt per span where s = t: np.diff(t) would differ in the

@@ -40,7 +40,7 @@ from .expr import (
     Expr, LiesindyError, MissingSymbolError, evaluate_array, max_order,
     params_in, to_string,
 )
-from .dynamics import TrajectoryGrid
+from .dynamics import TrajectoryGrid, _irfft, _rfft
 
 __all__ = [
     "FeatureMatrix", "finite_differences", "spectral_jets",
@@ -147,9 +147,10 @@ def spectral_jets(traj: TrajectoryGrid, n: int = 4, rows=None) -> dict:
             u_t += w * (u[lo + j:hi + j] - u[lo - j:hi - j])
         jets = {"u": mid, "u_t": u_t / dt}
         ik = 2j * np.pi * np.fft.rfftfreq(nx, d=float(traj.h))
-        spec = np.fft.rfft(mid, axis=1)
+        spec = _rfft(mid, np.empty((len(mid), ik.size), dtype=complex))
         for m in range(1, n + 1):
-            jets["u_" + "x" * m] = np.fft.irfft(ik ** m * spec, nx, axis=1)
+            jets["u_" + "x" * m] = _irfft(ik ** m * spec,
+                                          np.empty_like(mid))
     return _window(traj, lo, hi, jets)
 
 

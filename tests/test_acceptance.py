@@ -2,14 +2,18 @@
 
 Each test prints a single PASS/FAIL verdict line (shown with -s, or in the
 captured output of a failing test); the pytest result is the authoritative
-record.  Trajectory generation and model integration share the same
-spectral discretization, so integrating the exact governing equation
-reproduces the test data to round-off (MSE ~ 1e-14 after 50 steps).  The
-noiseless criterion 7 fixture therefore gets `spectral_jets` (spectral x,
-sixth-order t), chosen by the harness from noise_sigma == 0; coefficients
-from second-order finite differences would carry an O(h^2) bias whose
-rollout error is orders of magnitude above that floor.  Criterion 10's bound
-is asserted as stated.
+record.  Trajectory generation and model integration share the Fourier
+grid and the 2/3 rule but not the time stepping: generation takes ETDRK4
+at dt and integrate_model IF-RK4 at dt/4, and the two stay different
+discretizations.  So integrating the exact governing equation reproduces
+the test data only up to the two schemes' time error (at SEED its MSE grows
+from 3.6e-18 at step 1 to 1.2e-14 at step 50).  The noiseless criterion 7
+fixture therefore gets `spectral_jets` (spectral x, sixth-order t), chosen
+by the harness from noise_sigma == 0; coefficients from second-order finite
+differences would carry an O(h^2) bias whose rollout error is orders of
+magnitude above that floor.  Criterion 10's bound is asserted as stated;
+its largest ratio is 1.27 at SEED but 1.21-6.73 across seeds 2024, 7, 11,
+12345 and 1, so the bound holds at SEED and not at every seed.
 """
 
 import itertools

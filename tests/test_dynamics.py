@@ -535,6 +535,82 @@ def test_blown_rows_at_the_edges():
         assert _blown(batch).tolist() == [False] * 3 + [bad, False]
 
 
+@pytest.mark.parametrize("shape", [(1, 16), (8, 16), (12, 16), (1, 256),
+                                   (8, 256), (12, 256), (3, 8, 256)],
+                         ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("blown", [False, True], ids=["finite", "nan-inf"])
+def test_transform_helpers_match_numpy_fft(shape, blown):
+    # the (3, 8, 256) batch is _leftover_term's stacked [v, (ik)^o v ...];
+    # a blown member stays in the state, so a NaN row and an inf row must
+    # pass through as np.fft passes them
+    from liesindy import dynamics
+    rng = np.random.default_rng(sum(shape))
+    u = rng.standard_normal(shape)
+    if blown:
+        u[..., 0, 3] = math.nan
+        u[..., -1, 5] = math.inf
+    nx, nk = shape[-1], shape[-1] // 2 + 1
+    with np.errstate(all="ignore"):
+        v = np.fft.rfft(u, axis=-1)
+        want_u = np.fft.irfft(v, nx, axis=-1)
+        got_v = dynamics._rfft(u, np.empty(shape[:-1] + (nk,), complex))
+        got_u = dynamics._irfft(v, np.empty(shape))
+    assert got_v.tobytes() == v.tobytes()
+    assert got_u.tobytes() == want_u.tobytes()
+
+
+def test_numpy_2_transforms_write_into_the_given_buffer():
+    # numpy >= 2 takes pocketfft's gufuncs, which write into `out`; a
+    # release that moves the private module would fall back to np.fft and
+    # fail here instead of losing the gain unseen
+    from liesindy import dynamics
+    numpy_2 = int(np.__version__.split(".")[0]) >= 2
+    u = np.ones((2, 16))
+    spec, field = np.empty((2, 9), complex), np.empty((2, 16))
+    assert (dynamics._rfft(u, spec) is spec) == numpy_2
+    assert (dynamics._irfft(spec, field) is field) == numpy_2
+    assert bool(dynamics._pocketfft()) == numpy_2
+
+
+def _kernels(cfg, n):
+    """Each nonlinear kernel, and a step of each scheme, on cfg's grid for
+    a batch of n members."""
+    from liesindy import dynamics
+    _, _, k, mask = dynamics._grid(cfg)
+    column = np.linspace(0.5, 1.5, n)[:, None]
+    kernels = {
+        "advection": dynamics._advection(k, mask, n, cfg.nx),
+        "weighted": dynamics._advection(k, mask, n, cfg.nx, column),
+        "leftover": dynamics._leftover_term(
+            P("u*u_xx + u_x^2"), {}, -column, k, mask, cfg.nx),
+    }
+    lin = dynamics._linear_symbol("kdv", k, {})
+    for scheme in ("etdrk4", "rk4-spectral"):
+        make_steps = dynamics._make_stepper(scheme, lin, kernels["advection"])
+        kernels[scheme] = next(make_steps([cfg.dt]))
+    return kernels
+
+
+@pytest.mark.parametrize("kernel", ["advection", "weighted", "leftover",
+                                    "etdrk4", "rk4-spectral"])
+def test_a_kernel_result_survives_its_next_call(kernel):
+    # a returned stage value (nv, a, ...) or step is read after the
+    # kernel's next call, so it must not be one of the kernel's buffers
+    cfg = _short("kdv")
+    ics = np.array([sample_initial_condition(cfg.nx, cfg.length, seed=s)
+                    for s in (1, 2, 3)])
+    v = np.fft.rfft(ics, axis=-1)
+    run = _kernels(cfg, len(ics))[kernel]
+    for u in (None, ics):
+        first = run(v, u)
+        kept = first.tobytes()
+        second = run(2.0 * v)
+        third = run(v, u)
+        assert first.tobytes() == kept == third.tobytes()
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, v)
+
+
 def _fresh_stepper(made, handed):
     """_make_stepper whose steps drop the u = irfft(v) the march hands
     them, so every step transforms its state afresh; `handed` records, per
@@ -850,7 +926,7 @@ def _advection_scaled_written_out(weights):
     """The rollout's advection term: _advection_written_out scaled by each
     member's coefficient, the (n, 1) column `weight`, which is appended to
     `weights`.  A u handed over by the march is dropped."""
-    def advection(k, mask, nx, weight):
+    def advection(k, mask, n, nx, weight):
         weights.append(weight)
         nonlinear = _advection_written_out(k, mask, nx, weight)
         return lambda v, u=None: nonlinear(v)
@@ -931,7 +1007,7 @@ def _fold_check_setup(system):
                     for s in (1, 2, 3)])
     v = np.fft.rfft(ics, axis=-1)
     made = dynamics._make_stepper(
-        cfg.scheme, lin, dynamics._advection(k, mask, cfg.nx))
+        cfg.scheme, lin, dynamics._advection(k, mask, len(ics), cfg.nx))
     return (cfg.dt, lin, v, _advection_written_out(k, mask, cfg.nx),
             next(made([cfg.dt])))
 

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -582,6 +584,52 @@ def test_a_run_does_not_depend_on_the_run_count(cell):
         assert [s.tobytes() for s in per_ic] == \
             [s.tobytes() for s in want_per_ic]
         assert blown == want_blown
+
+
+_REPORTS_SCRIPT = """
+import json, os, sys
+from liesindy.harness import ExperimentConfig, run_experiment
+for name, cell in json.loads(sys.argv[1]).items():
+    run_experiment(ExperimentConfig(runs=2, seed=7, **cell),
+                   out_dir=os.path.join(sys.argv[2], name))
+"""
+
+
+def _tree_bytes(root):
+    """{path relative to root: bytes} of every file under root."""
+    files = {}
+    for parent, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(parent, name)
+            with open(path, "rb") as f:
+                files[os.path.relpath(path, root)] = f.read()
+    return files
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the Gram is one BLAS product per window, whose partitioning OpenBLAS
+    # fixes from OPENBLAS_NUM_THREADS when it loads, so each count runs the
+    # run-prefix cells in a process of its own; both run on this machine,
+    # so no digest is pinned across BLAS kernels
+    src = os.path.dirname(os.path.dirname(hz.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                               if env.get("PYTHONPATH") else "")
+    trees = []
+    for threads in (1, 2):
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+        out = tmp_path / f"threads-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-c", _REPORTS_SCRIPT,
+             json.dumps(_PREFIX_CELLS), str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        trees.append(_tree_bytes(out))
+    one, two = trees
+    assert sorted(one) == sorted(two)
+    assert {f"{cell}/runs.csv" for cell in _PREFIX_CELLS} <= set(one)
+    for path in one:
+        assert one[path] == two[path], path
 
 
 def test_package_errors_share_one_root():
