@@ -602,7 +602,10 @@ def test_a_kernel_result_survives_its_next_call(kernel):
     v = np.fft.rfft(ics, axis=-1)
     run = _kernels(cfg, len(ics))[kernel]
     for u in (None, ics):
+        given = v.tobytes(), ics.tobytes()
         first = run(v, u)
+        # nor may a step write its stages into its input or the handed u
+        assert (v.tobytes(), ics.tobytes()) == given
         kept = first.tobytes()
         second = run(2.0 * v)
         third = run(v, u)
@@ -1027,8 +1030,53 @@ def test_folded_etdrk4_step_matches_the_step_written_out():
     assert step(v).tobytes() == want.tobytes()
 
 
+def _ifrk4_setup(case, h_type=float):
+    """(h, lin, v, the advection written out, the IF-RK4 step of size h) for
+    a batch of three ICs: burgers' short grid and kdv's at a rollout's
+    dt/4, both with one (nk,) symbol, or kdv's with an (n, nk) symbol and
+    an advection weight per member, as integrate_model builds them.
+    """
+    from liesindy import dynamics
+    cfg = _short("burgers" if case == "burgers" else "kdv")
+    h = h_type(cfg.dt if case == "burgers" else cfg.dt / 4)
+    _, _, k, mask = dynamics._grid(cfg)
+    lin = dynamics._linear_symbol(cfg.system, k, cfg.params)
+    weight = None
+    if case == "per-member":
+        column = np.array([[0.9], [1.0], [1.1]])
+        lin, weight = column * lin * mask, column[::-1]
+    ics = np.array([sample_initial_condition(cfg.nx, cfg.length, seed=s)
+                    for s in (1, 2, 3)])
+    v = np.fft.rfft(ics, axis=-1)
+    made = dynamics._make_stepper(
+        "rk4-spectral", lin,
+        dynamics._advection(k, mask, len(ics), cfg.nx, weight))
+    return (h, lin, v, _advection_written_out(k, mask, cfg.nx, weight),
+            next(made([h])))
+
+
 def test_folded_ifrk4_step_matches_the_step_written_out():
-    h, lin, v, nonlinear, step = _fold_check_setup("burgers")
+    # h is a Python float in solves and kdv rollouts and a numpy float64
+    # from np.diff in rescaled-time rollouts
+    for case, h_type in (("burgers", float), ("per-member", np.float64)):
+        h, lin, v, nonlinear, step = _ifrk4_setup(case, h_type)
+        e = np.exp(h * lin.astype(complex) / 2)
+        e2 = e * e
+        n1 = nonlinear(v)
+        ev = e * v
+        n2 = nonlinear(ev + (e * (h / 2)) * n1)
+        n3 = nonlinear(ev + (h / 2) * n2)
+        e2v = e2 * v
+        n4 = nonlinear(e2v + (e * h) * n3)
+        want = (e2v + (e2 * (h / 6)) * n1 + (e * (h / 3)) * (n2 + n3)
+                + (h / 6) * n4)
+        assert step(v).tobytes() == want.tobytes(), case
+
+
+@pytest.mark.parametrize("case", ["burgers", "kdv", "per-member"])
+def test_ifrk4_step_is_the_textbook_step_to_round_off(case):
+    # Kassam & Trefethen's integrating-factor RK4, a = h*N(v) and so on
+    h, lin, v, nonlinear, step = _ifrk4_setup(case)
     e = np.exp(h * lin.astype(complex) / 2)
     e2 = e * e
     a = h * nonlinear(v)
@@ -1036,7 +1084,32 @@ def test_folded_ifrk4_step_matches_the_step_written_out():
     c = h * nonlinear(e * v + b / 2)
     d = h * nonlinear(e2 * v + e * c)
     want = e2 * v + (e2 * a + 2.0 * e * (b + c) + d) / 6.0
-    assert step(v).tobytes() == want.tobytes()
+    assert np.abs(step(v) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_ifrk4_rollout_is_fourth_order_in_time():
+    # KdV's truth rolled out to t = 1 at dt 0.05 and 0.025 (sub-steps
+    # dt/4), against dt 0.00625: the error at the last sample falls 16-fold
+    # per halving (16.0, 16.6 and 17.0 when measured)
+    nx, length = 32, 20.0
+    x = np.arange(nx) * (length / nx)
+    ics = np.array([a * (np.cos(2 * math.pi * x / length)
+                         + 0.5 * np.sin(4 * math.pi * x / length + 1.0))
+                    for a in (1.0, 2.0, 3.0)])
+    model = truth_model(*_TRUTH["kdv"])
+
+    def last(dt):
+        cfg = SolverConfig("kdv", nx=nx, length=length, dt=dt,
+                           nt=round(1.0 / dt) + 1)
+        return np.array([tr.u[-1] for tr in
+                         integrate_model([model] * len(ics), ics, cfg)])
+
+    ref = last(0.00625)
+    coarse, fine = (np.abs(last(dt) - ref).max(axis=1)
+                    for dt in (0.05, 0.025))
+    assert np.all(fine > 1e-11)
+    ratio = coarse / fine
+    assert np.all((12.0 <= ratio) & (ratio <= 20.0)), ratio
 
 
 # ---------------------------------------------------------------------------
