@@ -194,8 +194,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LiesindyError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (LiesindyError, OSError, MemoryError) as err:
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -1,10 +1,10 @@
 """Trajectory generation and model integration on periodic 1+1 grids.
 
 Ground-truth data comes from pseudo-spectral method-of-lines solvers: FFT
-derivatives, 2/3-rule dealiasing, and the configured scheme, ETDRK4 for the
-stiff dispersive systems or integrating-factor RK4 for Burgers.  The
-time-rescaled KdV variant is solved through its exact substitution onto KdV
-time, under the configured scheme, landing on every requested output
+derivatives, 2/3-rule dealiasing, and each system's scheme (_STANDARD),
+ETDRK4 for the stiff dispersive systems or integrating-factor RK4 for
+Burgers.  The time-rescaled KdV variant is solved through its exact
+substitution onto KdV time, by ETDRK4, landing on every requested output
 instant rather than interpolating.
 
 Discovered models are integrated by the same spectral machinery, their
@@ -65,10 +65,21 @@ __all__ = [
     "DynamicsError", "BlowUpError", "ConfigError", "UnsupportedModelError",
 ]
 
-SYSTEMS = ("kdv", "ks", "burgers", "nkdv")
+# system -> (its time scheme, its standard solver settings), the one place
+# either is written; its params are the ones its equation reads.  nkdv's
+# horizon is 2, not KdV's 5: its time derivative grows like e^{t/t0}, and
+# past t ~ 2 its finite-difference error swamps the regression target
+_STANDARD = {
+    "kdv": ("etdrk4", dict(nx=256, length=20.0, dt=0.01, nt=500)),
+    "ks": ("etdrk4", dict(nx=256, length=32.0 * math.pi, dt=0.05, nt=1000,
+                          transient=25.0)),
+    "burgers": ("rk4-spectral", dict(nx=128, length=2.0 * math.pi,
+                                     dt=0.005, nt=400, params={"nu": 0.1})),
+    "nkdv": ("etdrk4", dict(nx=256, length=20.0, dt=0.01, nt=200,
+                            params={"t0": 1.0})),
+}
 
-# system -> the solver params its equation reads
-_PARAMS = {"kdv": (), "ks": (), "burgers": ("nu",), "nkdv": ("t0",)}
+SYSTEMS = tuple(_STANDARD)
 
 BLOWUP_LIMIT = 1e6
 
@@ -133,29 +144,32 @@ _SOLVER_TYPES = {
     "length": NUMBER,
     "dt": NUMBER,
     "nt": ((int,), "an integer"),
-    "scheme": ((str,), "a string"),
-    "dealias": ((bool,), "true or false"),
     "transient": NUMBER,
     "params": ((dict,), "an object"),
+    # older layouts' keys, taken only at the system's own value (from_dict)
+    "scheme": ((str,), "a string"),
+    "dealias": ((bool,), "true or false"),
 }
 
 
 @dataclass
 class SolverConfig:
+    """A system's grid, transient and params; built directly, it has no
+    transient or params unless given (see from_dict)."""
+
     system: str
-    nx: int = 256
-    length: float = 20.0
-    dt: float = 0.01
-    nt: int = 500
-    scheme: str = "etdrk4"
-    dealias: bool = True
+    nx: int
+    length: float
+    dt: float
+    nt: int
     transient: float = 0.0
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.system not in SYSTEMS:
             raise ConfigError(f"unknown system '{self.system}'")
-        stray = sorted(set(self.params) - set(_PARAMS[self.system]))
+        reads = _STANDARD[self.system][1].get("params", ())
+        stray = sorted(set(self.params) - set(reads))
         if stray:
             raise ConfigError(f"{self.system} reads no solver params {stray}")
         for name, val in (("dt", self.dt), ("length", self.length),
@@ -167,10 +181,11 @@ class SolverConfig:
             raise ConfigError("nx must be a power of two, at least 16")
         if self.nt < 8:
             raise ConfigError("nt must be at least 8")
+        if 8 * self.nt * self.nx > sys.maxsize:
+            raise ConfigError(f"an nt x nx = {self.nt} x {self.nx} grid's "
+                              f"trajectory is more than {sys.maxsize} bytes")
         if self.dt <= 0 or self.length <= 0:
             raise ConfigError("dt and length must be positive")
-        if self.scheme not in ("etdrk4", "rk4-spectral"):
-            raise ConfigError(f"unknown scheme '{self.scheme}'")
         if self.transient < 0:
             raise ConfigError("transient must be non-negative")
         steps = self.transient / self.dt
@@ -179,55 +194,46 @@ class SolverConfig:
                               f"more than {sys.maxsize}")
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigError("transient must be a whole number of steps")
-        if self.system == "burgers" and self.params.get("nu", 0.0) <= 0:
-            raise ConfigError("burgers needs nu > 0")
-        if self.system == "nkdv" and self.params.get("t0", 0.0) <= 0:
-            raise ConfigError("nkdv needs t0 > 0")
+        for name in reads:
+            if self.params.get(name, 0.0) <= 0:
+                raise ConfigError(f"{self.system} needs {name} > 0")
         if self.system == "nkdv" and self.transient:
             # the equation depends on absolute t
             raise ConfigError("nkdv takes no transient")
 
-    @property
-    def horizon(self):
-        return self.dt * self.nt
-
     def to_dict(self):
         return {"system": self.system, "nx": self.nx, "length": self.length,
-                "dt": self.dt, "nt": self.nt, "scheme": self.scheme,
-                "dealias": self.dealias, "transient": self.transient,
+                "dt": self.dt, "nt": self.nt, "transient": self.transient,
                 "params": dict(self.params)}
 
     @classmethod
     def from_dict(cls, d):
+        """The config d holds, each key it omits the system's standard
+        one; params, when given, replace the standard ones whole."""
         if not isinstance(d, dict):
             raise ConfigError(
                 f"solver must be an object, not {type(d).__name__}")
         check_config_dict(d, _SOLVER_TYPES, "solver", ConfigError)
         if "system" not in d:
             raise ConfigError("solver lacks required key 'system'")
-        params = dict(d.get("params", {}))
+        if d["system"] not in _STANDARD:
+            raise ConfigError(f"unknown system '{d['system']}'")
+        d = dict(d)
+        scheme, standard = _STANDARD[d["system"]]
+        for key, fixed in (("scheme", scheme), ("dealias", True)):
+            if (val := d.pop(key, fixed)) != fixed:
+                raise ConfigError(
+                    f"solver key '{key}' is fixed at {json.dumps(fixed)} "
+                    f"for {d['system']}, not {json.dumps(val)}")
+        params = dict(d.get("params", standard.get("params", {})))
         check_config_dict(params, dict.fromkeys(params, NUMBER),
                           "solver params", ConfigError)
-        return cls(**{**d, "params": params})
+        return cls(**{**standard, **d, "params": params})
 
 
 def default_config(system: str) -> SolverConfig:
-    if system == "kdv":
-        return SolverConfig("kdv", nx=256, length=20.0, dt=0.01, nt=500)
-    if system == "nkdv":
-        # horizon 2, not KdV's 5: the time derivative grows like e^{t/t0},
-        # and past t ~ 2 its finite-difference error swamps the regression
-        # target even at this dt
-        return SolverConfig("nkdv", nx=256, length=20.0, dt=0.01, nt=200,
-                            params={"t0": 1.0})
-    if system == "ks":
-        return SolverConfig("ks", nx=256, length=32.0 * math.pi, dt=0.05,
-                            nt=1000, transient=25.0)
-    if system == "burgers":
-        return SolverConfig("burgers", nx=128, length=2.0 * math.pi, dt=0.005,
-                            nt=400, scheme="rk4-spectral",
-                            params={"nu": 0.1})
-    raise ConfigError(f"unknown system '{system}'")
+    """system's standard solver settings (see _STANDARD)."""
+    return SolverConfig.from_dict({"system": system})
 
 
 @dataclass
@@ -346,28 +352,21 @@ def _irfft(v, out):
 
 
 def _grid(cfg):
-    """(x, t, wavenumbers, dealias mask) of cfg's periodic grid.
-
-    The mask keeps bins up to nx//3 (2/3 rule for quadratic
-    nonlinearities), or every bin when dealiasing is off.
-    """
+    """(x, t, wavenumbers, the 2/3-rule mask of bins up to nx//3) of cfg."""
     nx = cfg.nx
     x = np.arange(nx) * (cfg.length / nx)
     t = np.arange(cfg.nt) * cfg.dt
     k = 2.0 * math.pi * np.fft.rfftfreq(nx, d=cfg.length / nx)
-    keep = nx // 3 if cfg.dealias else nx
-    return x, t, k, (np.arange(nx // 2 + 1) <= keep).astype(float)
+    return x, t, k, (np.arange(nx // 2 + 1) <= nx // 3).astype(float)
 
 
 def _linear_symbol(system, k, params):
     ik = 1j * k
-    if system in ("kdv", "nkdv"):
-        return -(ik ** 3)
     if system == "ks":
         return -(ik ** 2 + ik ** 4)
     if system == "burgers":
         return params["nu"] * ik ** 2
-    raise ConfigError(f"unknown system '{system}'")
+    return -(ik ** 3)               # kdv and nkdv
 
 
 def _advection(k, mask, n, nx, weight=None):
@@ -659,7 +658,8 @@ def _tau_of_t(t, t0):
 
 
 def solve_pde(cfg: SolverConfig, ics, metas=None):
-    """Solve cfg's system from each row of the (n, nx) batch ics.
+    """Solve cfg's system, by its scheme, from each row of the (n, nx)
+    batch ics.
 
     Returns, per member, its TrajectoryGrid or its BlowUpError (.step and
     the finite .rows), bit-identical to a batch of that member alone.
@@ -675,7 +675,7 @@ def solve_pde(cfg: SolverConfig, ics, metas=None):
         raise ConfigError(f"{len(metas)} metas for {len(ics)} ics")
     x, t, k, mask = _grid(cfg)
     lin = _linear_symbol(cfg.system, k, cfg.params)
-    make_steps = _make_stepper(cfg.scheme, lin,
+    make_steps = _make_stepper(_STANDARD[cfg.system][0], lin,
                                _advection(k, mask, len(ics), cfg.nx))
     skip = round(cfg.transient / cfg.dt)
     if cfg.system == "nkdv":

@@ -23,9 +23,8 @@ import numpy as np
 
 from .dynamics import (
     GENERATOR_VERSION, NUMBER, BlowUpError, ConfigError, SolverConfig,
-    add_noise, check_config_dict, default_config, integrate_model,
-    load_trajectories, read_json, sample_initial_condition,
-    save_trajectories, solve_pde, _grid,
+    add_noise, check_config_dict, integrate_model, load_trajectories,
+    read_json, sample_initial_condition, save_trajectories, solve_pde, _grid,
 )
 from .expr import (
     SPACE, Const, LiesindyError, parse, substitute, to_string,
@@ -119,8 +118,8 @@ class ExperimentConfig:
         if self.lam < 0:
             raise HarnessError("lam must be non-negative")
         if self.solver is None:
-            self.solver = default_config(self.system)
-        elif isinstance(self.solver, dict):
+            self.solver = {"system": self.system}
+        if isinstance(self.solver, dict):
             self.solver = SolverConfig.from_dict(self.solver)
         if self.solver.system != self.system:
             raise ConfigError(

@@ -12,7 +12,7 @@ from liesindy.cli import main
 from liesindy.harness import ExperimentConfig
 
 SMALL_KDV = dict(system="kdv", nx=64, length=20.0, dt=0.01, nt=60,
-                 scheme="etdrk4", dealias=True, transient=0.0, params={})
+                 transient=0.0, params={})
 
 
 @pytest.fixture(scope="module")
@@ -297,12 +297,21 @@ def _solver_edit(**over):
      f"bad.json: transient is inf steps of dt, more than {sys.maxsize}"),
     (_solver_edit(transient=1e300),
      f"bad.json: transient is 1e+302 steps of dt, more than {sys.maxsize}"),
+    (_solver_edit(nt=2 ** 62),
+     f"bad.json: an nt x nx = {2 ** 62} x 64 grid's trajectory is more "
+     f"than {sys.maxsize} bytes"),
+    (_solver_edit(dealias=False),
+     "bad.json: solver key 'dealias' is fixed at true for kdv, not false"),
+    (_solver_edit(scheme="rk4-spectral"),
+     "bad.json: solver key 'scheme' is fixed at \"etdrk4\" for kdv, not "
+     "\"rk4-spectral\""),
 ], ids=["unknown-key", "truncated-json", "bad-nx", "unknown-solver-key",
         "not-an-object", "no-system", "runs-not-integer", "nx-not-integer",
         "dt-nan", "seed-negative", "library-divides-by-zero",
         "library-repeats-a-feature", "not-utf8",
         "di-sindy-library", "di-sindy-library-mode", "unread-solver-param",
-        "transient-steps-not-finite", "transient-steps-above-maxsize"])
+        "transient-steps-not-finite", "transient-steps-above-maxsize",
+        "trajectory-above-maxsize-bytes", "dealias-off", "scheme-not-kdvs"])
 def test_bad_config_is_one_error_line(tmp_path, capsys, config_path, edit,
                                       needle):
     bad = tmp_path / "bad.json"
@@ -447,19 +456,56 @@ def test_report_on_malformed_csv_is_one_error_line(tmp_path, capsys, runs,
 
 def test_report_reads_a_config_of_an_older_layout(tmp_path, capsys,
                                                   config_path):
-    # older config.json files carry output_dir, a key nothing read; it is
-    # dropped on load like the digest
+    # older config.json files carry output_dir, a key nothing read, or a
+    # solver's scheme and dealias at the one value its system takes; each
+    # is dropped on load like the digest
     blob = json.loads(config_path.read_text())
-    assert "output_dir" not in blob
-    blob["output_dir"] = "results"
-    (tmp_path / "config.json").write_text(json.dumps(blob))
+    assert not {"output_dir", "scheme", "dealias"} & {*blob, *blob["solver"]}
     (tmp_path / "runs.csv").write_text(
         "run,status,success,err_norm\n0,ok,1,0.5\n")
-    assert main(["report", "--in", str(tmp_path)]) == 0
-    assert "di-sindy" in capsys.readouterr().out
-    assert (tmp_path / "summary.csv").read_text().startswith(
-        "system,method,success_rate,rmse_successful,rmse_all\n"
-        "kdv,di-sindy,1.0,")
+    for older in ({**blob, "output_dir": "results"},
+                  {**blob, "solver": {**blob["solver"], "scheme": "etdrk4",
+                                      "dealias": True}}):
+        (tmp_path / "config.json").write_text(json.dumps(older))
+        assert main(["report", "--in", str(tmp_path)]) == 0
+        assert "di-sindy" in capsys.readouterr().out
+        assert (tmp_path / "summary.csv").read_text().startswith(
+            "system,method,success_rate,rmse_successful,rmse_all\n"
+            "kdv,di-sindy,1.0,")
+
+
+def test_evaluate_reads_a_test_set_of_an_older_layout(pipeline, tmp_path,
+                                                      capsys):
+    # a manifest written before scheme and dealias were dropped from the
+    # solver config holds both, at the values kdv takes
+    data, out = pipeline
+    older = tmp_path / "data"
+    shutil.copytree(data / "test", older / "test")
+    manifest = older / "test" / "manifest"
+    blob = json.loads(manifest.read_text())
+    blob["config"].update(scheme="etdrk4", dealias=True)
+    manifest.write_text(json.dumps(blob))
+    assert main(["evaluate", "--models", str(out), "--data", str(older),
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert (tmp_path / "eval" / "longterm.csv").read_bytes() == \
+        (out / "longterm.csv").read_bytes()
+
+
+def test_running_out_of_memory_is_one_error_line(tmp_path, capsys,
+                                                 config_path, monkeypatch):
+    # a grid under the byte bound can still ask for more than the host
+    # has; the stage raises here in place of a real allocation
+    from liesindy import cli
+    for message, want in (("Unable to allocate 71.1 PiB",
+                           "error: Unable to allocate 71.1 PiB"),
+                          ("", "error: out of memory")):
+        def starved(cfg, out):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "generate_dataset", starved)
+        assert main(["generate", "--config", str(config_path),
+                     "--out", str(tmp_path / "d")]) == 1
+        assert capsys.readouterr().err == want + "\n"
 
 
 def test_report_on_runs_csv_of_an_older_layout(tmp_path, capsys):

@@ -5,6 +5,7 @@ frozen with headroom; the physical invariants (mass, dissipation) sit near
 machine precision because the spectral zero mode is exactly stationary.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -53,10 +54,10 @@ def kdv_run():
 def test_default_configs_cover_all_systems():
     cfgs = {s: default_config(s) for s in SYSTEMS}
     assert set(cfgs) == {"kdv", "ks", "burgers", "nkdv"}
-    assert cfgs["kdv"].nx == 256 and cfgs["kdv"].horizon == pytest.approx(5.0)
+    assert cfgs["kdv"].nx == 256
+    assert cfgs["kdv"].dt * cfgs["kdv"].nt == pytest.approx(5.0)
     assert cfgs["ks"].length == pytest.approx(32.0 * math.pi)
     assert cfgs["ks"].transient == pytest.approx(25.0)
-    assert cfgs["burgers"].scheme == "rk4-spectral"
     assert cfgs["burgers"].params["nu"] == pytest.approx(0.1)
     assert cfgs["nkdv"].params["t0"] == pytest.approx(1.0)
 
@@ -71,8 +72,8 @@ def test_default_configs_cover_all_systems():
     {"system": "kdv", "scheme": "euler"},
     {"system": "kdv", "transient": -1.0},
     {"system": "kdv", "transient": 0.0105},  # not a whole step count
-    {"system": "burgers"},                   # nu missing
-    {"system": "nkdv"},                      # t0 missing
+    {"system": "burgers", "params": {}},     # nu missing
+    {"system": "nkdv", "params": {}},        # t0 missing
     {"system": "nkdv", "params": {"t0": 1.0}, "transient": 1.0},
     {"system": "kdv", "dt": float("nan")},
     {"system": "kdv", "transient": float("nan")},
@@ -80,10 +81,68 @@ def test_default_configs_cover_all_systems():
     {"system": "kdv", "length": float("inf")},
     {"system": "burgers", "params": {"nu": float("nan")}},
     {"system": "nkdv", "params": {"t0": float("nan")}},
+    # 2**62 x 256 float64s, refused before numpy is asked for them
+    {"system": "kdv", "nt": 2 ** 62},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
-        SolverConfig(**kwargs)
+        SolverConfig.from_dict(kwargs)
+
+
+def test_a_partial_solver_object_takes_its_systems_grid():
+    cfg = SolverConfig.from_dict({"system": "burgers", "nx": 64})
+    want = dataclasses.replace(default_config("burgers"), nx=64)
+    assert cfg == want
+    ics = np.array([sample_initial_condition(cfg.nx, cfg.length, seed=s)
+                    for s in (1, 2)])
+    for got, ref in zip(solve_pde(cfg, ics), solve_pde(want, ics)):
+        assert got.u.tobytes() == ref.u.tobytes()
+    ks = SolverConfig.from_dict({"system": "ks", "nt": 200})
+    assert ks.length == 32.0 * math.pi and ks.transient == 25.0
+    assert ks == dataclasses.replace(default_config("ks"), nt=200)
+    # given params replace the system's whole
+    assert SolverConfig.from_dict(
+        {"system": "burgers", "params": {"nu": 0.5}}).params == {"nu": 0.5}
+
+
+def _counted(calls, name, made):
+    """made, appending name to calls on each call."""
+    def counted(*args):
+        calls.append(name)
+        return made(*args)
+
+    return counted
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_each_system_steps_by_its_own_scheme(monkeypatch, system):
+    # ETDRK4 for the stiff dispersive systems, IF-RK4 for Burgers
+    from liesindy import dynamics
+    calls = []
+    for name in ("_make_ifrk4", "_etdrk4_steps"):
+        monkeypatch.setattr(dynamics, name,
+                            _counted(calls, name, getattr(dynamics, name)))
+    cfg = _short(system)
+    ic = sample_initial_condition(cfg.nx, cfg.length, seed=1)
+    assert not isinstance(solve_pde(cfg, ic[None])[0], Exception)
+    assert set(calls) == {"_make_ifrk4" if system == "burgers"
+                          else "_etdrk4_steps"}
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_an_older_configs_scheme_and_dealias_keys_are_dropped(system):
+    scheme = "rk4-spectral" if system == "burgers" else "etdrk4"
+    d = default_config(system).to_dict()
+    assert SolverConfig.from_dict(
+        {**d, "scheme": scheme, "dealias": True}) == default_config(system)
+    other = "etdrk4" if system == "burgers" else "rk4-spectral"
+    with pytest.raises(ConfigError, match=f"solver key 'scheme' is fixed at "
+                                          f'"{scheme}" for {system}, not '
+                                          f'"{other}"'):
+        SolverConfig.from_dict({**d, "scheme": other})
+    with pytest.raises(ConfigError, match="solver key 'dealias' is fixed at "
+                                          "true for .*, not false"):
+        SolverConfig.from_dict({**d, "dealias": False})
 
 
 def test_config_round_trip():
@@ -254,8 +313,7 @@ def test_burgers_space_refinement():
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=5)
     tr = solve_pde(cfg, ic[None])[0]
     big = SolverConfig("burgers", nx=2 * cfg.nx, length=cfg.length,
-                       dt=cfg.dt, nt=cfg.nt, scheme=cfg.scheme,
-                       params=dict(cfg.params))
+                       dt=cfg.dt, nt=cfg.nt, params=dict(cfg.params))
     [tr_big] = solve_pde(
         big, sample_initial_condition(big.nx, big.length, seed=5)[None])
     assert np.max(np.abs(tr_big.u[-1][::2] - tr.u[-1])) < 1e-5
@@ -283,22 +341,10 @@ def test_nkdv_substitution_matches_direct_integration():
     assert np.max(np.abs(fast.u - slow.u)) < 1e-6
 
 
-def test_nkdv_honours_the_scheme():
-    cfg = SolverConfig("nkdv", nx=256, length=20.0, dt=0.01, nt=50,
-                       params={"t0": 1.0})
-    ic = sample_initial_condition(cfg.nx, cfg.length, seed=17)
-    etd = solve_pde(cfg, ic[None])[0]
-    cfg.scheme = "rk4-spectral"
-    rk4 = solve_pde(cfg, ic[None])[0]
-    assert not np.array_equal(rk4.u, etd.u)
-    assert np.max(np.abs(rk4.u - etd.u)) < 1e-6
-
-
 def test_blow_up_in_the_transient_has_a_negative_step():
     # ten discarded steps; the nonlinear term outruns rk4 at this dt
     cfg = SolverConfig("burgers", nx=64, length=2.0 * math.pi, dt=0.1, nt=8,
-                       scheme="rk4-spectral", transient=1.0,
-                       params={"nu": 0.01})
+                       transient=1.0, params={"nu": 0.01})
     ic = 10.0 * sample_initial_condition(cfg.nx, cfg.length, seed=3)
     [err] = solve_pde(cfg, ic[None])
     assert isinstance(err, BlowUpError)
@@ -455,7 +501,7 @@ def test_one_member_blow_up_leaves_the_others():
 
 def test_solve_names_the_blown_member():
     cfg = SolverConfig("burgers", nx=64, length=2.0 * math.pi, dt=0.1, nt=16,
-                       scheme="rk4-spectral", params={"nu": 0.01})
+                       params={"nu": 0.01})
     ics = np.array([scale * sample_initial_condition(cfg.nx, cfg.length, s)
                     for scale, s in ((0.5, 1), (10.0, 3), (0.5, 4))])
     [solo] = solve_pde(cfg, ics[1:2])
@@ -475,8 +521,7 @@ def _rollout(*model):
 
 
 _COARSE_BURGERS = SolverConfig("burgers", nx=64, length=2.0 * math.pi,
-                               dt=0.1, nt=16, scheme="rk4-spectral",
-                               params={"nu": 0.01})
+                               dt=0.1, nt=16, params={"nu": 0.01})
 _COARSE_KDV = SolverConfig("kdv", nx=64, length=2.0 * math.pi, dt=0.01,
                            nt=16)
 
@@ -1010,7 +1055,8 @@ def _fold_check_setup(system):
                     for s in (1, 2, 3)])
     v = np.fft.rfft(ics, axis=-1)
     made = dynamics._make_stepper(
-        cfg.scheme, lin, dynamics._advection(k, mask, len(ics), cfg.nx))
+        dynamics._STANDARD[system][0], lin,
+        dynamics._advection(k, mask, len(ics), cfg.nx))
     return (cfg.dt, lin, v, _advection_written_out(k, mask, cfg.nx),
             next(made([cfg.dt])))
 

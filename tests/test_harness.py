@@ -33,7 +33,7 @@ P = lambda s: parse(s, hz.SPACE)
 
 # coarse grid, short horizon: every experiment-level test stays subsecond
 SMALL_KDV = dict(system="kdv", nx=64, length=20.0, dt=0.01, nt=60,
-                 scheme="etdrk4", dealias=True, transient=0.0, params={})
+                 transient=0.0, params={})
 
 
 def small_cfg(**over):
@@ -556,7 +556,6 @@ _PREFIX_CELLS = {
                           noise_sigma=1e-3, long_term=False,
                           solver=dict(system="burgers", nx=64,
                                       length=2.0 * math.pi, dt=0.005, nt=40,
-                                      scheme="rk4-spectral",
                                       params={"nu": 0.1})),
 }
 
