@@ -1,22 +1,20 @@
 """Trajectory generation and model integration on periodic 1+1 grids.
 
-Ground-truth data comes from pseudo-spectral method-of-lines solvers: FFT
-derivatives, 2/3-rule dealiasing, and each system's scheme (_STANDARD),
-ETDRK4 for the stiff dispersive systems or integrating-factor RK4 for
-Burgers.  The time-rescaled KdV variant is solved through its exact
-substitution onto KdV time, by ETDRK4, landing on every requested output
-instant rather than interpolating.
-
-Discovered models are integrated by the same spectral machinery, their
-right side split three ways: the model's own constant-coefficient linear
-part is absorbed into an integrating factor (a bare explicit step is
-unstable for any dispersive model worth finding); a remainder that is
-exactly a*u*u_x steps through the generators' dealiased advection kernel,
-with a folded into its symbol; and any other remainder is evaluated
-pointwise.  Models that share one equation structure march as one batch,
-each member with its own coefficients.  Rollouts and Burgers solves step
-by integrating-factor RK4, re-associated so that each step size's
-constants sit in coefficient arrays built once (_make_ifrk4).
+Ground truth and discovered models take one path from an equation to
+data.  A system's equation (_STANDARD, which the catalog's truth equation
+reads) or a model's is split as c*e^{g t}*u_t + linear terms + a*u*u_x +
+any leftover (_equation_form) and marched pseudo-spectrally, with FFT
+derivatives and 2/3-rule dealiasing.  The exact change of time
+ds = e^{-g t} dt removes e^{g t}, so the time-rescaled KdV marches as KdV,
+landing on every output instant without interpolating.  The linear terms
+go into the scheme's exponential or integrating factor (a bare explicit
+step is unstable for any dispersive model worth finding); a remainder of
+exactly a*u*u_x steps through the dealiased advection kernel, a/c folded
+into its symbol, and any other remainder is evaluated pointwise.  A solve
+steps by its system's scheme, ETDRK4 for the stiff dispersive systems or
+integrating-factor RK4 for Burgers, in steps of at most dt; a rollout by
+integrating-factor RK4 at dt/4 (_make_ifrk4), models of one equation
+structure marching as one batch, each with its own coefficients.
 
 Every solve and rollout takes an (n, nx) batch of initial conditions,
 steps it as one state through one loop, `_march`, and returns one outcome
@@ -53,8 +51,9 @@ import numpy as np
 
 from .expr import (
     Add, Const, DepVar, Exp, IndepVar, LiesindyError, MissingSymbolError,
-    Param, compile_array, dep_vars_in, evaluate_array, is_zero, params_in,
-    partial_derivative, simplify, substitute, to_string, _map_leaves, _walk,
+    Param, SPACE, compile_array, dep_vars_in, evaluate_array, is_zero, parse,
+    params_in, partial_derivative, simplify, substitute, to_string,
+    _map_leaves, _walk,
 )
 from .regress import model_to_equation, project
 
@@ -65,18 +64,23 @@ __all__ = [
     "DynamicsError", "BlowUpError", "ConfigError", "UnsupportedModelError",
 ]
 
-# system -> (its time scheme, its standard solver settings), the one place
-# either is written; its params are the ones its equation reads.  nkdv's
-# horizon is 2, not KdV's 5: its time derivative grows like e^{t/t0}, and
-# past t ~ 2 its finite-difference error swamps the regression target
+# system -> (its equation F = 0, its time scheme, its standard solver
+# settings), the one place each is written; its params are the ones its
+# equation reads.  Each equation is c*e^{g t}*u_t + linear terms + a*u*u_x
+# (see _equation_form).  nkdv's horizon is 2, not KdV's 5: its time
+# derivative grows like e^{t/t0}, and past t ~ 2 its finite-difference
+# error swamps the regression target
 _STANDARD = {
-    "kdv": ("etdrk4", dict(nx=256, length=20.0, dt=0.01, nt=500)),
-    "ks": ("etdrk4", dict(nx=256, length=32.0 * math.pi, dt=0.05, nt=1000,
-                          transient=25.0)),
-    "burgers": ("rk4-spectral", dict(nx=128, length=2.0 * math.pi,
-                                     dt=0.005, nt=400, params={"nu": 0.1})),
-    "nkdv": ("etdrk4", dict(nx=256, length=20.0, dt=0.01, nt=200,
-                            params={"t0": 1.0})),
+    "kdv": ("u_t + u*u_x + u_xxx", "etdrk4",
+            dict(nx=256, length=20.0, dt=0.01, nt=500)),
+    "ks": ("u_t + u*u_x + u_xx + u_xxxx", "etdrk4",
+           dict(nx=256, length=32.0 * math.pi, dt=0.05, nt=1000,
+                transient=25.0)),
+    "burgers": ("u_t + u*u_x - nu*u_xx", "rk4-spectral",
+                dict(nx=128, length=2.0 * math.pi, dt=0.005, nt=400,
+                     params={"nu": 0.1})),
+    "nkdv": ("exp(-t/t0)*u_t + u*u_x + u_xxx", "etdrk4",
+             dict(nx=256, length=20.0, dt=0.01, nt=200, params={"t0": 1.0})),
 }
 
 SYSTEMS = tuple(_STANDARD)
@@ -87,8 +91,9 @@ BLOWUP_LIMIT = 1e6
 # ExperimentConfig.data_digest hashes it, so a dataset written by an older
 # generator is refused.  2: closed-form ETDRK4 coefficients away from z = 0;
 # 3: phi-series coefficients near z = 0;
-# 4: IF-RK4 constants folded; rk4-spectral solves
-GENERATOR_VERSION = 4
+# 4: IF-RK4 constants folded; rk4-spectral solves;
+# 5: nkdv solves by the rollouts' rescaled spans, in steps of at most dt
+GENERATOR_VERSION = 5
 
 
 class DynamicsError(LiesindyError):
@@ -168,7 +173,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.system not in SYSTEMS:
             raise ConfigError(f"unknown system '{self.system}'")
-        reads = _STANDARD[self.system][1].get("params", ())
+        reads = _STANDARD[self.system][2].get("params", ())
         stray = sorted(set(self.params) - set(reads))
         if stray:
             raise ConfigError(f"{self.system} reads no solver params {stray}")
@@ -186,6 +191,9 @@ class SolverConfig:
                               f"trajectory is more than {sys.maxsize} bytes")
         if self.dt <= 0 or self.length <= 0:
             raise ConfigError("dt and length must be positive")
+        if not math.pi * self.nx / self.length < math.inf:
+            raise ConfigError(f"length {self.length!r} is too short for nx "
+                              f"{self.nx}: its wavenumbers overflow")
         if self.transient < 0:
             raise ConfigError("transient must be non-negative")
         steps = self.transient / self.dt
@@ -219,7 +227,7 @@ class SolverConfig:
         if d["system"] not in _STANDARD:
             raise ConfigError(f"unknown system '{d['system']}'")
         d = dict(d)
-        scheme, standard = _STANDARD[d["system"]]
+        _, scheme, standard = _STANDARD[d["system"]]
         for key, fixed in (("scheme", scheme), ("dealias", True)):
             if (val := d.pop(key, fixed)) != fixed:
                 raise ConfigError(
@@ -310,33 +318,43 @@ def add_noise(traj: TrajectoryGrid, sigma: float, seed) -> TrajectoryGrid:
 # ---------------------------------------------------------------------------
 # spectral plumbing
 
-# numpy >= 2's pocketfft gufuncs, False on numpy 1.x, None until the first
-# transform: numpy.fft is imported lazily, and importing it here would add
-# its import to every program that imports liesindy
+# see _pocketfft; None until the first transform, as importing numpy.fft
+# here would add its import to every program that imports liesindy
 _POCKETFFT = None
 
 
 def _pocketfft():
+    """numpy >= 2's pocketfft gufuncs (rfft_n_even, irfft), taken only if
+    they give np.fft's bits on a probe array; where they are missing,
+    renamed, re-signed or give other bits, False: the transforms are
+    np.fft's."""
     global _POCKETFFT
     if _POCKETFFT is None:
+        _POCKETFFT = False
+        probe = np.sin(np.arange(32.0)).reshape(2, 16)
         try:
-            from numpy.fft import _pocketfft_umath
-        except ImportError:
-            _pocketfft_umath = False
-        _POCKETFFT = _pocketfft_umath
+            from numpy.fft import _pocketfft_umath as gufuncs
+            pair = gufuncs.rfft_n_even, gufuncs.irfft
+            v = pair[0](probe, 1, out=np.empty((2, 9), dtype=complex))
+            u = pair[1](v, 1.0 / 16, out=np.empty((2, 16)))
+        except (ImportError, AttributeError, TypeError, ValueError):
+            return False
+        if (v.tobytes(), u.tobytes()) == (np.fft.rfft(probe).tobytes(),
+                                          np.fft.irfft(v).tobytes()):
+            _POCKETFFT = pair
     return _POCKETFFT
 
 
 def _rfft(u, out):
     """rfft(u, axis=-1) of real u with an even last axis.
 
-    On numpy >= 2 it is written into `out`, (..., nx//2 + 1), and returned;
-    on numpy 1.x it is np.fft.rfft's new array and `out` is unused, so
-    callers read the returned array.
+    With the gufuncs it is written into `out`, (..., nx//2 + 1), and
+    returned; without, it is np.fft.rfft's new array and `out` is unused,
+    so callers read the returned array.
     """
-    ufuncs = _pocketfft()
-    if ufuncs:
-        return ufuncs.rfft_n_even(u, 1, out=out)
+    gufuncs = _pocketfft()
+    if gufuncs:
+        return gufuncs[0](u, 1, out=out)
     return np.fft.rfft(u, axis=-1)
 
 
@@ -345,9 +363,9 @@ def _irfft(v, out):
 
     1/nx is the factor np.fft.irfft hands the gufunc for its default norm.
     """
-    ufuncs = _pocketfft()
-    if ufuncs:
-        return ufuncs.irfft(v, 1.0 / out.shape[-1], out=out)
+    gufuncs = _pocketfft()
+    if gufuncs:
+        return gufuncs[1](v, 1.0 / out.shape[-1], out=out)
     return np.fft.irfft(v, out.shape[-1], axis=-1)
 
 
@@ -360,23 +378,25 @@ def _grid(cfg):
     return x, t, k, (np.arange(nx // 2 + 1) <= nx // 3).astype(float)
 
 
-def _linear_symbol(system, k, params):
-    ik = 1j * k
-    if system == "ks":
-        return -(ik ** 2 + ik ** 4)
-    if system == "burgers":
-        return params["nu"] * ik ** 2
-    return -(ik ** 3)               # kdv and nkdv
+def _linear_row(c, orders, weights, k):
+    """The symbol of -(sum of w*d^o/dx^o over orders o and weights w)/c on
+    wavenumbers k, built under _march's error state: a wavenumber whose
+    power overflows makes a row the march finds blown, not a warning."""
+    row = np.zeros(k.size, dtype=complex)
+    with np.errstate(all="ignore"):
+        for order, w in zip(orders, weights):
+            row += (-w / c) * (1j * k) ** order
+    return row
 
 
 def _advection(k, mask, n, nx, weight=None):
     """(v, u) -> the dealiased advection term -ik*mask*rfft(u^2/2).
 
     v is an (n, nk) state and u is irfft(v), taken here when the caller
-    passes None.  With `weight`, an (n, 1) column of one factor per member,
-    the term is weight times that, the factor folded into the symbol, one
-    (n, nk) row per member.  u, u*u and the spectrum are written into
-    buffers of this kernel's own; the returned term is a new array.
+    passes None.  With `weight`, one factor or an (n, 1) column of one per
+    member, the term is weight times that, the factor folded into the
+    symbol.  u, u*u and the spectrum are written into buffers of this
+    kernel's own; the returned term is a new array.
     """
     # -ik*mask*X associates as (-ik*mask)*X, so forming it once keeps the
     # bits, and so does moving the exact factor 0.5 from u*u onto it
@@ -650,54 +670,7 @@ def _march(make_steps, ics, spans, sub, min_steps=1, skip=0):
 
 
 # ---------------------------------------------------------------------------
-# ground-truth solves
-
-
-def _tau_of_t(t, t0):
-    return t0 * np.expm1(t / t0)
-
-
-def solve_pde(cfg: SolverConfig, ics, metas=None):
-    """Solve cfg's system, by its scheme, from each row of the (n, nx)
-    batch ics.
-
-    Returns, per member, its TrajectoryGrid or its BlowUpError (.step and
-    the finite .rows), bit-identical to a batch of that member alone.
-    `metas` holds one dict (or None) per member, merged into its meta.
-
-    The time-rescaled KdV runs as KdV in the substituted time tau(t) =
-    t0*(e^{t/t0} - 1), stepped in sub-intervals of at most KdV's dt that
-    land exactly on every tau(t_j), so no temporal interpolation is involved.
-    """
-    ics = _batch(ics, cfg.nx)
-    metas = [None] * len(ics) if metas is None else list(metas)
-    if len(metas) != len(ics):
-        raise ConfigError(f"{len(metas)} metas for {len(ics)} ics")
-    x, t, k, mask = _grid(cfg)
-    lin = _linear_symbol(cfg.system, k, cfg.params)
-    make_steps = _make_stepper(_STANDARD[cfg.system][0], lin,
-                               _advection(k, mask, len(ics), cfg.nx))
-    skip = round(cfg.transient / cfg.dt)
-    if cfg.system == "nkdv":
-        spans = np.diff(_tau_of_t(t, cfg.params["t0"]))
-        sub = default_config("kdv").dt
-    else:
-        # exactly dt per span: np.diff(t) would differ in the last bits
-        spans, sub = [cfg.dt] * (skip + cfg.nt - 1), cfg.dt
-    outcomes = _march(make_steps, ics, spans, sub, skip=skip)
-    trajs = []
-    for u, m in zip(outcomes, metas):
-        out_meta = {"system": cfg.system, "params": dict(cfg.params),
-                    "noise_sigma": 0.0, **(m or {})}
-        if skip:
-            out_meta["transient"] = cfg.transient
-        trajs.append(u if isinstance(u, BlowUpError) else
-                     TrajectoryGrid(x, t, u, out_meta))
-    return trajs
-
-
-# ---------------------------------------------------------------------------
-# integrating discovered models
+# from an equation to data
 
 
 def _time_coefficient(eq):
@@ -721,14 +694,10 @@ def _time_coefficient(eq):
         raise UnsupportedModelError(
             f"u_t coefficient {to_string(a)} is not c*exp(g*t)")
     rest = simplify(eq - a * ut)
-    bad = [dv.display() for dv in dep_vars_in(rest) if "t" in dv.index]
-    if bad:
-        raise UnsupportedModelError(f"time derivatives on the right: {bad}")
     for dv in dep_vars_in(rest):
-        if any(ch != "x" for ch in dv.index):
-            raise UnsupportedModelError(
-                f"{dv.display()} is not a pure spatial derivative")
-
+        if set(dv.index) - {"x"}:
+            raise UnsupportedModelError(f"{dv.display()} on the right side "
+                                        f"is not a pure spatial derivative")
     found = []
     _walk(rest, lambda e: found.append(e.name)
           if isinstance(e, IndepVar) else None)
@@ -744,28 +713,82 @@ def _time_coefficient(eq):
 _ADVECTED = DepVar("u") * DepVar("u", ("x",))
 
 
-def _linear_split(rest):
-    """rest -> (dict spatial-order -> coefficient, a, leftover Expr).
+def _equation_form(eq, params):
+    """(c, g, linear {order: weight}, a, leftover) of eq on params.
 
-    rest is the linear terms plus a*u*u_x plus the leftover.  a is nonzero
-    only when the rest of rest is exactly a*u*u_x; beside any other
-    nonlinear term, u*u_x stays in the leftover.
+    eq is c*e^{g t}*u_t (_time_coefficient) + the linear terms + a*u*u_x +
+    the leftover; a is nonzero only when the rest of the right side is
+    exactly a*u*u_x, and beside any other nonlinear term u*u_x stays in the
+    leftover.  Raises UnsupportedModelError or MissingSymbolError.
     """
+    eq = simplify(substitute(eq, params))
+    missing = sorted(p.name for p in params_in(eq))
+    if missing:
+        raise MissingSymbolError(
+            f"equation references unbound constants {missing}")
+    c, g, rest = _time_coefficient(eq)
     coefs, leftover = project(rest, [DepVar("u", ("x",) * k)
                                      for k in range(5)])
-    linear = {order: c for order, c in enumerate(coefs) if c != 0.0}
+    linear = {order: w for order, w in enumerate(coefs) if w != 0.0}
     if not leftover:
-        return linear, 0.0, Const(0.0)
+        return c, g, linear, 0.0, Const(0.0)
     leftover = simplify(Add(tuple(leftover)))
     (a,), other = project(leftover, [_ADVECTED])
-    return (linear, a, Const(0.0)) if not other else (linear, 0.0, leftover)
+    return (c, g, linear, a, Const(0.0)) if not other else \
+        (c, g, linear, 0.0, leftover)
+
+
+def _march_group(cfg, ics, metas, lin, nonlinear, g, scheme, sub,
+                 min_steps=1, skip=0):
+    """Per member b of the (n, nx) batch ics, its TrajectoryGrid with meta
+    metas[b] or its BlowUpError: v' = lin*v + nonlinear(v) stepped by
+    `scheme` (_make_stepper) and _march in the time s, ds = e^{-g t} dt.
+
+    A span is -expm1(-g t)/g differenced, or exactly dt when g = 0, as are
+    the skip spans of a transient: np.diff(t) would differ in the last bits
+    and build a step per distinct span.
+    """
+    x, t, _, _ = _grid(cfg)
+    spans = ([cfg.dt] * (skip + cfg.nt - 1) if g == 0.0 else
+             np.diff(-np.expm1(-g * t) / g))
+    outcomes = _march(_make_stepper(scheme, lin, nonlinear), ics, spans,
+                      sub, min_steps, skip)
+    return [u if isinstance(u, BlowUpError) else TrajectoryGrid(x, t, u, m)
+            for u, m in zip(outcomes, metas)]
+
+
+def solve_pde(cfg: SolverConfig, ics, metas=None):
+    """Solve cfg's system, its equation marched by its scheme in steps of
+    at most dt (_STANDARD), from each row of the (n, nx) batch ics.
+
+    Returns, per member, its TrajectoryGrid or its BlowUpError (.step and
+    the finite .rows), bit-identical to a batch of that member alone.
+    `metas` holds one dict (or None) per member, merged into its meta.
+    """
+    ics = _batch(ics, cfg.nx)
+    metas = [None] * len(ics) if metas is None else list(metas)
+    if len(metas) != len(ics):
+        raise ConfigError(f"{len(metas)} metas for {len(ics)} ics")
+    equation, scheme, _ = _STANDARD[cfg.system]
+    c, g, linear, a, _ = _equation_form(parse(equation, SPACE), cfg.params)
+    _, _, k, mask = _grid(cfg)
+    skip = round(cfg.transient / cfg.dt)
+    last = {"transient": cfg.transient} if skip else {}
+    out_metas = [{"system": cfg.system, "params": dict(cfg.params),
+                  "noise_sigma": 0.0, **(m or {}), **last} for m in metas]
+    return _march_group(
+        cfg, ics, out_metas, _linear_row(c, linear, linear.values(), k),
+        _advection(k, mask, len(ics), cfg.nx, a / c), g, scheme, cfg.dt,
+        skip=skip)
+
+
+# ---------------------------------------------------------------------------
+# integrating discovered models
 
 
 def _lift_consts(e, consts):
-    """e with each Const, depth first, replaced by Param("_c<i>").
-
-    The i-th constant's value is appended to consts.
-    """
+    """e with each Const, depth first, replaced by Param("_c<i>"), the
+    i-th constant's value appended to consts."""
     def lift(n):
         if not isinstance(n, Const):
             return n
@@ -778,26 +801,18 @@ def _lift_consts(e, consts):
 def _rollout_form(model, cfg):
     """(structure, c, linear weights, leftover constants) of a model.
 
-    The model's equation on cfg's params is c*e^{g t}*u_t + linear terms +
-    leftover (see _linear_split).  A leftover of exactly a*u*u_x takes
-    _advection's kernel and its one constant is a; any other takes
-    _leftover_term.  The structure is (g, the linear orders in order, the
-    kernel, "advection" or "compiled", and the leftover with its
+    Its equation on cfg's params is split by _equation_form.  The structure
+    is (g, the linear orders, the kernel, "advection" for a lone a*u*u_x
+    with the one constant a, else "compiled", and the leftover with its
     constants lifted by _lift_consts, or None when it is zero or advected);
-    models that share it march as one group.  Raises UnsupportedModelError
-    or MissingSymbolError for a model that cannot be rolled out.
+    models that share it march as one group.
     """
-    eq = simplify(substitute(model_to_equation(model), cfg.params))
-    missing = sorted(p.name for p in params_in(eq))
-    if missing:
-        raise MissingSymbolError(
-            f"model references unbound constants {missing}")
-    c, gexp, rest = _time_coefficient(eq)
-    linear, a, leftover = _linear_split(rest)
+    c, g, linear, a, leftover = _equation_form(model_to_equation(model),
+                                               cfg.params)
     consts = [a] if a else []
     shape = None if is_zero(leftover) else _lift_consts(leftover, consts)
     kernel = "advection" if a else "compiled"
-    return ((gexp, tuple(linear), kernel, shape), c, tuple(linear.values()),
+    return ((g, tuple(linear), kernel, shape), c, tuple(linear.values()),
             consts)
 
 
@@ -856,18 +871,11 @@ def _leftover_term(shape, consts, scale, k, mask, nx):
 def integrate_model(models, ics, cfg: SolverConfig):
     """Integrate discovered models LHS = W*Theta on cfg's grid.
 
-    Member b integrates models[b] from row b of the (n, nx) batch ics.  The
-    equation is rearranged to u_t = g(...); a u_t coefficient of the form
-    c*e^{g t} is removed by the exact change of time variable, the model's
-    own constant-coefficient linear terms go into an integrating factor,
-    and the remainder steps with RK4 at dt/4 sub-steps (_make_ifrk4, one
-    set of folded step constants per sub-step size), sampling every 4th
-    step.  A remainder of exactly a*u*u_x steps through the generators'
-    advection kernel, one inverse transform, u*u and one forward transform
-    per stage, with each member's a/c folded into its symbol; any other
-    remainder through its compiled expression (_leftover_term).  Members
-    whose models share one structure (see _rollout_form), kernel included,
-    march as one state, each with its own coefficients.
+    Member b integrates models[b] from row b of the (n, nx) batch ics, by
+    integrating-factor RK4 at dt/4 sub-steps (at least 4 per span), its
+    linear symbol masked by the 2/3 rule.  Members whose models share one
+    structure (_rollout_form), kernel included, march as one state, each
+    with its own coefficients.
 
     Returns, per member, its TrajectoryGrid, its BlowUpError (.step and the
     finite .rows), or the UnsupportedModelError or MissingSymbolError of a
@@ -891,14 +899,12 @@ def integrate_model(models, ics, cfg: SolverConfig):
         else:
             groups.setdefault(forms[id(m)][0], []).append(b)
 
-    x, t, k, mask = _grid(cfg)
-    for (gexp, orders, kernel, shape), members in groups.items():
+    _, _, k, mask = _grid(cfg)
+    for (g, orders, kernel, shape), members in groups.items():
         group = [forms[id(models[b])][1:] for b in members]
         # du/ds = -(rest)/c in the rescaled time s with ds = e^{-g t} dt
-        lin = np.zeros((len(members), k.size), dtype=complex)
-        for row, (c, weights, _) in zip(lin, group):
-            for order, w in zip(orders, weights):
-                row += (-w / c) * (1j * k) ** order
+        lin = np.array([_linear_row(c, orders, weights, k)
+                        for c, weights, _ in group])
         lin *= mask
         scale = np.array([[-1.0 / c] for c, _, _ in group])
         consts = {f"_c{i}": np.array([[f[2][i]] for f in group])
@@ -909,16 +915,14 @@ def integrate_model(models, ics, cfg: SolverConfig):
                                    -scale * consts["_c0"])
         else:
             nonlinear = _leftover_term(shape, consts, scale, k, mask, cfg.nx)
-        # exactly dt per span where s = t: np.diff(t) would differ in the
-        # last bits and build a step per distinct span
-        spans = ([cfg.dt] * (cfg.nt - 1) if gexp == 0.0 else
-                 np.diff(-np.expm1(-gexp * t) / gexp))
-        outcomes = _march(_make_stepper("rk4-spectral", lin, nonlinear),
-                          ics[members], spans, cfg.dt / 4.0, min_steps=4)
-        for b, u in zip(members, outcomes):
-            out[b] = u if isinstance(u, BlowUpError) else TrajectoryGrid(
-                x, t, u, {"system": cfg.system, "kind": "model-integration",
-                          "params": dict(cfg.params), "noise_sigma": 0.0})
+        metas = [{"system": cfg.system, "kind": "model-integration",
+                  "params": dict(cfg.params), "noise_sigma": 0.0}
+                 for _ in members]
+        outcomes = _march_group(cfg, ics[members], metas, lin, nonlinear,
+                                g, "rk4-spectral", cfg.dt / 4.0,
+                                min_steps=4)
+        for b, outcome in zip(members, outcomes):
+            out[b] = outcome
     return out
 
 

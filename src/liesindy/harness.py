@@ -27,7 +27,8 @@ from .dynamics import (
     read_json, sample_initial_condition, save_trajectories, solve_pde, _grid,
 )
 from .expr import (
-    SPACE, Const, LiesindyError, parse, substitute, to_string,
+    SPACE, Const, DepVar, LiesindyError, parse, partial_derivative, simplify,
+    substitute, to_string,
 )
 from .invariants import builtin_set, truth_equation
 from .jetgrid import evaluate_features, finite_differences, spectral_jets
@@ -216,10 +217,9 @@ def _problem(cfg: ExperimentConfig):
             feats = [Const(1.0)] + feats
         return feats, inv.lhs, list(inv.generators)
     feats = build_library(spec)
-    if cfg.system == "nkdv":
-        target = parse("exp(-t/t0)*u_t", SPACE)
-    else:
-        target = parse("u_t", SPACE)
+    # the truth equation's u_t term: u_t, or exp(-t/t0)*u_t for nkdv
+    ut = DepVar("u", ("t",))
+    target = simplify(partial_derivative(truth_equation(cfg.system), ut) * ut)
     gens = list(inv.generators) if cfg.method == "equiv-r" else None
     return feats, target, gens
 

@@ -20,6 +20,7 @@ from .expr import (
     denominators_in, dep_vars_in, evaluate_array, is_zero, parse,
     partial_derivative, simplify, to_string,
 )
+from .dynamics import _STANDARD, default_config
 from .liealg import VectorField, prolong, _action, _sample_points
 
 __all__ = [
@@ -103,7 +104,7 @@ def _build(system):
         etas = [parse(s, sp) for s in
                 ("exp(-t/t0)*u_t + u*u_x", "u_x", "u_xx", "u_xxx", "u_xxxx")]
         return InvariantSet("nkdv", sp, gens, etas, lhs_index=0,
-                            params={"t0": 1.0})
+                            params=default_config("nkdv").params)
     if system == "so2-demo":
         sp = JetSpace(independent=("x",), dependent=("u",), order=1,
                       evolution=False)
@@ -117,25 +118,19 @@ def _build(system):
     raise CatalogError(f"unknown system '{system}', expected one of {SYSTEMS}")
 
 
-_TRUTH = {
-    "kdv": "u_t + u*u_x + u_xxx",
-    "ks": "u_t + u*u_x + u_xx + u_xxxx",
-    "burgers": "u_t + u*u_x - nu*u_xx",
-    "nkdv": "exp(-t/t0)*u_t + u*u_x + u_xxx",
-}
-
-
 def _system_key(system):
     """The catalog key a system name stands for: case and padding dropped."""
     return system.strip().lower()
 
 
 def truth_equation(system: str) -> Expr:
-    """Governing equation F with F = 0, in jet coordinates."""
+    """Governing equation F with F = 0, in jet coordinates: the one its
+    system's data are solved from (dynamics._STANDARD)."""
     try:
-        return parse(_TRUTH[_system_key(system)], SPACE)
+        equation = _STANDARD[_system_key(system)][0]
     except KeyError:
         raise CatalogError(f"no governing equation on file for '{system}'") from None
+    return parse(equation, SPACE)
 
 
 _cache: dict = {}

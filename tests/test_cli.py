@@ -305,13 +305,17 @@ def _solver_edit(**over):
     (_solver_edit(scheme="rk4-spectral"),
      "bad.json: solver key 'scheme' is fixed at \"etdrk4\" for kdv, not "
      "\"rk4-spectral\""),
+    (_solver_edit(length=5e-324),
+     "bad.json: length 5e-324 is too short for nx 64: its wavenumbers "
+     "overflow"),
 ], ids=["unknown-key", "truncated-json", "bad-nx", "unknown-solver-key",
         "not-an-object", "no-system", "runs-not-integer", "nx-not-integer",
         "dt-nan", "seed-negative", "library-divides-by-zero",
         "library-repeats-a-feature", "not-utf8",
         "di-sindy-library", "di-sindy-library-mode", "unread-solver-param",
         "transient-steps-not-finite", "transient-steps-above-maxsize",
-        "trajectory-above-maxsize-bytes", "dealias-off", "scheme-not-kdvs"])
+        "trajectory-above-maxsize-bytes", "dealias-off", "scheme-not-kdvs",
+        "wavenumbers-overflow"])
 def test_bad_config_is_one_error_line(tmp_path, capsys, config_path, edit,
                                       needle):
     bad = tmp_path / "bad.json"
@@ -325,6 +329,20 @@ def test_bad_config_is_one_error_line(tmp_path, capsys, config_path, edit,
     assert err.startswith("error:") and err.count("\n") == 1
     assert needle in err
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_grid_whose_wavenumbers_overflow_is_one_error_line(
+        tmp_path, capsys, config_path):
+    # a 1e-300 period's k^3 overflows: no RuntimeWarning, and the solve
+    # that blows up at its first step is the one line on stderr
+    bad = tmp_path / "bad.json"
+    bad.write_text(_solver_edit(length=1e-300)(
+        json.loads(config_path.read_text())))
+    assert main(["generate", "--config", str(bad),
+                 "--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err == \
+        "error: member 0: solution blew up at step 1\n"
 
 
 @pytest.mark.parametrize("part, text, needle", [

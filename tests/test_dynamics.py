@@ -9,6 +9,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,8 +23,9 @@ from liesindy.dynamics import (
 )
 from liesindy import LiesindyError
 from liesindy.expr import (
-    JetSpace, MissingSymbolError, dep_vars_in, parse,
+    JetSpace, MissingSymbolError, dep_vars_in, is_zero, parse,
 )
+from liesindy.invariants import truth_equation
 from nkdv_oracle import solve_nkdv_direct
 from test_expr import _eval_arr
 
@@ -83,6 +85,7 @@ def test_default_configs_cover_all_systems():
     {"system": "nkdv", "params": {"t0": float("nan")}},
     # 2**62 x 256 float64s, refused before numpy is asked for them
     {"system": "kdv", "nt": 2 ** 62},
+    {"system": "kdv", "length": 1e-307},   # pi*nx/length overflows
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -251,6 +254,64 @@ def test_add_noise_zero_sigma_copies(kdv_run):
 # ground-truth solves
 
 
+def _hand_written_symbol(system, k, params):
+    """system's linear symbol as the solver once wrote it by hand."""
+    ik = 1j * k
+    if system == "ks":
+        return -(ik ** 2 + ik ** 4)
+    if system == "burgers":
+        return params["nu"] * ik ** 2
+    return -(ik ** 3)               # kdv and nkdv
+
+
+def _truth_row(cfg):
+    """The linear row a solve builds from cfg's system's equation."""
+    from liesindy import dynamics
+    _, _, k, _ = dynamics._grid(cfg)
+    c, _, linear, _, _ = dynamics._equation_form(
+        truth_equation(cfg.system), cfg.params)
+    return dynamics._linear_row(c, linear, linear.values(), k)
+
+
+@pytest.mark.parametrize("system, params", [
+    ("kdv", None), ("ks", None), ("burgers", None), ("nkdv", None),
+    ("burgers", {"nu": 0.37}), ("nkdv", {"t0": 3.0}),
+], ids=["kdv", "ks", "burgers", "nkdv", "burgers-nu-0.37", "nkdv-t0-3"])
+def test_each_equation_gives_its_hand_written_symbol(monkeypatch, system,
+                                                     params):
+    # the symbol a solve builds from its equation equals the hand-written
+    # one, and marching the hand-written one instead writes the same bytes.
+    # The two differ only in the sign of some zeros (kdv's 0j at k = 0
+    # against -0j, ks's +0 imaginary parts against -0), which no step
+    # reads apart
+    from liesindy import dynamics
+    d = _short(system).to_dict()
+    d.update({} if params is None else {"params": params})
+    cfg = SolverConfig.from_dict(d)
+    _, _, k, _ = dynamics._grid(cfg)
+    hand = _hand_written_symbol(system, k, cfg.params)
+    # the rest of each equation is u*u_x with weight a/c = 1, and only
+    # nkdv's time runs at a rate, g = -1/t0
+    c, g, _, a, leftover = dynamics._equation_form(truth_equation(system),
+                                                   cfg.params)
+    assert a / c == 1.0 and is_zero(leftover)
+    assert g == pytest.approx(-1.0 / cfg.params["t0"] if system == "nkdv"
+                              else 0.0, rel=1e-15)
+    ics = np.array([sample_initial_condition(cfg.nx, cfg.length, seed=s)
+                    for s in (1, 2)])
+    made, lins = dynamics._make_stepper, []
+    monkeypatch.setattr(dynamics, "_make_stepper", lambda scheme, lin, nl:
+                        lins.append(lin) or made(scheme, lin, nl))
+    got = solve_pde(cfg, ics)
+    [lin] = lins
+    assert np.array_equal(lin, hand)
+    assert np.array_equal(_truth_row(cfg), hand)
+    monkeypatch.setattr(dynamics, "_make_stepper", lambda scheme, _, nl:
+                        made(scheme, hand, nl))
+    for mine, theirs in zip(got, solve_pde(cfg, ics)):
+        assert mine.u.tobytes() == theirs.u.tobytes()
+
+
 def test_kdv_conserves_mass(kdv_run):
     _, _, tr = kdv_run
     mass = tr.u.sum(axis=1) * tr.h
@@ -379,9 +440,10 @@ def test_integrate_burgers_truth_matches_solver():
     assert float(np.mean((mtr.u[-1] - tr.u[-1]) ** 2)) < 1e-12
 
 
-def test_integrate_nkdv_truth_matches_solver():
+@pytest.mark.parametrize("t0", [1.0, 3.0])
+def test_integrate_nkdv_truth_matches_solver(t0):
     cfg = SolverConfig("nkdv", nx=256, length=20.0, dt=0.01, nt=100,
-                       params={"t0": 1.0})
+                       params={"t0": t0})
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=17)
     tr = solve_pde(cfg, ic[None])[0]
     model = truth_model("exp(-t/t0)*u_t + u*u_x", ["u_xxx"], [-1.0])
@@ -617,6 +679,37 @@ def test_numpy_2_transforms_write_into_the_given_buffer():
     assert bool(dynamics._pocketfft()) == numpy_2
 
 
+def _stand_in_gufuncs(case):
+    """A module in place of numpy's private pocketfft one: without
+    rfft_n_even, or with gufuncs that give other bits than np.fft."""
+    import types
+    module = types.ModuleType("numpy.fft._pocketfft_umath")
+    module.irfft = lambda v, scale, out: np.fft.irfft(v, out.shape[-1])
+    if case == "other-bits":
+        module.rfft_n_even = lambda u, scale, out: 2.0 * np.fft.rfft(u)
+    return module
+
+
+@pytest.mark.parametrize("case", ["renamed", "other-bits"])
+def test_transforms_fall_back_to_numpy_fft(monkeypatch, case):
+    # a numpy whose private module lacks a gufunc, or whose gufuncs fail
+    # the probe, transforms by np.fft: a solve gets np.fft's bits
+    from liesindy import dynamics
+    cfg = _short("kdv")
+    ics = np.array([sample_initial_condition(cfg.nx, cfg.length, seed=s)
+                    for s in (1, 2)])
+    monkeypatch.setattr(dynamics, "_POCKETFFT", False)
+    want = solve_pde(cfg, ics)
+    stand_in = _stand_in_gufuncs(case)
+    monkeypatch.setattr(np.fft, "_pocketfft_umath", stand_in, raising=False)
+    monkeypatch.setitem(sys.modules, stand_in.__name__, stand_in)
+    monkeypatch.setattr(dynamics, "_POCKETFFT", None)
+    got = solve_pde(cfg, ics)
+    assert dynamics._pocketfft() is False
+    for mine, numpys in zip(got, want):
+        assert mine.u.tobytes() == numpys.u.tobytes()
+
+
 def _kernels(cfg, n):
     """Each nonlinear kernel, and a step of each scheme, on cfg's grid for
     a batch of n members."""
@@ -629,7 +722,7 @@ def _kernels(cfg, n):
         "leftover": dynamics._leftover_term(
             P("u*u_xx + u_x^2"), {}, -column, k, mask, cfg.nx),
     }
-    lin = dynamics._linear_symbol("kdv", k, {})
+    lin = _truth_row(cfg)
     for scheme in ("etdrk4", "rk4-spectral"):
         make_steps = dynamics._make_stepper(scheme, lin, kernels["advection"])
         kernels[scheme] = next(make_steps([cfg.dt]))
@@ -682,7 +775,7 @@ def _fresh_stepper(made, handed):
                                   "rollout"])
 def test_handed_field_matches_a_fresh_transform(monkeypatch, case):
     # KS with 20 transient steps, one member blowing up among them; nKdV,
-    # whose spans take up to two KdV sub-steps; and a rollout batch with a
+    # whose spans take up to two sub-steps of dt; and a rollout batch with a
     # poly2 leftover, a constant-only leftover, a purely linear model and
     # u_t = u^2, which blows up on the scaled IC only
     from liesindy import dynamics
@@ -805,8 +898,8 @@ def test_etdrk4_coefficients_are_computed_once_per_step_size(monkeypatch):
                        params={"t0": 1.0})
     ic = sample_initial_condition(cfg.nx, cfg.length, seed=5)
     first = solve_pde(cfg, ic[None])[0]
-    # one step size per output span (each shorter than KdV's dt of 0.01),
-    # all of them in one block
+    # one step size per output span (each span cut into sub-steps of at
+    # most dt), all of them in one block
     assert len(calls) == 1
     assert len(sizes()) == len(set(sizes())) == cfg.nt - 1
     once = sizes()
@@ -1050,12 +1143,12 @@ def _fold_check_setup(system):
     from liesindy import dynamics
     cfg = _short(system)
     _, _, k, mask = dynamics._grid(cfg)
-    lin = dynamics._linear_symbol(system, k, cfg.params)
+    lin = _truth_row(cfg)
     ics = np.array([sample_initial_condition(cfg.nx, cfg.length, seed=s)
                     for s in (1, 2, 3)])
     v = np.fft.rfft(ics, axis=-1)
     made = dynamics._make_stepper(
-        dynamics._STANDARD[system][0], lin,
+        dynamics._STANDARD[system][1], lin,
         dynamics._advection(k, mask, len(ics), cfg.nx))
     return (cfg.dt, lin, v, _advection_written_out(k, mask, cfg.nx),
             next(made([cfg.dt])))
@@ -1086,7 +1179,7 @@ def _ifrk4_setup(case, h_type=float):
     cfg = _short("burgers" if case == "burgers" else "kdv")
     h = h_type(cfg.dt if case == "burgers" else cfg.dt / 4)
     _, _, k, mask = dynamics._grid(cfg)
-    lin = dynamics._linear_symbol(cfg.system, k, cfg.params)
+    lin = _truth_row(cfg)
     weight = None
     if case == "per-member":
         column = np.array([[0.9], [1.0], [1.1]])

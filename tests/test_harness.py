@@ -77,6 +77,18 @@ def test_baseline_problem_shapes():
     assert len(reg.generators) == 3
 
 
+@pytest.mark.parametrize("system, target", [
+    ("kdv", "u_t"), ("ks", "u_t"), ("burgers", "u_t"),
+    ("nkdv", "exp(-t/t0)*u_t"),
+])
+def test_baseline_target_is_the_truth_equations_u_t_term(system, target):
+    # for sindy and equiv-r alike, and equal to the target parsed from text
+    for method in ("sindy", "equiv-r"):
+        cfg = ExperimentConfig(system=system, method=method)
+        assert to_string(cfg.target) == target
+        assert cfg.target == P(target)
+
+
 @pytest.mark.parametrize("over,msg", [
     (dict(method="lasso"), "unknown method"),
     (dict(runs=0), "runs"),
