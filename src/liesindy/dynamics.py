@@ -87,6 +87,12 @@ SYSTEMS = tuple(_STANDARD)
 
 BLOWUP_LIMIT = 1e6
 
+# the most sub-steps one march takes: a sub-step of an 8-member batch at
+# nx 256 costs 0.1-0.16 ms on a 2-CPU VM, so this is at most about half an
+# hour; nkdv at t0 0.2 solves in 4.2e5 (a rollout 1.7e6), at t0 0.1 it
+# would take 4.4e9 (1.8e10)
+_MAX_SUBSTEPS = 10 ** 7
+
 # bumped whenever solve_pde writes other bits for some config;
 # ExperimentConfig.data_digest hashes it, so a dataset written by an older
 # generator is refused.  2: closed-form ETDRK4 coefficients away from z = 0;
@@ -296,9 +302,12 @@ def sample_initial_condition(nx, length, seed, modes=None):
         modes = [(float(rng.uniform(0.5, 1.5)), int(rng.integers(1, 4)),
                   float(rng.uniform(0.0, 2.0 * math.pi))) for _ in range(m)]
     u0 = np.zeros(nx)
-    for amp, k, phase in modes:
-        u0 += amp * np.sin(2.0 * math.pi * k * x / length + phase)
-    return u0 - u0.mean()
+    # a length near the float range makes 2 pi k x inf and its sine NaN,
+    # which the solve reports as a blow-up at step 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for amp, k, phase in modes:
+            u0 += amp * np.sin(2.0 * math.pi * k * x / length + phase)
+        return u0 - u0.mean()
 
 
 def add_noise(traj: TrajectoryGrid, sigma: float, seed) -> TrajectoryGrid:
@@ -746,12 +755,22 @@ def _march_group(cfg, ics, metas, lin, nonlinear, g, scheme, sub,
 
     A span is -expm1(-g t)/g differenced, or exactly dt when g = 0, as are
     the skip spans of a transient: np.diff(t) would differ in the last bits
-    and build a step per distinct span.
+    and build a step per distinct span.  Spans grow as e^{-g t}, so a march
+    whose rescaled time overflows, or that _cuts into more than
+    _MAX_SUBSTEPS sub-steps, raises ConfigError before its first step.
     """
     x, t, _, _ = _grid(cfg)
-    spans = ([cfg.dt] * (skip + cfg.nt - 1) if g == 0.0 else
-             np.diff(-np.expm1(-g * t) / g))
-    outcomes = _march(_make_stepper(scheme, lin, nonlinear), ics, spans,
+    with np.errstate(all="ignore"):
+        spans = np.diff(-np.expm1(-g * t) / g) if g else np.array([cfg.dt])
+        steps = np.maximum(min_steps, np.ceil(spans / sub - 1e-12)).sum()
+    if not np.isfinite(spans).all():
+        raise ConfigError(f"the rescaled time overflows before t = {t[-1]:g}")
+    steps *= 1 if g else skip + cfg.nt - 1
+    if steps > _MAX_SUBSTEPS:
+        raise ConfigError(f"{steps:.3g} sub-steps, more than the "
+                          f"{_MAX_SUBSTEPS:.0e} a march may take")
+    outcomes = _march(_make_stepper(scheme, lin, nonlinear), ics,
+                      spans if g else [cfg.dt] * (skip + cfg.nt - 1),
                       sub, min_steps, skip)
     return [u if isinstance(u, BlowUpError) else TrajectoryGrid(x, t, u, m)
             for u, m in zip(outcomes, metas)]
@@ -879,8 +898,9 @@ def integrate_model(models, ics, cfg: SolverConfig):
 
     Returns, per member, its TrajectoryGrid, its BlowUpError (.step and the
     finite .rows), or the UnsupportedModelError or MissingSymbolError of a
-    model that cannot be rolled out; each is the outcome of a batch of that
-    member alone, bit for bit.
+    model that cannot be rolled out, its march's refusal (_march_group)
+    included; each is the outcome of a batch of that member alone, bit for
+    bit.
     """
     ics = _batch(ics, cfg.nx)
     if len(models) != len(ics):
@@ -918,9 +938,12 @@ def integrate_model(models, ics, cfg: SolverConfig):
         metas = [{"system": cfg.system, "kind": "model-integration",
                   "params": dict(cfg.params), "noise_sigma": 0.0}
                  for _ in members]
-        outcomes = _march_group(cfg, ics[members], metas, lin, nonlinear,
-                                g, "rk4-spectral", cfg.dt / 4.0,
-                                min_steps=4)
+        try:
+            outcomes = _march_group(cfg, ics[members], metas, lin,
+                                    nonlinear, g, "rk4-spectral",
+                                    cfg.dt / 4.0, min_steps=4)
+        except ConfigError as err:
+            outcomes = [UnsupportedModelError(str(err))] * len(members)
         for b, outcome in zip(members, outcomes):
             out[b] = outcome
     return out

@@ -11,12 +11,18 @@ invariance and symmetry criteria) exact rather than approximate.
 Quotients with a non-monomial denominator are kept as opaque fraction nodes;
 no polynomial GCD cancellation is attempted.  Correctness of anything fancier
 is established by evaluation, not by normal form.
+
+parse() reads text with Python's own parser (ast in eval mode, ^ as **);
+numbers, names, + - * /, signs, integer powers and exp(...) map to the nodes
+above, and any other node is a ParseError.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -835,124 +841,72 @@ def to_string(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(r"""
-    (?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<op>\*\*|[-+*/^()])
-  | (?P<ws>\s+)
-""", re.VERBOSE)
+# the characters Python's parser may see, whitespace aside
+_BAD_CHAR_RE = re.compile(r"[^A-Za-z0-9_.+\-*/^()\s]")
+# a number as written: no base prefix, underscore or imaginary suffix
+_NUMBER_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_BINARY = {ast.Add: Expr.__add__, ast.Sub: Expr.__sub__,
+           ast.Mult: Expr.__mul__, ast.Div: Div}
 
 
-def _tokenize(s):
-    pos, toks = 0, []
-    while pos < len(s):
-        m = _TOKEN_RE.match(s, pos)
-        if not m:
-            raise ParseError(f"bad character {s[pos]!r} at position {pos}")
-        pos = m.end()
-        if m.lastgroup != "ws":
-            toks.append((m.lastgroup, m.group()))
-    toks.append(("end", ""))
-    return toks
-
-
-class _Parser:
-    def __init__(self, s, space):
-        self.toks = _tokenize(s)
-        self.i = 0
-        self.space = space
-        self.text = s
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def take(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, val):
-        kind, v = self.take()
-        if v != val:
-            raise ParseError(f"expected {val!r}, found {v!r} in {self.text!r}")
-
-    def parse(self):
-        e = self.sum_()
-        if self.peek()[0] != "end":
-            raise ParseError(f"trailing input {self.peek()[1]!r} in {self.text!r}")
-        return e
-
-    def sum_(self):
-        e = self.product()
-        while self.peek()[1] in ("+", "-"):
-            op = self.take()[1]
-            rhs = self.product()
-            e = e + rhs if op == "+" else e - rhs
-        return e
-
-    def product(self):
-        e = self.unary()
-        while self.peek()[1] in ("*", "/"):
-            op = self.take()[1]
-            rhs = self.unary()
-            e = e * rhs if op == "*" else Div(e, rhs)
-        return e
-
-    def unary(self):
-        if self.peek()[1] == "-":
-            self.take()
-            return -self.unary()
-        if self.peek()[1] == "+":
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[1] in ("^", "**"):
-            self.take()
-            neg = False
-            if self.peek()[1] == "-":
-                self.take()
-                neg = True
-            kind, v = self.take()
-            if kind != "num" or any(c in v for c in ".eE"):
-                raise ParseError(f"exponent must be an integer, found {v!r}")
-            k = -int(v) if neg else int(v)
-            return Pow(base, k)
-        return base
-
-    def atom(self):
-        kind, v = self.take()
-        if v == "(":
-            e = self.sum_()
-            self.expect(")")
-            return e
-        if kind == "num":
-            return Const(float(v))
-        if kind == "name":
-            if v == "exp":
-                self.expect("(")
-                arg = self.sum_()
-                self.expect(")")
-                return Exp(arg)
-            leaf = self.space.resolve(v) if self.space is not None else None
-            if leaf is not None:
-                return leaf
-            # u_<subscripts> that fails to resolve is a malformed or
-            # out-of-chart derivative, not a named constant
-            head = v.partition("_")[0]
-            if self.space is not None and head in self.space.dependent:
-                raise ParseError(
-                    f"{v!r} is not a derivative coordinate of this jet space")
-            return Param(v)
-        raise ParseError(f"unexpected token {v!r} in {self.text!r}")
-
-
-def parse(s: str, space: JetSpace | None = None) -> Expr:
-    """Parse infix text back into a canonical expression.
+def parse(text: str, space: JetSpace | None = None) -> Expr:
+    """Parse infix text, ^ as **, back into a canonical expression.
 
     Identifiers resolve to jet variables of `space` when they match one
-    (t, x, u, u_x, u_tx, ...); anything else becomes a named constant.
+    (t, x, u, u_x, u_tx, ...); any other name is a named constant, but exp
+    and a name with a leading _ are refused.
     """
-    return simplify(_Parser(s, space).parse())
+    if bad := _BAD_CHAR_RE.search(text):
+        raise ParseError(f"bad character {bad.group()!r} at position "
+                         f"{bad.start()} in {text!r}")
+    src = " ".join(text.split()).replace("^", "**")   # eval mode's one line
+
+    def seg(n):
+        return src[n.col_offset:n.end_col_offset]
+
+    def build(n):
+        if isinstance(n, ast.BinOp) and type(n.op) in _BINARY:
+            return _BINARY[type(n.op)](build(n.left), build(n.right))
+        if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow):
+            k = seg(n.right).replace(" ", "")
+            if not re.fullmatch(r"-?\d+", k):
+                raise ParseError(f"exponent must be an integer, found "
+                                 f"{seg(n.right)!r} in {text!r}")
+            return Pow(build(n.left), int(k))
+        if isinstance(n, ast.UnaryOp) and type(n.op) in (ast.USub, ast.UAdd):
+            e = build(n.operand)
+            return -e if isinstance(n.op, ast.USub) else e
+        if isinstance(n, ast.Constant) and _NUMBER_RE.fullmatch(seg(n)):
+            return Const(float(seg(n)))
+        if isinstance(n, ast.Name) and n.id != "exp" and n.id[0] != "_":
+            leaf = space.resolve(n.id) if space is not None else None
+            # u_<subscripts> off the chart is not a named constant
+            if leaf is None and space is not None and \
+                    n.id.partition("_")[0] in space.dependent:
+                raise ParseError(f"{n.id!r} is not a derivative coordinate "
+                                 f"of this jet space")
+            return Param(n.id) if leaf is None else leaf
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and \
+                n.func.id == "exp" and len(n.args) == 1 and not n.keywords:
+            return Exp(build(n.args[0]))
+        raise ParseError(f"unexpected {seg(n)!r} in {text!r}")
+
+    def finite(n):
+        if isinstance(n, Const) and not math.isfinite(n.value):
+            raise OverflowError
+
+    try:
+        with warnings.catch_warnings():
+            # "1or u" warns of its digit run before its node is refused
+            warnings.simplefilter("ignore")
+            e = build(ast.parse(src, mode="eval").body)
+        _walk(e, finite)
+        e = simplify(e)
+        _walk(e, finite)
+    except SyntaxError as err:
+        raise ParseError(f"cannot parse {text!r}: {err.msg}") from None
+    except RecursionError:
+        raise ParseError(f"{text!r} nests too deeply") from None
+    except (OverflowError, ZeroDivisionError):
+        raise ParseError(f"a constant overflows in {text!r}") from None
+    return e

@@ -184,9 +184,17 @@ def test_evaluate_refusal_is_one_error_line(tmp_path, capsys, pipeline,
     ("run_0.json", '{"model": {"target": "u_t", "features": ["u/(u-u)"], '
      '"C": [1.0], "M": [1], "threshold": 0.5}}',
      "run_0.json: not a model: ExprError: division by symbolic zero"),
+    # u_t's coefficient shrinks so fast that the rescaled time runs away
+    ("run_1.json", '{"model": {"target": "exp(-100*t)*u_t", "features": '
+     '["u*u_x"], "C": [-1.0], "M": [1], "threshold": 0.5}}',
+     "error: 1.68e+26 sub-steps, more than the 1e+07 a march may take"),
+    ("run_1.json", '{"model": {"target": "exp(-10000*t)*u_t", "features": '
+     '["u*u_x"], "C": [-1.0], "M": [1], "threshold": 0.5}}',
+     "error: the rescaled time overflows before t = 0.59"),
 ], ids=["not-an-object", "model-lacks-features", "stray-name",
         "unrollable-model", "feature-off-the-chart",
-        "feature-divides-by-zero"])
+        "feature-divides-by-zero", "rollout-sub-steps-above-the-limit",
+        "rollout-rescaled-time-overflows"])
 def test_bad_saved_model_is_one_error_line(tmp_path, capsys, pipeline,
                                            name, text, needle):
     data, out = pipeline
@@ -266,6 +274,16 @@ def _solver_edit(**over):
     return lambda d: json.dumps({**d, "solver": {**d["solver"], **over}})
 
 
+def _library(inputs):
+    return lambda d: json.dumps({**d, "library": {"inputs": inputs}})
+
+
+def _nkdv(t0):
+    """nkdv on its standard grid at t0, which its march refuses at once."""
+    return lambda d: json.dumps({**d, "system": "nkdv", "solver": {
+        "system": "nkdv", "params": {"t0": t0}}})
+
+
 @pytest.mark.parametrize("edit, needle", [
     (lambda d: json.dumps({**d, "runz": 3}), "runz"),
     (lambda d: json.dumps(d)[:-10], "bad.json: Unterminated string"),
@@ -285,10 +303,11 @@ def _solver_edit(**over):
         "inputs": ["u", "u_x", "u_xx", "u*u_x"]}}),
      "bad.json: the library holds u*u_x twice"),
     (lambda d: "\xff" + json.dumps(d), "bad.json is not UTF-8 text"),
-    # di-sindy discards the library, but a config holds only a valid one
+    # di-sindy discards the library, but a config holds only a valid one;
+    # the reason after the input is Python's parser's own wording
     (lambda d: json.dumps({**d, "library": {"mode": "cubic",
                                             "inputs": ["u", "u)"]}}),
-     "bad.json: library.inputs[1]: trailing input ')' in 'u)'"),
+     "bad.json: library.inputs[1]: cannot parse 'u)': "),
     (lambda d: json.dumps({**d, "library": {"mode": "cubic"}}),
      "unknown library mode 'cubic'"),
     (_solver_edit(params={"zz": 1}),
@@ -308,6 +327,15 @@ def _solver_edit(**over):
     (_solver_edit(length=5e-324),
      "bad.json: length 5e-324 is too short for nx 64: its wavenumbers "
      "overflow"),
+    (_library(["u", "1e400*u_x"]),
+     "bad.json: library.inputs[1]: a constant overflows in '1e400*u_x'"),
+    (_library(["u", "1e300*1e300*u"]),
+     "bad.json: library.inputs[1]: a constant overflows in "
+     "'1e300*1e300*u'"),
+    (_library(["u", "+".join(["u"] * 3000)]), "+u+u' nests too deeply"),
+    (_nkdv(0.05),
+     "error: 9.64e+17 sub-steps, more than the 1e+07 a march may take"),
+    (_nkdv(1e-300), "error: the rescaled time overflows before t = 1.99"),
 ], ids=["unknown-key", "truncated-json", "bad-nx", "unknown-solver-key",
         "not-an-object", "no-system", "runs-not-integer", "nx-not-integer",
         "dt-nan", "seed-negative", "library-divides-by-zero",
@@ -315,7 +343,9 @@ def _solver_edit(**over):
         "di-sindy-library", "di-sindy-library-mode", "unread-solver-param",
         "transient-steps-not-finite", "transient-steps-above-maxsize",
         "trajectory-above-maxsize-bytes", "dealias-off", "scheme-not-kdvs",
-        "wavenumbers-overflow"])
+        "wavenumbers-overflow", "literal-overflows", "product-overflows",
+        "sum-nests-too-deeply", "nkdv-sub-steps-above-the-limit",
+        "nkdv-rescaled-time-overflows"])
 def test_bad_config_is_one_error_line(tmp_path, capsys, config_path, edit,
                                       needle):
     bad = tmp_path / "bad.json"
@@ -343,6 +373,20 @@ def test_a_grid_whose_wavenumbers_overflow_is_one_error_line(
                  "--out", str(tmp_path / "d")]) == 1
     assert capsys.readouterr().err == \
         "error: member 0: solution blew up at step 1\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_length_near_the_float_range_is_one_error_line(
+        tmp_path, capsys, config_path):
+    # 2 pi k x overflows in the initial condition: no RuntimeWarning, and
+    # its NaN samples are the blow-up at step 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(_solver_edit(length=1e308)(
+        json.loads(config_path.read_text())))
+    assert main(["generate", "--config", str(bad),
+                 "--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err == \
+        "error: member 0: solution blew up at step 0\n"
 
 
 @pytest.mark.parametrize("part, text, needle", [

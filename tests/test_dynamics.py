@@ -504,6 +504,44 @@ def test_integrate_names_an_unbound_time_coefficient():
     assert isinstance(err, MissingSymbolError) and "beta" in str(err)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t0, needle", [
+    (0.05, "9.64e+17 sub-steps, more than the 1e+07"),
+    (1e-300, "the rescaled time overflows before t = 1.99"),
+])
+def test_a_solve_whose_rescaled_time_explodes_is_refused(t0, needle):
+    # nkdv's spans grow as e^{t/t0}; the refusal comes before any step
+    cfg = SolverConfig.from_dict({"system": "nkdv", "params": {"t0": t0}})
+    with pytest.raises(ConfigError) as err:
+        solve_pde(cfg, np.zeros((1, cfg.nx)))
+    assert needle in str(err.value)
+
+
+def test_nkdv_solves_at_t0_one_half():
+    # 2726 sub-steps of at most dt on the standard grid
+    cfg = SolverConfig.from_dict({"system": "nkdv", "params": {"t0": 0.5}})
+    ic = sample_initial_condition(cfg.nx, cfg.length, seed=17)
+    [tr] = solve_pde(cfg, ic[None])
+    assert tr.u.shape == (cfg.nt, cfg.nx)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rate, needle", [
+    (1000, "sub-steps, more than the 1e+07"),
+    (100000, "the rescaled time overflows before t = 0.07"),
+])
+def test_a_rollout_whose_rescaled_time_explodes_is_unsupported(rate,
+                                                                needle):
+    # only the exploding model's group is refused; the other still marches
+    cfg = SolverConfig("kdv", nx=64, length=20.0, dt=0.01, nt=8)
+    ic = sample_initial_condition(cfg.nx, cfg.length, seed=3)
+    models = [truth_model("u_t + u*u_x", ["u_xxx"], [-1.0]),
+              truth_model(f"exp(-{rate}*t)*u_t + u*u_x", ["u_xxx"], [-1.0])]
+    good, bad = integrate_model(models, np.array([ic, ic]), cfg)
+    assert isinstance(good, TrajectoryGrid)
+    assert isinstance(bad, UnsupportedModelError) and needle in str(bad)
+
+
 # ---------------------------------------------------------------------------
 # batches
 

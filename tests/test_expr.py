@@ -330,6 +330,16 @@ def test_unknown_identifier_parses_as_named_constant():
 
 @pytest.mark.parametrize("bad", [
     "", "u +", "(u", "u ^ x", "u ** 1.5", "2 2", "exp()", "u_y", "*u",
+    # Python's grammar beyond ours: its other number forms, names with a
+    # leading _ or a non-ASCII letter, keywords, bare or two-argument exp,
+    # subscripts, comparisons, tuples and non-integer exponents
+    "0x1", "1_0", "1j", "01", "_u", "\xe9*u", "lambda*u", "exp",
+    "exp(u, t)", "u[0]", "u==u", "u, t", "t0**0x2", "u^(1.5)",
+    # a literal beyond the float range, also where simplify would drop
+    # it, a constant that underflows to 0 under a negative power, and
+    # nesting past Python's parser
+    "1e400", "1e400^-1*u", "exp(-exp(70))^-1",
+    pytest.param("(" * 300 + "u" + ")" * 300, id="300-parens"),
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
@@ -348,6 +358,19 @@ def test_symbolic_division_by_zero_is_an_expr_error(src, needle):
 
 def test_double_star_power_is_accepted():
     assert parse("u**3", SP) == parse("u^3", SP)
+
+
+def test_a_digit_run_against_a_keyword_is_refused_without_a_warning(
+        recwarn):
+    # Python's tokenizer warns of "1or" before the parser sees the BoolOp
+    with pytest.raises(ParseError):
+        parse("1or u", SP)
+    assert not recwarn.list
+
+
+def test_a_parenthesised_integer_exponent_is_accepted():
+    assert parse("u^(2)", SP) == parse("u^2", SP)
+    assert parse("u^(-2)", SP) == parse("u^-2", SP)
 
 
 # --- jet space ---------------------------------------------------------------
