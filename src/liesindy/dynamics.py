@@ -18,7 +18,9 @@ structure marching as one batch, each with its own coefficients.
 
 Every solve and rollout takes an (n, nx) batch of initial conditions,
 steps it as one state through one loop, `_march`, and returns one outcome
-per member.  The loop cuts each output span into sub-steps, writes every
+per member.  Each output span is cut once, by _march_group, into
+max(dt/sub, ceil(span/sub)) equal sub-steps, sub being dt in a solve and
+dt/4 in a rollout; the loop steps through that schedule, writes every
 sample and guards it against blow-up.  A sample is the one inverse
 transform of the state per span, and the next step's first stage reads it
 instead of transforming the state again.  Every operation on the state
@@ -490,7 +492,7 @@ def _etdrk4_steps(lin, sizes, nonlinear):
 
     Each block's coefficients come from one _etdrk4_coeffs call, made when
     the block's first step is drawn, so a march that stops early builds no
-    further block.
+    block past the one holding the last step it drew.
     """
     rows = max(1, _BLOCK_BYTES // (16 * lin.size))
     sizes = iter(sizes)
@@ -595,31 +597,14 @@ def _batch(ics, nx):
     return ics
 
 
-def _cuts(spans, sub, min_steps):
-    """Per span: (sub-step count m, their size h, whether h is new).
+def _march(schedule, n_spans, ics, skip=0):
+    """Step the (n, nx) batch rfft(ics) across n_spans spans as one state.
 
-    A span is cut into m = max(min_steps, ceil(span/sub)) equal sub-steps;
-    h is new when it is more than 1e-15 relative from the last new size.
-    """
-    last = None
-    for span in spans:
-        m = max(min_steps, math.ceil(span / sub - 1e-12))
-        h = span / m
-        new = last is None or abs(h - last) > 1e-15 * abs(h)
-        if new:
-            last = h
-        yield m, h, new
-
-
-def _march(make_steps, ics, spans, sub, min_steps=1, skip=0):
-    """Step the (n, nx) batch rfft(ics) across `spans` as one state.
-
-    Each span is cut into sub-steps as _cuts says.  make_steps(sizes) (see
-    _make_stepper) turns the new sizes, in order, into an iterator of their
-    steps, and the march draws the next step at each span of a new size.
-    Row 0 is ics and row j the state after the j-th span.  With `skip`, the
-    first skip spans are a discarded transient: guarded at steps -skip..-1,
-    not stored, and the state after them becomes row 0.
+    `schedule` yields one (m, step) per span: the span is m applications of
+    step, a step of _make_stepper's.  Row 0 is ics and row j the state
+    after the j-th span.  With `skip`, the first skip spans are a discarded
+    transient: guarded at steps -skip..-1, not stored, and the state after
+    them becomes row 0.
 
     Returns one outcome per member: its (samples, nx) array u, or, if a
     sample is non-finite or beyond BLOWUP_LIMIT, a BlowUpError whose .step
@@ -638,7 +623,7 @@ def _march(make_steps, ics, spans, sub, min_steps=1, skip=0):
     """
     n, nx = ics.shape
     # one array per member, so each is freed with its own trajectory
-    u = [np.empty((len(spans) + 1 - skip, nx)) for _ in range(n)]
+    u = [np.empty((n_spans + 1 - skip, nx)) for _ in range(n)]
     out = list(u)
     live = range(n)             # the members still sampled
 
@@ -655,20 +640,15 @@ def _march(make_steps, ics, spans, sub, min_steps=1, skip=0):
         for b in live:
             u[b][j] = rows[b]
 
-    steps = make_steps(h for _, h, new in _cuts(spans, sub, min_steps)
-                       if new)
-
     with np.errstate(all="ignore"):
         if not skip:
             sample(ics, 0, 0)
         state = _rfft(ics, np.empty((n, nx // 2 + 1), dtype=complex))
         phys_buf = np.empty((n, nx))
         physical = None         # irfft(state) once the last sample took it
-        for i, (m, _, new) in enumerate(_cuts(spans, sub, min_steps), -skip):
+        for i, (m, advance) in enumerate(schedule, -skip):
             if not live:
                 break
-            if new:
-                advance = next(steps)
             for _ in range(m):
                 state, physical = advance(state, physical), None
             physical = _irfft(state, phys_buf)
@@ -747,31 +727,36 @@ def _equation_form(eq, params):
         (c, g, linear, 0.0, leftover)
 
 
-def _march_group(cfg, ics, metas, lin, nonlinear, g, scheme, sub,
-                 min_steps=1, skip=0):
+def _march_group(cfg, ics, metas, lin, nonlinear, g, scheme, sub, skip=0):
     """Per member b of the (n, nx) batch ics, its TrajectoryGrid with meta
     metas[b] or its BlowUpError: v' = lin*v + nonlinear(v) stepped by
     `scheme` (_make_stepper) and _march in the time s, ds = e^{-g t} dt.
 
-    A span is -expm1(-g t)/g differenced, or exactly dt when g = 0, as are
-    the skip spans of a transient: np.diff(t) would differ in the last bits
-    and build a step per distinct span.  Spans grow as e^{-g t}, so a march
-    whose rescaled time overflows, or that _cuts into more than
-    _MAX_SUBSTEPS sub-steps, raises ConfigError before its first step.
+    A span is -expm1(-g t)/g differenced, or, when g = 0, the one span dt
+    standing for all skip + nt - 1: np.diff(t) would differ in the last
+    bits and build a step per distinct span.  Each span is cut once into
+    max(dt/sub, ceil(span/sub)) equal sub-steps, at least 1 in a solve
+    (sub = dt) and 4 in a rollout (sub = dt/4).  Spans grow as e^{-g t}, so
+    a march whose rescaled time overflows, or whose counts sum to more
+    than _MAX_SUBSTEPS, raises ConfigError before its first step.
     """
     x, t, _, _ = _grid(cfg)
     with np.errstate(all="ignore"):
         spans = np.diff(-np.expm1(-g * t) / g) if g else np.array([cfg.dt])
-        steps = np.maximum(min_steps, np.ceil(spans / sub - 1e-12)).sum()
-    if not np.isfinite(spans).all():
+        counts = np.maximum(round(cfg.dt / sub),
+                            np.ceil(spans / sub - 1e-12))
+    if not np.isfinite(counts).all():
         raise ConfigError(f"the rescaled time overflows before t = {t[-1]:g}")
-    steps *= 1 if g else skip + cfg.nt - 1
-    if steps > _MAX_SUBSTEPS:
-        raise ConfigError(f"{steps:.3g} sub-steps, more than the "
+    # skip is 0 when g != 0: nkdv and rollouts take no transient
+    n_spans = skip + cfg.nt - 1
+    total = counts.sum() * (1 if g else n_spans)
+    if total > _MAX_SUBSTEPS:
+        raise ConfigError(f"{total:.3g} sub-steps, more than the "
                           f"{_MAX_SUBSTEPS:.0e} a march may take")
-    outcomes = _march(_make_stepper(scheme, lin, nonlinear), ics,
-                      spans if g else [cfg.dt] * (skip + cfg.nt - 1),
-                      sub, min_steps, skip)
+    steps = _make_stepper(scheme, lin, nonlinear)(spans / counts)
+    schedule = zip(np.broadcast_to(counts.astype(int), n_spans),
+                   steps if g else itertools.cycle(steps))
+    outcomes = _march(schedule, n_spans, ics, skip)
     return [u if isinstance(u, BlowUpError) else TrajectoryGrid(x, t, u, m)
             for u, m in zip(outcomes, metas)]
 
@@ -922,26 +907,29 @@ def integrate_model(models, ics, cfg: SolverConfig):
     _, _, k, mask = _grid(cfg)
     for (g, orders, kernel, shape), members in groups.items():
         group = [forms[id(models[b])][1:] for b in members]
-        # du/ds = -(rest)/c in the rescaled time s with ds = e^{-g t} dt
-        lin = np.array([_linear_row(c, orders, weights, k)
-                        for c, weights, _ in group])
-        lin *= mask
-        scale = np.array([[-1.0 / c] for c, _, _ in group])
-        consts = {f"_c{i}": np.array([[f[2][i]] for f in group])
-                  for i in range(len(group[0][2]))}
-        if kernel == "advection":
-            # -(a/c)*u*u_x is a/c times the generators' -u*u_x
-            nonlinear = _advection(k, mask, len(members), cfg.nx,
-                                   -scale * consts["_c0"])
-        else:
-            nonlinear = _leftover_term(shape, consts, scale, k, mask, cfg.nx)
+        # du/ds = -(rest)/c in the rescaled time s with ds = e^{-g t} dt;
+        # a coefficient that overflows a symbol blows up at step 1, unwarned
+        with np.errstate(all="ignore"):
+            lin = np.array([_linear_row(c, orders, weights, k)
+                            for c, weights, _ in group])
+            lin *= mask
+            scale = np.array([[-1.0 / c] for c, _, _ in group])
+            consts = {f"_c{i}": np.array([[f[2][i]] for f in group])
+                      for i in range(len(group[0][2]))}
+            if kernel == "advection":
+                # -(a/c)*u*u_x is a/c times the generators' -u*u_x
+                nonlinear = _advection(k, mask, len(members), cfg.nx,
+                                       -scale * consts["_c0"])
+            else:
+                nonlinear = _leftover_term(shape, consts, scale, k, mask,
+                                           cfg.nx)
         metas = [{"system": cfg.system, "kind": "model-integration",
                   "params": dict(cfg.params), "noise_sigma": 0.0}
                  for _ in members]
         try:
             outcomes = _march_group(cfg, ics[members], metas, lin,
                                     nonlinear, g, "rk4-spectral",
-                                    cfg.dt / 4.0, min_steps=4)
+                                    cfg.dt / 4.0)
         except ConfigError as err:
             outcomes = [UnsupportedModelError(str(err))] * len(members)
         for b, outcome in zip(members, outcomes):

@@ -27,8 +27,8 @@ from .dynamics import (
     read_json, sample_initial_condition, save_trajectories, solve_pde, _grid,
 )
 from .expr import (
-    SPACE, Const, DepVar, LiesindyError, parse, partial_derivative, simplify,
-    substitute, to_string,
+    SPACE, Const, DepVar, LiesindyError, params_in, parse, partial_derivative,
+    simplify, substitute, to_string,
 )
 from .invariants import builtin_set, truth_equation
 from .jetgrid import evaluate_features, finite_differences, spectral_jets
@@ -204,11 +204,17 @@ def _problem(cfg: ExperimentConfig):
     # checked for every method, so no config is saved with a bad library,
     # though di-sindy honours only include_constant
     inputs = []
+    params = sorted(cfg.solver.params)
     for i, text in enumerate(cfg.library["inputs"]):
         try:
             inputs.append(parse(text, SPACE))
         except LiesindyError as err:
             raise HarnessError(f"library.inputs[{i}]: {err}") from None
+        unread = sorted({p.name for p in params_in(inputs[-1])} - set(params))
+        if unread:
+            raise HarnessError(f"library.inputs[{i}]: {text!r} reads "
+                               f"constants {unread}, but {cfg.system}'s "
+                               f"solver params are {params}")
     spec = LibrarySpec(cfg.library["mode"], tuple(inputs),
                        include_constant=bool(cfg.library["include_constant"]))
     if cfg.method == "di-sindy":

@@ -142,6 +142,8 @@ def _stlsq_loop(fm, gram, rhs, n_rows, threshold):
             f"need more rows ({n_rows}) than features ({n_feats})")
     if threshold <= 0:
         raise RegressionError("threshold must be positive")
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise RegressionError("the normal equations are not finite")
     active = np.ones(n_feats, dtype=bool)
     history = []
     for iterations in range(1, 21):
@@ -268,8 +270,11 @@ def stlsq_regularized(fm, generators, lam: float,
         return stlsq(fm, threshold)
     p = len(fm.columns)
     sums = fm.sums[:p + 1, :p + 1].copy()
-    for penalty in symmetry_penalties(fm, generators):
-        sums += lam * penalty
+    penalties = symmetry_penalties(fm, generators)
+    # a lam*penalty that overflows is refused by _stlsq_loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for penalty in penalties:
+            sums += lam * penalty
     # rows of the equivalent stacked least-squares system
     n_rows = fm.n_rows * (1 + len(generators))
     model = _stlsq_loop(fm, sums[:p, :p], sums[:p, p], n_rows, threshold)

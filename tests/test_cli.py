@@ -333,6 +333,10 @@ def _nkdv(t0):
      "bad.json: library.inputs[1]: a constant overflows in "
      "'1e300*1e300*u'"),
     (_library(["u", "+".join(["u"] * 3000)]), "+u+u' nests too deeply"),
+    # every method, di-sindy too, refuses a constant its system lacks
+    (_library(["u", "u_x", "u_xxx", "t0*u_xx"]),
+     "bad.json: library.inputs[3]: 't0*u_xx' reads constants ['t0'], but "
+     "kdv's solver params are []"),
     (_nkdv(0.05),
      "error: 9.64e+17 sub-steps, more than the 1e+07 a march may take"),
     (_nkdv(1e-300), "error: the rescaled time overflows before t = 1.99"),
@@ -344,7 +348,8 @@ def _nkdv(t0):
         "transient-steps-not-finite", "transient-steps-above-maxsize",
         "trajectory-above-maxsize-bytes", "dealias-off", "scheme-not-kdvs",
         "wavenumbers-overflow", "literal-overflows", "product-overflows",
-        "sum-nests-too-deeply", "nkdv-sub-steps-above-the-limit",
+        "sum-nests-too-deeply", "library-reads-an-unknown-constant",
+        "nkdv-sub-steps-above-the-limit",
         "nkdv-rescaled-time-overflows"])
 def test_bad_config_is_one_error_line(tmp_path, capsys, config_path, edit,
                                       needle):
@@ -359,6 +364,23 @@ def test_bad_config_is_one_error_line(tmp_path, capsys, config_path, edit,
     assert err.startswith("error:") and err.count("\n") == 1
     assert needle in err
     assert "Traceback" not in err
+
+
+def test_an_overflowing_penalty_is_an_error_row(tmp_path, capsys):
+    # lam*penalty overflows at lam 1e308: the run is an error row, and
+    # discover warns of nothing
+    cfg = tmp_path / "equivr.json"
+    ExperimentConfig(system="kdv", method="equiv-r", runs=1, seed=3,
+                     lam=1e308, solver=dict(SMALL_KDV, nt=40),
+                     long_term=False).save(cfg)
+    assert main(["generate", "--config", str(cfg),
+                 "--out", str(tmp_path / "d")]) == 0
+    assert main(["discover", "--config", str(cfg), "--data",
+                 str(tmp_path / "d"), "--out", str(tmp_path / "r")]) == 0
+    assert capsys.readouterr().err == ""
+    [row] = (tmp_path / "r" / "runs.csv").read_text().splitlines()[1:]
+    assert row.startswith("0,error,0,") and \
+        "RegressionError: the normal equations are not finite" in row
 
 
 @pytest.mark.filterwarnings("error")

@@ -542,6 +542,84 @@ def test_a_rollout_whose_rescaled_time_explodes_is_unsupported(rate,
     assert isinstance(bad, UnsupportedModelError) and needle in str(bad)
 
 
+def _counting_stepper(made, taken, sizes_seen):
+    """_make_stepper whose steps count themselves into taken[0] and whose
+    step sizes are added to the set sizes_seen."""
+    def make_stepper(scheme, lin, nonlinear):
+        make_steps = made(scheme, lin, nonlinear)
+
+        def counted(step):
+            def stepped(v, u=None):
+                taken[0] += 1
+                return step(v, u)
+
+            return stepped
+
+        def steps(sizes):
+            sizes = list(sizes)
+            sizes_seen.update(sizes)
+            return map(counted, make_steps(sizes))
+
+        return steps
+
+    return make_stepper
+
+
+# (sub-steps, distinct step sizes) of each default march: a span is cut
+# into max(dt/sub, ceil(span/sub)) sub-steps, sub = dt in a solve and dt/4
+# in a rollout; only nkdv's spans, rescaled by e^{-g t}, differ
+_SCHEDULES = {
+    ("solve", "kdv"): (499, 1), ("solve", "ks"): (1499, 1),
+    ("solve", "burgers"): (399, 1), ("solve", "nkdv"): (739, 199),
+    ("rollout", "kdv"): (1996, 1), ("rollout", "nkdv"): (2628, 199),
+}
+
+
+@pytest.mark.parametrize("kind, system", _SCHEDULES)
+def test_each_default_march_takes_its_schedule(monkeypatch, kind, system):
+    # the count the sub-step refusal reads is the count the march takes:
+    # it marches at a limit of exactly that many and is refused one below
+    from liesindy import dynamics
+    steps, sizes = _SCHEDULES[kind, system]
+    cfg = default_config(system)
+    ic = sample_initial_condition(cfg.nx, cfg.length, seed=1)
+    target = "exp(-t/t0)*u_t" if system == "nkdv" else "u_t"
+    model = truth_model(target, ["u*u_x", "u_xxx"], [-1.0, -1.0])
+    run = (lambda: solve_pde(cfg, ic[None])[0]) if kind == "solve" else \
+        (lambda: integrate_model([model], ic[None], cfg)[0])
+    taken, seen = [0], set()
+    monkeypatch.setattr(dynamics, "_make_stepper", _counting_stepper(
+        dynamics._make_stepper, taken, seen))
+    monkeypatch.setattr(dynamics, "_MAX_SUBSTEPS", steps)
+    assert isinstance(run(), TrajectoryGrid)
+    assert (taken[0], len(seen)) == (steps, sizes)
+    monkeypatch.setattr(dynamics, "_MAX_SUBSTEPS", steps - 1)
+    if kind == "solve":
+        with pytest.raises(ConfigError, match="sub-steps, more than"):
+            run()
+    else:
+        refused = run()
+        assert isinstance(refused, UnsupportedModelError)
+        assert "sub-steps, more than" in str(refused)
+    assert taken[0] == steps
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", [
+    truth_model("u_t + u*u_x", ["u_xxx"], [-1e308]),
+    truth_model("u_t + u*u_x", ["u_xxx"], [np.inf]),
+    truth_model("1e-320*u_t + u*u_x", ["u_xxx"], [-1.0]),
+    truth_model("1e-320*u_t + u*u_x", ["u_xxx", "u^2"], [-1.0, 0.1]),
+], ids=["linear-1e308", "linear-inf", "tiny-u_t", "tiny-u_t-compiled"])
+def test_a_rollout_whose_coefficients_overflow_blows_up_unwarned(model):
+    # a symbol a coefficient overflows is non-finite: its member blows up
+    # at the first step, with no RuntimeWarning on the way
+    cfg = SolverConfig("kdv", nx=64, length=20.0, dt=0.01, nt=8)
+    ic = sample_initial_condition(cfg.nx, cfg.length, seed=1)
+    [out] = integrate_model([model], ic[None], cfg)
+    assert isinstance(out, BlowUpError) and out.step == 1
+
+
 # ---------------------------------------------------------------------------
 # batches
 
@@ -1233,8 +1311,8 @@ def _ifrk4_setup(case, h_type=float):
 
 
 def test_folded_ifrk4_step_matches_the_step_written_out():
-    # h is a Python float in solves and kdv rollouts and a numpy float64
-    # from np.diff in rescaled-time rollouts
+    # every march hands its steps h as a numpy float64, span over count;
+    # a Python float h, as a caller of _make_stepper may pass, folds alike
     for case, h_type in (("burgers", float), ("per-member", np.float64)):
         h, lin, v, nonlinear, step = _ifrk4_setup(case, h_type)
         e = np.exp(h * lin.astype(complex) / 2)

@@ -108,6 +108,17 @@ def test_config_validation(over, msg):
         ExperimentConfig(**kw)
 
 
+@pytest.mark.parametrize("system, inputs", [
+    ("burgers", ["u", "u_x", "nu*u_xx"]),
+    ("nkdv", ["u", "u_x", "u_xxx", "t0*u"]),
+])
+def test_a_library_input_may_read_its_systems_params(system, inputs):
+    # only a constant the solver's params lack is refused
+    cfg = ExperimentConfig(system=system, method="sindy",
+                           library={"inputs": inputs})
+    assert to_string(P(inputs[-1])) in [to_string(f) for f in cfg.features]
+
+
 def test_solver_system_mismatch():
     with pytest.raises(ConfigError, match="solver is for"):
         ExperimentConfig(system="kdv", method="di-sindy",

@@ -269,6 +269,20 @@ def test_large_lambda_steers_to_the_symmetric_model():
     assert abs(pinned.coef[1] - 1.0) < 1e-2
 
 
+def test_an_overflowing_penalty_is_a_regression_error():
+    # lam*penalty overflows at lam 1e308: the fit refuses its non-finite
+    # normal equations, with no RuntimeWarning, and lam 1e200 still fits
+    binding = toy_binding(200, seed=13)
+    a = np.column_stack([binding["u"], binding["u_x"]])
+    fm = make_fm(a, binding["u_t"], ["u", "u_x"], binding=binding,
+                 generators=[galilean()])
+    with pytest.raises(RegressionError,
+                       match="the normal equations are not finite"):
+        stlsq_regularized(fm, [galilean()], lam=1e308, threshold=1e-12)
+    m = stlsq_regularized(fm, [galilean()], lam=1e200, threshold=1e-12)
+    assert np.isfinite(m.coef).all()
+
+
 def test_closed_form_matches_gradient_descent():
     binding = toy_binding(200, seed=13)
     a = np.column_stack([binding["u"], binding["u_x"]])
