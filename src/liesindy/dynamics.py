@@ -12,7 +12,8 @@ step is unstable for any dispersive model worth finding); a remainder of
 exactly a*u*u_x steps through the dealiased advection kernel, a/c folded
 into its symbol, and any other remainder is evaluated pointwise.  A solve
 steps by its system's scheme, ETDRK4 for the stiff dispersive systems or
-integrating-factor RK4 for Burgers, in steps of at most dt; a rollout by
+integrating-factor RK4 for Burgers, in steps of at most dt, after any
+discarded transient in steps of at most its system's h_T; a rollout by
 integrating-factor RK4 at dt/4 (_make_ifrk4), models of one equation
 structure marching as one batch, each with its own coefficients.
 
@@ -67,22 +68,26 @@ __all__ = [
 ]
 
 # system -> (its equation F = 0, its time scheme, its standard solver
-# settings), the one place each is written; its params are the ones its
-# equation reads.  Each equation is c*e^{g t}*u_t + linear terms + a*u*u_x
-# (see _equation_form).  nkdv's horizon is 2, not KdV's 5: its time
-# derivative grows like e^{t/t0}, and past t ~ 2 its finite-difference
-# error swamps the regression target
+# settings, its transient step h_T), the one place each is written; its
+# params are the ones its equation reads.  Each equation is
+# c*e^{g t}*u_t + linear terms + a*u*u_x (see _equation_form).  nkdv's
+# horizon is 2, not KdV's 5: its time derivative grows like e^{t/t0}, and
+# past t ~ 2 its finite-difference error swamps the regression target.
+# The discarded transient is marched in steps of at most h_T, or of dt
+# where h_T is None (_transient_spans): only the stored samples need dt,
+# and KS takes Kassam & Trefethen's h = 1/4 (SIAM J. Sci. Comput. 2005)
 _STANDARD = {
     "kdv": ("u_t + u*u_x + u_xxx", "etdrk4",
-            dict(nx=256, length=20.0, dt=0.01, nt=500)),
+            dict(nx=256, length=20.0, dt=0.01, nt=500), None),
     "ks": ("u_t + u*u_x + u_xx + u_xxxx", "etdrk4",
            dict(nx=256, length=32.0 * math.pi, dt=0.05, nt=1000,
-                transient=25.0)),
+                transient=25.0), 0.25),
     "burgers": ("u_t + u*u_x - nu*u_xx", "rk4-spectral",
                 dict(nx=128, length=2.0 * math.pi, dt=0.005, nt=400,
-                     params={"nu": 0.1})),
+                     params={"nu": 0.1}), None),
     "nkdv": ("exp(-t/t0)*u_t + u*u_x + u_xxx", "etdrk4",
-             dict(nx=256, length=20.0, dt=0.01, nt=200, params={"t0": 1.0})),
+             dict(nx=256, length=20.0, dt=0.01, nt=200, params={"t0": 1.0}),
+             None),
 }
 
 SYSTEMS = tuple(_STANDARD)
@@ -92,7 +97,8 @@ BLOWUP_LIMIT = 1e6
 # the most sub-steps one march takes: a sub-step of an 8-member batch at
 # nx 256 costs 0.1-0.16 ms on a 2-CPU VM, so this is at most about half an
 # hour; nkdv at t0 0.2 solves in 4.2e5 (a rollout 1.7e6), at t0 0.1 it
-# would take 4.4e9 (1.8e10)
+# would take 4.4e9 (1.8e10); a KS transient of 1e6 marches, in 4e6 steps
+# of h_T
 _MAX_SUBSTEPS = 10 ** 7
 
 # bumped whenever solve_pde writes other bits for some config;
@@ -100,8 +106,9 @@ _MAX_SUBSTEPS = 10 ** 7
 # generator is refused.  2: closed-form ETDRK4 coefficients away from z = 0;
 # 3: phi-series coefficients near z = 0;
 # 4: IF-RK4 constants folded; rk4-spectral solves;
-# 5: nkdv solves by the rollouts' rescaled spans, in steps of at most dt
-GENERATOR_VERSION = 5
+# 5: nkdv solves by the rollouts' rescaled spans, in steps of at most dt;
+# 6: the KS transient in steps of at most h_T = 1/4, not dt (_STANDARD)
+GENERATOR_VERSION = 6
 
 
 class DynamicsError(LiesindyError):
@@ -116,7 +123,8 @@ class BlowUpError(DynamicsError):
     """Solution left the finite range; .step is the first bad sample index.
 
     .rows holds the finite samples before it, u[:step]; a step inside a
-    discarded transient is negative and has no rows.
+    discarded transient is negative, counting its spans of at most h_T
+    (_transient_spans), and has no rows.
     """
 
     def __init__(self, message, step, rows=None):
@@ -235,7 +243,7 @@ class SolverConfig:
         if d["system"] not in _STANDARD:
             raise ConfigError(f"unknown system '{d['system']}'")
         d = dict(d)
-        _, scheme, standard = _STANDARD[d["system"]]
+        _, scheme, standard, _ = _STANDARD[d["system"]]
         for key, fixed in (("scheme", scheme), ("dealias", True)):
             if (val := d.pop(key, fixed)) != fixed:
                 raise ConfigError(
@@ -603,8 +611,8 @@ def _march(schedule, n_spans, ics, skip=0):
     `schedule` yields one (m, step) per span: the span is m applications of
     step, a step of _make_stepper's.  Row 0 is ics and row j the state
     after the j-th span.  With `skip`, the first skip spans are a discarded
-    transient: guarded at steps -skip..-1, not stored, and the state after
-    them becomes row 0.
+    transient, spans of at most h_T (_transient_spans): guarded at steps
+    -skip..-1, not stored, and the state after them becomes row 0.
 
     Returns one outcome per member: its (samples, nx) array u, or, if a
     sample is non-finite or beyond BLOWUP_LIMIT, a BlowUpError whose .step
@@ -727,18 +735,22 @@ def _equation_form(eq, params):
         (c, g, linear, 0.0, leftover)
 
 
-def _march_group(cfg, ics, metas, lin, nonlinear, g, scheme, sub, skip=0):
+def _march_group(cfg, ics, metas, lin, nonlinear, g, scheme, sub,
+                 transient=(0, 0.0)):
     """Per member b of the (n, nx) batch ics, its TrajectoryGrid with meta
     metas[b] or its BlowUpError: v' = lin*v + nonlinear(v) stepped by
     `scheme` (_make_stepper) and _march in the time s, ds = e^{-g t} dt.
 
     A span is -expm1(-g t)/g differenced, or, when g = 0, the one span dt
-    standing for all skip + nt - 1: np.diff(t) would differ in the last
-    bits and build a step per distinct span.  Each span is cut once into
+    standing for all nt - 1: np.diff(t) would differ in the last bits and
+    build a step per distinct span.  Each span is cut once into
     max(dt/sub, ceil(span/sub)) equal sub-steps, at least 1 in a solve
-    (sub = dt) and 4 in a rollout (sub = dt/4).  Spans grow as e^{-g t}, so
-    a march whose rescaled time overflows, or whose counts sum to more
-    than _MAX_SUBSTEPS, raises ConfigError before its first step.
+    (sub = dt) and 4 in a rollout (sub = dt/4).  `transient` = (skip, h)
+    puts skip discarded spans of h before them, one sub-step each, h at
+    most the system's h_T (_transient_spans); one stepper builds both
+    sizes.  Spans grow as e^{-g t}, so a march whose rescaled time
+    overflows, or whose counts sum to more than _MAX_SUBSTEPS, raises
+    ConfigError before its first step.
     """
     x, t, _, _ = _grid(cfg)
     with np.errstate(all="ignore"):
@@ -747,23 +759,49 @@ def _march_group(cfg, ics, metas, lin, nonlinear, g, scheme, sub, skip=0):
                             np.ceil(spans / sub - 1e-12))
     if not np.isfinite(counts).all():
         raise ConfigError(f"the rescaled time overflows before t = {t[-1]:g}")
-    # skip is 0 when g != 0: nkdv and rollouts take no transient
-    n_spans = skip + cfg.nt - 1
-    total = counts.sum() * (1 if g else n_spans)
+    # per distinct span: how many spans it stands for, its sub-steps and
+    # their size; skip is 0 when g != 0, for nkdv and rollouts take no
+    # transient
+    skip, h = transient
+    reps = np.full(len(spans), 1 if g else cfg.nt - 1)
+    total = skip + (reps * counts).sum()
     if total > _MAX_SUBSTEPS:
         raise ConfigError(f"{total:.3g} sub-steps, more than the "
                           f"{_MAX_SUBSTEPS:.0e} a march may take")
-    steps = _make_stepper(scheme, lin, nonlinear)(spans / counts)
-    schedule = zip(np.broadcast_to(counts.astype(int), n_spans),
-                   steps if g else itertools.cycle(steps))
-    outcomes = _march(schedule, n_spans, ics, skip)
+    sizes = spans / counts
+    if skip:
+        reps, counts, sizes = np.r_[skip, reps], np.r_[1, counts], \
+            np.r_[h, sizes]
+    steps = _make_stepper(scheme, lin, nonlinear)(sizes)
+    schedule = itertools.chain.from_iterable(
+        itertools.repeat((m, step), r)
+        for r, m, step in zip(reps, counts.astype(int), steps))
+    outcomes = _march(schedule, skip + cfg.nt - 1, ics, skip)
     return [u if isinstance(u, BlowUpError) else TrajectoryGrid(x, t, u, m)
             for u, m in zip(outcomes, metas)]
 
 
+def _transient_spans(cfg):
+    """(skip, h): cfg's transient as skip equal spans of h, at most its
+    system's transient step h_T (_STANDARD; dt where that is None).
+
+    A transient of a whole number of h_T, to the tolerance SolverConfig
+    takes for whole steps of dt, is that many spans of h_T itself, so a
+    system stepping its transient by dt keeps dt's bits; any other is
+    ceil(transient/h_T) spans of transient/skip.
+    """
+    h = _STANDARD[cfg.system][3] or cfg.dt
+    spans = cfg.transient / h
+    if abs(spans - round(spans)) <= 1e-9:
+        return round(spans), h
+    skip = math.ceil(spans)
+    return skip, cfg.transient / skip
+
+
 def solve_pde(cfg: SolverConfig, ics, metas=None):
     """Solve cfg's system, its equation marched by its scheme in steps of
-    at most dt (_STANDARD), from each row of the (n, nx) batch ics.
+    at most dt (_STANDARD) after a transient in steps of at most h_T
+    (_transient_spans), from each row of the (n, nx) batch ics.
 
     Returns, per member, its TrajectoryGrid or its BlowUpError (.step and
     the finite .rows), bit-identical to a batch of that member alone.
@@ -773,17 +811,17 @@ def solve_pde(cfg: SolverConfig, ics, metas=None):
     metas = [None] * len(ics) if metas is None else list(metas)
     if len(metas) != len(ics):
         raise ConfigError(f"{len(metas)} metas for {len(ics)} ics")
-    equation, scheme, _ = _STANDARD[cfg.system]
+    equation, scheme, _, _ = _STANDARD[cfg.system]
     c, g, linear, a, _ = _equation_form(parse(equation, SPACE), cfg.params)
     _, _, k, mask = _grid(cfg)
-    skip = round(cfg.transient / cfg.dt)
-    last = {"transient": cfg.transient} if skip else {}
+    transient = _transient_spans(cfg)
+    last = {"transient": cfg.transient} if transient[0] else {}
     out_metas = [{"system": cfg.system, "params": dict(cfg.params),
                   "noise_sigma": 0.0, **(m or {}), **last} for m in metas]
     return _march_group(
         cfg, ics, out_metas, _linear_row(c, linear, linear.values(), k),
         _advection(k, mask, len(ics), cfg.nx, a / c), g, scheme, cfg.dt,
-        skip=skip)
+        transient)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from liesindy.cli import main
+from liesindy.dynamics import GENERATOR_VERSION
 from liesindy.harness import ExperimentConfig
 
 SMALL_KDV = dict(system="kdv", nx=64, length=20.0, dt=0.01, nt=60,
@@ -340,6 +341,10 @@ def _nkdv(t0):
     (_nkdv(0.05),
      "error: 9.64e+17 sub-steps, more than the 1e+07 a march may take"),
     (_nkdv(1e-300), "error: the rescaled time overflows before t = 1.99"),
+    # 9e18 steps of dt, under sys.maxsize, are 3.6e19 of KS's h_T = 0.25
+    (lambda d: json.dumps({**d, "system": "ks", "solver": {
+        "system": "ks", "dt": 1.0, "transient": 9e18}}),
+     "error: 3.6e+19 sub-steps, more than the 1e+07 a march may take"),
 ], ids=["unknown-key", "truncated-json", "bad-nx", "unknown-solver-key",
         "not-an-object", "no-system", "runs-not-integer", "nx-not-integer",
         "dt-nan", "seed-negative", "library-divides-by-zero",
@@ -350,7 +355,7 @@ def _nkdv(t0):
         "wavenumbers-overflow", "literal-overflows", "product-overflows",
         "sum-nests-too-deeply", "library-reads-an-unknown-constant",
         "nkdv-sub-steps-above-the-limit",
-        "nkdv-rescaled-time-overflows"])
+        "nkdv-rescaled-time-overflows", "ks-transient-steps-above-int64"])
 def test_bad_config_is_one_error_line(tmp_path, capsys, config_path, edit,
                                       needle):
     bad = tmp_path / "bad.json"
@@ -434,14 +439,13 @@ def test_bad_dataset_is_one_error_line(tmp_path, capsys, config_path,
     assert needle in err
 
 
-def test_dataset_of_an_older_generator_is_refused(tmp_path, capsys,
-                                                  config_path, pipeline):
-    # the same config's digest as it was before data_digest hashed the
-    # generator version, which a dataset of the older generator carries
+def _refused_digest(tmp_path, capsys, config_path, pipeline, **extra):
+    """Discover from the pipeline's dataset under the config's digest as
+    hashed with the fields `extra` added, which must be refused."""
     cfg = ExperimentConfig.load(config_path)
     blob = json.dumps({"system": cfg.system, "solver": cfg.solver.to_dict(),
                        "runs": cfg.runs, "noise_sigma": cfg.noise_sigma,
-                       "seed": cfg.seed}, sort_keys=True)
+                       "seed": cfg.seed, **extra}, sort_keys=True)
     old = hashlib.sha256(blob.encode()).hexdigest()[:12]
     data, _ = pipeline
     bad = tmp_path / "data"
@@ -454,6 +458,20 @@ def test_dataset_of_an_older_generator_is_refused(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"error: dataset digest {old} does not match the config's "
         f"{cfg.data_digest()}\n")
+
+
+def test_dataset_of_an_older_generator_is_refused(tmp_path, capsys,
+                                                  config_path, pipeline):
+    # the same config's digest as it was before data_digest hashed the
+    # generator version, which a dataset of the older generator carries
+    _refused_digest(tmp_path, capsys, config_path, pipeline)
+
+
+def test_dataset_of_the_previous_generator_is_refused(tmp_path, capsys,
+                                                      config_path, pipeline):
+    # the same config's digest under the generator version before this one
+    _refused_digest(tmp_path, capsys, config_path, pipeline,
+                    generator=GENERATOR_VERSION - 1)
 
 
 def _edit_member(name, edit):

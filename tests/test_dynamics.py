@@ -6,6 +6,7 @@ machine precision because the spectral zero mode is exactly stationary.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -299,6 +300,8 @@ def test_each_equation_gives_its_hand_written_symbol(monkeypatch, system,
                               else 0.0, rel=1e-15)
     ics = np.array([sample_initial_condition(cfg.nx, cfg.length, seed=s)
                     for s in (1, 2)])
+    # one _make_stepper call builds every step size of a solve, KS's
+    # transient step h_T and dt alike
     made, lins = dynamics._make_stepper, []
     monkeypatch.setattr(dynamics, "_make_stepper", lambda scheme, lin, nl:
                         lins.append(lin) or made(scheme, lin, nl))
@@ -412,6 +415,89 @@ def test_blow_up_in_the_transient_has_a_negative_step():
     # transient step j (from 0) is guarded as step j - 10: the fourth blew up
     assert err.step == -7
     assert err.rows.shape == (0, cfg.nx)
+
+
+@pytest.mark.parametrize("transient, spans, size", [
+    (25.0, 100, 0.25), (1.0, 4, 0.25), (0.05, 1, 0.05), (0.3, 2, 0.15),
+])
+def test_a_ks_transient_is_cut_into_equal_spans_of_at_most_h_t(
+        monkeypatch, transient, spans, size):
+    # KS marches its transient in ceil(transient/h_T) equal spans, h_T =
+    # 0.25, one step each, and then its samples in steps of dt; both sizes'
+    # coefficients come from one block
+    from liesindy import dynamics
+    d = default_config("ks").to_dict()
+    d.update(nt=8, transient=transient)
+    cfg = SolverConfig.from_dict(d)
+    assert dynamics._transient_spans(cfg) == (spans, size)
+    taken, seen, blocks = [0], set(), []
+    monkeypatch.setattr(dynamics, "_make_stepper", _counting_stepper(
+        dynamics._make_stepper, taken, seen))
+    coeffs = dynamics._etdrk4_coeffs
+    monkeypatch.setattr(dynamics, "_etdrk4_coeffs", lambda lin, hs:
+                        blocks.append(len(hs)) or coeffs(lin, hs))
+    ic = sample_initial_condition(cfg.nx, cfg.length, seed=1)
+    assert isinstance(solve_pde(cfg, ic[None])[0], TrajectoryGrid)
+    assert taken[0] == spans + cfg.nt - 1
+    assert seen == {size, cfg.dt}
+    assert blocks == [2]
+
+
+def test_blow_up_in_the_coarse_ks_transient_has_a_negative_step():
+    # the 30x member blows up in the second of the 100 transient spans of
+    # h_T, guarded as step -99; the others march on
+    d = default_config("ks").to_dict()
+    d.update(nt=8)
+    cfg = SolverConfig.from_dict(d)
+    ics = np.array([scale * sample_initial_condition(cfg.nx, cfg.length, 2)
+                    for scale in (1.0, 30.0, 1.0)])
+    good, err, other = solve_pde(cfg, ics)
+    assert isinstance(good, TrajectoryGrid)
+    assert isinstance(other, TrajectoryGrid)
+    assert isinstance(err, BlowUpError)
+    assert err.step == -99
+    assert err.rows.shape == (0, cfg.nx)
+
+
+@pytest.mark.parametrize("system, transient, digest", [
+    ("burgers", 0.29, "3c538e54519db8e5"),
+    ("kdv", 0.05, "42cb306a721d02dd"),
+])
+def test_a_transient_in_steps_of_dt_keeps_its_bits(system, transient,
+                                                   digest):
+    # a system with no transient step of its own marches its transient in
+    # spans of exactly dt: the sha256 prefixes are generator 5's, from the
+    # ICs of seeds 1 and 2.  0.29 is 57.99999999999999 steps of 0.005, and
+    # 0.29/58 is not 0.005
+    d = default_config(system).to_dict()
+    d.update(transient=transient)
+    cfg = SolverConfig.from_dict(d)
+    ics = np.array([sample_initial_condition(cfg.nx, cfg.length, seed=s)
+                    for s in (1, 2)])
+    sha = hashlib.sha256()
+    for tr in solve_pde(cfg, ics):
+        sha.update(tr.u.tobytes())
+    assert sha.hexdigest()[:16] == digest
+
+
+def test_the_coarse_ks_transient_lands_where_the_dt_transient_does(
+        monkeypatch):
+    # the default KS solve after 100 transient steps of h_T = 0.25 against
+    # the same solve after 500 of dt, both marched by _march_group.  At
+    # t = 25 (row 0), seeds 1, 2 and 13 read max |du| 8.2e-4, 8.2e-4 and
+    # 4.6e-2 against max |u| 2.61, 2.23 and 3.60, so the bound is 0.1;
+    # std(u) over the trajectory moves by at most 0.11% (seed 1, 1.0874
+    # against 1.0886), so its bound is 0.5%
+    from liesindy import dynamics
+    cfg = default_config("ks")
+    ics = np.array([sample_initial_condition(cfg.nx, cfg.length, seed=s)
+                    for s in (1, 2, 13)])
+    coarse = solve_pde(cfg, ics)
+    monkeypatch.setattr(dynamics, "_transient_spans", lambda cfg: (
+        round(cfg.transient / cfg.dt), cfg.dt))
+    for mine, fine in zip(coarse, solve_pde(cfg, ics)):
+        assert np.max(np.abs(mine.u[0] - fine.u[0])) < 0.1
+        assert np.std(mine.u) == pytest.approx(np.std(fine.u), rel=5e-3)
 
 
 def test_nkdv_direct_requires_nkdv_config():
@@ -567,9 +653,10 @@ def _counting_stepper(made, taken, sizes_seen):
 
 # (sub-steps, distinct step sizes) of each default march: a span is cut
 # into max(dt/sub, ceil(span/sub)) sub-steps, sub = dt in a solve and dt/4
-# in a rollout; only nkdv's spans, rescaled by e^{-g t}, differ
+# in a rollout; only nkdv's spans, rescaled by e^{-g t}, differ.  KS's
+# transient of 25 is 100 steps of h_T = 0.25 before its 999 steps of dt
 _SCHEDULES = {
-    ("solve", "kdv"): (499, 1), ("solve", "ks"): (1499, 1),
+    ("solve", "kdv"): (499, 1), ("solve", "ks"): (1099, 2),
     ("solve", "burgers"): (399, 1), ("solve", "nkdv"): (739, 199),
     ("rollout", "kdv"): (1996, 1), ("rollout", "nkdv"): (2628, 199),
 }
@@ -625,7 +712,8 @@ def test_a_rollout_whose_coefficients_overflow_blows_up_unwarned(model):
 
 
 def _short(system):
-    """system's default grid cut to 40 samples; KS keeps 20 transient steps."""
+    """system's default grid cut to 40 samples; KS keeps a transient of 1.0,
+    4 steps of h_T."""
     d = default_config(system).to_dict()
     d.update(nt=40, transient=1.0 if system == "ks" else 0.0)
     return SolverConfig.from_dict(d)
@@ -705,7 +793,7 @@ _COARSE_KDV = SolverConfig("kdv", nx=64, length=2.0 * math.pi, dt=0.01,
 
 
 @pytest.mark.parametrize("cfg, run, scales, blown, when", [
-    # 20 discarded steps; KS at 100x blows up among them
+    # 4 discarded steps of h_T; KS at 100x blows up among them
     (_short("ks"), solve_pde, (1.0, 100.0, 1.0), [1], "transient"),
     (_short("kdv"), solve_pde, (1.0, 2 * BLOWUP_LIMIT, 1.0), [1], "ic"),
     (_short("kdv"), _rollout(*_TRUTH["kdv"]), (1.0, 2 * BLOWUP_LIMIT, 1.0),
@@ -890,7 +978,7 @@ def _fresh_stepper(made, handed):
 @pytest.mark.parametrize("case", ["ks-transient", "nkdv-sub-steps",
                                   "rollout"])
 def test_handed_field_matches_a_fresh_transform(monkeypatch, case):
-    # KS with 20 transient steps, one member blowing up among them; nKdV,
+    # KS with 4 transient steps, one member blowing up among them; nKdV,
     # whose spans take up to two sub-steps of dt; and a rollout batch with a
     # poly2 leftover, a constant-only leftover, a purely linear model and
     # u_t = u^2, which blows up on the scaled IC only
@@ -931,8 +1019,9 @@ def test_handed_field_matches_a_fresh_transform(monkeypatch, case):
             assert g.rows.tobytes() == w.rows.tobytes()
         else:
             assert g.u.tobytes() == w.u.tobytes()
-    # every span but the first starts from the field its sample took
-    spans = round(cfg.transient / cfg.dt) + cfg.nt - 1
+    # every span but the first starts from the field its sample took; KS's
+    # transient of 1.0 is 4 spans of h_T = 0.25
+    spans = dynamics._transient_spans(cfg)[0] + cfg.nt - 1
     groups = 4 if case == "rollout" else 1
     assert handed.count(True) == groups * (spans - 1)
     if steps is not None:
