@@ -216,8 +216,6 @@ class SolverConfig:
         if steps > sys.maxsize:
             raise ConfigError(f"transient is {steps:.3g} steps of dt, "
                               f"more than {sys.maxsize}")
-        if abs(steps - round(steps)) > 1e-9:
-            raise ConfigError("transient must be a whole number of steps")
         for name in reads:
             if self.params.get(name, 0.0) <= 0:
                 raise ConfigError(f"{self.system} needs {name} > 0")
@@ -785,10 +783,9 @@ def _transient_spans(cfg):
     """(skip, h): cfg's transient as skip equal spans of h, at most its
     system's transient step h_T (_STANDARD; dt where that is None).
 
-    A transient of a whole number of h_T, to the tolerance SolverConfig
-    takes for whole steps of dt, is that many spans of h_T itself, so a
-    system stepping its transient by dt keeps dt's bits; any other is
-    ceil(transient/h_T) spans of transient/skip.
+    A transient within 1e-9 spans of a whole number of h_T is that many
+    spans of h_T itself, so a system stepping its transient by dt keeps
+    dt's bits; any other is ceil(transient/h_T) spans of transient/skip.
     """
     h = _STANDARD[cfg.system][3] or cfg.dt
     spans = cfg.transient / h

@@ -6,7 +6,8 @@ plus a numeric residual) and the invariant set is checked for functional
 independence through the rank of its Jacobian in the jet coordinates.  Both
 numeric checks read one set of sampled jet points, drawn once per
 verification at a fixed size and seed.  A catalog that fails verification
-is a startup error.
+is a startup error.  Each entry is verified once per process, and `liesindy
+verify` prints that first load's report.
 """
 
 from __future__ import annotations
@@ -133,11 +134,12 @@ def truth_equation(system: str) -> Expr:
     return parse(equation, SPACE)
 
 
+# catalog key -> (set, the report its first load passed)
 _cache: dict = {}
 
 
-def builtin_set(system: str) -> InvariantSet:
-    """Catalog entry for a built-in system, verified at first load."""
+def _verified(system):
+    """builtin_set's entry and the report it was verified with."""
     key = _system_key(system)
     if key not in _cache:
         s = _build(key)
@@ -145,8 +147,13 @@ def builtin_set(system: str) -> InvariantSet:
         if not report.passed:
             raise CatalogError(
                 f"catalog verification failed for '{key}': {report.failures}")
-        _cache[key] = s
+        _cache[key] = s, report
     return _cache[key]
+
+
+def builtin_set(system: str) -> InvariantSet:
+    """Catalog entry for a built-in system, verified at first load."""
+    return _verified(system)[0]
 
 
 def eliminate_translations(generators, n: int):

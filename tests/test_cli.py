@@ -258,6 +258,65 @@ def test_verify_unknown_system_fails(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_a_cold_verify_verifies_the_entry_once(monkeypatch, capsys):
+    # the catalog's first load verifies the entry and verify prints that
+    # report; verify_set is counted on both modules that name it
+    from liesindy import cli, invariants
+    calls, verify = [], invariants.verify_set
+
+    def counted(s):
+        calls.append(s.system)
+        return verify(s)
+
+    monkeypatch.setattr(invariants, "_cache", {})
+    for module in (invariants, cli):
+        monkeypatch.setattr(module, "verify_set", counted)
+    assert main(["verify", "--system", "kdv"]) == 0
+    assert capsys.readouterr().out == _VERIFY_OUT["kdv"]
+    assert calls == ["kdv"]
+
+
+@pytest.mark.parametrize("system", ["kdv", "nkdv"])
+def test_verify_checks_the_criterion_on_the_catalogs_prolongations(
+        monkeypatch, capsys, system):
+    # the entry's load prolongs each generator once, to the jet space's
+    # order, and verify's criterion lines read those prolongations
+    from liesindy import invariants, liealg
+    monkeypatch.setattr(invariants, "_cache", {})
+    monkeypatch.setattr(liealg, "_prolonged", {})
+    invariants.builtin_set(system)
+    made = []
+    prolong = liealg._prolong
+    monkeypatch.setattr(liealg, "_prolong", lambda v, n: made.append(n)
+                        or prolong(v, n))
+    assert main(["verify", "--system", system]) == 0
+    assert capsys.readouterr().out == _VERIFY_OUT[system]
+    assert made == []
+
+
+def test_a_catalog_entry_that_fails_verification_is_one_fail_line(
+        monkeypatch, capsys):
+    # u is not invariant under the galilean boost, so the entry's first
+    # load refuses it and verify prints that refusal alone
+    from liesindy import invariants
+    from liesindy.expr import parse, to_string
+    build = invariants._build
+
+    def broken(system):
+        s = build(system)
+        assert to_string(s.etas[1]) == "u_x"
+        s.etas[1] = parse("u", s.space)
+        return s
+
+    monkeypatch.setattr(invariants, "_cache", {})
+    monkeypatch.setattr(invariants, "_build", broken)
+    assert main(["verify", "--system", "kdv"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL catalog: catalog verification failed for "
+                          "'kdv': ")
+    assert out.count("\n") == 1
+
+
 def test_missing_config_is_an_error(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["generate", "--config", str(missing),

@@ -74,7 +74,6 @@ def test_default_configs_cover_all_systems():
     {"system": "kdv", "length": -1.0},
     {"system": "kdv", "scheme": "euler"},
     {"system": "kdv", "transient": -1.0},
-    {"system": "kdv", "transient": 0.0105},  # not a whole step count
     {"system": "burgers", "params": {}},     # nu missing
     {"system": "nkdv", "params": {}},        # t0 missing
     {"system": "nkdv", "params": {"t0": 1.0}, "transient": 1.0},
@@ -419,14 +418,28 @@ def test_blow_up_in_the_transient_has_a_negative_step():
 
 @pytest.mark.parametrize("transient, spans, size", [
     (25.0, 100, 0.25), (1.0, 4, 0.25), (0.05, 1, 0.05), (0.3, 2, 0.15),
+    (0.26, 2, 0.13),
 ])
 def test_a_ks_transient_is_cut_into_equal_spans_of_at_most_h_t(
         monkeypatch, transient, spans, size):
     # KS marches its transient in ceil(transient/h_T) equal spans, h_T =
     # 0.25, one step each, and then its samples in steps of dt; both sizes'
     # coefficients come from one block
+    _march_transient(monkeypatch, "ks", transient, spans, size)
+
+
+def test_a_transient_of_no_whole_number_of_steps_is_cut_into_equal_spans(
+        monkeypatch):
+    # kdv has no transient step of its own, so h_T = dt = 0.01: 0.0105 is
+    # 1.05 steps of it, marched as 2 equal spans
+    _march_transient(monkeypatch, "kdv", 0.0105, 2, 0.00525)
+
+
+def _march_transient(monkeypatch, system, transient, spans, size):
+    """Solve system's grid at nt 8 after `transient`, which must be cut
+    into `spans` spans of `size`, each one step of one coefficient block."""
     from liesindy import dynamics
-    d = default_config("ks").to_dict()
+    d = default_config(system).to_dict()
     d.update(nt=8, transient=transient)
     cfg = SolverConfig.from_dict(d)
     assert dynamics._transient_spans(cfg) == (spans, size)
